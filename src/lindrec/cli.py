@@ -332,6 +332,8 @@ def _run_robustness(config: RunConfig) -> tuple[dict, list[str], list[list]]:
                 "n_negative_gamma": n_negative,
                 "markovian": params.markovian,
                 "unique": ss.unique,
+                "steady_state_method": ss.method,
+                "uniqueness_bound": ss.uniqueness_bound,
                 "rapidity_residual": rapidity(params, model.ansatz, rho_eps),
             }
             csv_row = [n, float(eps), lam1, diff, float(gev[0])]

@@ -6,6 +6,7 @@ from lindrec.engine import (
     LindbladianParams,
     apply_lindbladian,
     rapidity,
+    repair_markovianity,
     reverse_engineer,
 )
 from lindrec.errors import DimMismatchError, DimTooLargeError
@@ -17,6 +18,8 @@ from lindrec.models import (
 )
 from lindrec.quantum_ops import FockSpace, boson_ops, mix_with_identity
 from lindrec.verification import (
+    NULL_SV_TOL,
+    _steady_state_svd,
     liouvillian_gap,
     norm_difference,
     stack_state,
@@ -25,7 +28,29 @@ from lindrec.verification import (
     vectorize_liouvillian,
 )
 
-from conftest import random_ansatz, random_density, random_params
+from conftest import random_ansatz, random_density, random_hermitian, random_params
+
+
+def master_equation(params, ansatz, rho):
+    """L[rho] written out term by term from the Lindblad form."""
+    out = np.zeros_like(rho, dtype=complex)
+    for c_j, h_j in zip(params.c, ansatz.h_ops):
+        out += -1j * c_j * (h_j @ rho - rho @ h_j)
+    for j, l_j in enumerate(ansatz.jump_ops):
+        for k, l_k in enumerate(ansatz.jump_ops):
+            kd_j = l_k.conj().T @ l_j
+            out += params.gamma[j, k] * (
+                l_j @ rho @ l_k.conj().T - 0.5 * (kd_j @ rho + rho @ kd_j)
+            )
+    return out
+
+
+def gamma_with_zero_rate(rng, n_jump):
+    """Hermitian PSD rate matrix with one zero rate (up to roundoff)."""
+    _, chans = np.linalg.eigh(random_hermitian(rng, n_jump))
+    rates = rng.uniform(0.5, 2.0, n_jump)
+    rates[0] = 0.0
+    return (chans * rates) @ chans.conj().T
 
 
 class TestVectorize:
@@ -40,6 +65,27 @@ class TestVectorize:
             assert np.linalg.norm(via_matrix - direct) <= 1e-10 * max(
                 1.0, np.linalg.norm(direct)
             )
+
+    @pytest.mark.parametrize(
+        "case", ["hermitian", "non_hermitian", "no_drive", "no_jump", "zero_rate"]
+    )
+    def test_definition_on_random_states(self, rng, case):
+        n_drive = 0 if case == "no_drive" else 2
+        n_jump = 0 if case == "no_jump" else 3
+        for dim in (2, 3, 5):
+            ansatz = random_ansatz(rng, dim, n_drive, n_jump)
+            params = random_params(
+                rng, n_drive, n_jump, hermitian_gamma=case != "non_hermitian"
+            )
+            if case == "zero_rate":
+                params = LindbladianParams(
+                    c=params.c, gamma=gamma_with_zero_rate(rng, n_jump)
+                )
+            liou = vectorize_liouvillian(params, ansatz)
+            rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            expected = master_equation(params, ansatz, rho)
+            got = unstack_state(liou.superop @ stack_state(rho), dim)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_zero_params_zero_matrix(self, rng):
         ansatz = random_ansatz(rng, 3, 1, 1)
@@ -98,6 +144,72 @@ class TestSteadyState:
         out = steady_state_of(params, ansatz)
         assert out.null_space_dim == 9
         assert out.unique is False
+        assert out.method == "svd"
+        assert out.fallback == "singular"
+        assert out.uniqueness_bound is None
+
+    def test_certified_state_matches_svd_verdict(self, rng):
+        certified = 0
+        for trial in range(40):
+            dim = 2 + trial % 7
+            n_drive, n_jump = int(rng.integers(0, 3)), int(rng.integers(1, 4))
+            ansatz = random_ansatz(rng, dim, n_drive, n_jump)
+            params = repair_markovianity(
+                random_params(rng, n_drive, n_jump, hermitian_gamma=True)
+            )
+            out = steady_state_of(params, ansatz)
+            if out.method != "inverse":
+                # only degenerate draws (a zero repaired gamma) fall back here
+                assert out.method == "svd" and out.fallback is not None
+                assert out.null_space_dim >= 2
+                continue
+            certified += 1
+            assert out.unique and out.fallback is None
+            assert out.uniqueness_bound > NULL_SV_TOL
+            liou = vectorize_liouvillian(params, ansatz)
+            robust = _steady_state_svd(liou)
+            assert robust.null_space_dim == 1
+            assert norm_difference(out.rho, robust.rho) <= 1e-10
+            # the certificate is a lower bound on the true singular-value ratio
+            s = np.linalg.svd(liou.superop, compute_uv=False)
+            assert out.uniqueness_bound <= s[-2] / s[0]
+            limit = NULL_SV_TOL * max(1.0, np.linalg.norm(liou.superop) / dim)
+            assert out.residual <= limit
+        assert certified >= 30
+
+    def test_dephasing_falls_back_to_svd(self):
+        sz = np.diag([0.5, -0.5]).astype(complex)
+        ansatz = LindbladAnsatz(h_ops=(), jump_ops=(sz,))
+        params = LindbladianParams(c=np.zeros(0), gamma=np.eye(1, dtype=complex))
+        out = steady_state_of(params, ansatz)
+        assert out.method == "svd"
+        assert out.fallback in ("singular", "bound")
+        assert out.null_space_dim >= 2
+
+    def test_decoupled_blocks_fall_back_with_multiplicity(self, rng):
+        # two invariant blocks, each with its own steady state
+        def block_diag(a, b):
+            out = np.zeros((4, 4), dtype=complex)
+            out[:2, :2] = a
+            out[2:, 2:] = b
+            return out
+
+        def random_op():
+            return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+
+        ansatz = LindbladAnsatz(
+            h_ops=(block_diag(random_hermitian(rng, 2), random_hermitian(rng, 2)),),
+            jump_ops=(
+                block_diag(random_op(), random_op()),
+                block_diag(random_op(), random_op()),
+            ),
+        )
+        params = repair_markovianity(random_params(rng, 1, 2, hermitian_gamma=True))
+        out = steady_state_of(params, ansatz)
+        assert out.method == "svd"
+        assert out.fallback in ("singular", "bound")
+        assert out.null_space_dim >= 2
+        assert out.unique is False
 
     def test_lu_falls_back_on_degenerate_generator(self, rng):
         # dephasing in a fixed basis leaves every diagonal state steady
@@ -106,6 +218,7 @@ class TestSteadyState:
         params = LindbladianParams(c=np.zeros(0), gamma=np.eye(1, dtype=complex))
         out = steady_state_of(params, ansatz, method="lu")
         assert out.method == "svd"
+        assert out.fallback is not None
         assert out.null_space_dim >= 2
 
 
