@@ -29,16 +29,17 @@ from . import models
 from .engine import (
     LindbladAnsatz,
     LindbladianParams,
+    ReconstructionResult,
     markovian_postselect,
     markovian_superposition_search,
-    rapidity,
+    rapidity,  # noqa: F401 -- module attribute that perfbench/tracing.py wraps
     repair_markovianity,
     reverse_engineer,
     unpack_kernel_vector,
 )
 from .errors import ConfigInvalidError, InsufficientDataError, LindrecError
 from .numerics import DEFAULT_NULL_TOL, loglog_fit
-from .quantum_ops import FockSpace, boson_ops, coherent_state
+from .quantum_ops import FockSpace, boson_ops, coherent_state, mix_with_identity
 from .verification import norm_difference, steady_state_of
 
 EXPERIMENTS = ("coherent", "squeezed", "collective", "robustness", "feasibility")
@@ -76,6 +77,8 @@ class RunConfig:
         if self.experiment == "robustness":
             if not self.eps_list:
                 raise ConfigInvalidError("empty eps grid")
+            if not all(0.0 <= eps <= 1.0 for eps in self.eps_list):
+                raise ConfigInvalidError("eps values must lie in [0, 1]")
             if self.regime not in ("strong", "weak"):
                 raise ConfigInvalidError("regime must be strong or weak")
         if self.kappa <= 0:
@@ -130,27 +133,25 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     _atomic_write(path, buf.getvalue())
 
 
-def _params_payload(
-    params: LindbladianParams, ansatz: LindbladAnsatz, rho: np.ndarray
-) -> dict:
+def _params_payload(params: LindbladianParams, result: ReconstructionResult) -> dict:
+    """Reported form of ``params``; the residual is evaluated on the (ansatz,
+    state) pair that ``result`` reconstructed."""
     return {
         "c": params.c,
         "gamma": params.gamma,
         "gamma_eigenvalues": params.gamma_eigenvalues,
         "markovian": params.markovian,
-        "rapidity_residual": rapidity(params, ansatz, rho),
+        "rapidity_residual": result.rapidity(params),
     }
 
 
-def _reconstruction_payload(result, ansatz, rho) -> dict:
+def _reconstruction_payload(result: ReconstructionResult) -> dict:
     return {
         "spectrum": result.spectrum,
         "kernel_dim": result.kernel_dim,
         "verdict": result.verdict,
         "raw_asymmetry": result.corr.raw_asymmetry,
-        "solutions": [
-            _params_payload(p, ansatz, rho) for p in result.solutions
-        ],
+        "solutions": [_params_payload(p, result) for p in result.solutions],
         "non_admissible": [
             {"reason": e.reason, "vector": e.vector}
             for e in result.kernel
@@ -170,7 +171,7 @@ def _run_coherent(config: RunConfig) -> dict:
     spec = models.CoherentSpec(alpha=config.alpha, n_max=config.n_max)
     model = models.build_model(spec)
     result = reverse_engineer(model.ansatz, model.rho_ss, config.tol_null)
-    payload = _reconstruction_payload(result, model.ansatz, model.rho_ss)
+    payload = _reconstruction_payload(result)
     analytic = models.analytic_kernel_vectors(spec)[0]
     if result.kernel_dim:
         payload["analytic_overlap"] = _subspace_overlap(analytic, list(result.kernel_vectors))
@@ -187,7 +188,7 @@ def _run_squeezed(config: RunConfig) -> dict:
     )
     model = models.build_model(spec)
     result = reverse_engineer(model.ansatz, model.rho_ss, config.tol_null)
-    payload = _reconstruction_payload(result, model.ansatz, model.rho_ss)
+    payload = _reconstruction_payload(result)
     analytic = models.analytic_kernel_vectors(spec)
     payload["analytic_kernel_dim"] = len(analytic)
     search = markovian_superposition_search(
@@ -200,49 +201,47 @@ def _run_squeezed(config: RunConfig) -> dict:
     payload["markovian_search"] = {
         "n_solutions": len(search.solutions),
         "direction_supported": search.direction_supported,
-        "solutions": [
-            _params_payload(p, model.ansatz, model.rho_ss) for p in search.solutions
-        ],
+        "solutions": [_params_payload(p, result) for p in search.solutions],
     }
     payload["postselected"] = [
-        _params_payload(p, model.ansatz, model.rho_ss)
-        for p in markovian_postselect(result.kernel)
+        _params_payload(p, result) for p in markovian_postselect(result.kernel)
     ]
     return payload
 
 
-def _run_collective(config: RunConfig) -> dict:
-    rows = []
-    second_eigs = []
-    for n in config.n_list:
-        spec = models.CollectiveSpec(
-            n_spins=n,
-            omega0=config.resolved_ratio() * config.kappa,
-            kappa=config.kappa,
-            basis=models.FULL_BASIS,
-        )
-        model = models.build_model(spec)
-        result = reverse_engineer(model.ansatz, model.rho_ss, config.tol_null)
-        row = {
-            "n_spins": n,
-            "two_lowest_eigenvalues": result.spectrum[:2],
-            "kernel_dim": result.kernel_dim,
+def _collective_row(config: RunConfig, n: int) -> dict:
+    """One row of the collective scan; the model and its term images are
+    released on return, before the next (larger) row is built."""
+    spec = models.CollectiveSpec(
+        n_spins=n,
+        omega0=config.resolved_ratio() * config.kappa,
+        kappa=config.kappa,
+        basis=models.FULL_BASIS,
+    )
+    model = models.build_model(spec)
+    result = reverse_engineer(model.ansatz, model.rho_ss, config.tol_null)
+    row = {
+        "n_spins": n,
+        "two_lowest_eigenvalues": result.spectrum[:2],
+        "kernel_dim": result.kernel_dim,
+    }
+    if result.solutions:
+        sol = result.solutions[0]
+        row["solution"] = _params_payload(sol, result)
+        g = sol.gamma
+        row["ratios"] = {
+            "c1_over_gamma11": sol.c[0] / g[0, 0].real,
+            "gamma12_over_gamma11": g[0, 1] / g[0, 0],
+            "gamma21_over_gamma11": g[1, 0] / g[0, 0],
         }
-        if result.solutions:
-            sol = result.solutions[0]
-            row["solution"] = _params_payload(sol, model.ansatz, model.rho_ss)
-            g = sol.gamma
-            row["ratios"] = {
-                "c1_over_gamma11": sol.c[0] / g[0, 0].real,
-                "gamma12_over_gamma11": g[0, 1] / g[0, 0],
-                "gamma21_over_gamma11": g[1, 0] / g[0, 0],
-            }
-            gev = sol.gamma_eigenvalues
-            row["n_gamma_above_tol"] = int(
-                np.sum(gev > 1e-10 * max(1.0, gev[-1]))
-            )
-        rows.append(row)
-        second_eigs.append(float(result.spectrum[1]))
+        gev = sol.gamma_eigenvalues
+        row["n_gamma_above_tol"] = int(np.sum(gev > 1e-10 * max(1.0, gev[-1])))
+    return row
+
+
+def _run_collective(config: RunConfig) -> dict:
+    rows = [_collective_row(config, n) for n in config.n_list]
+    second_eigs = [float(row["two_lowest_eigenvalues"][1]) for row in rows]
     return {
         "rows": rows,
         "solutions": [row["solution"] for row in rows if "solution" in row],
@@ -301,12 +300,11 @@ def _run_robustness(config: RunConfig) -> tuple[dict, list[str], list[list]]:
         )
         model = models.build_model(spec)
         rho_clean = model.rho_ss
-        dim = rho_clean.shape[0]
         for eps in eps_grid:
             # white noise as the maximally mixed state; this trace-normalized
             # mixing is the parametrization under which the quoted eps/N
             # scalings of the smallest eigenvalue and the state error hold
-            rho_eps = (1.0 - eps) * rho_clean + eps * np.eye(dim) / dim
+            rho_eps = mix_with_identity(rho_clean, eps)
             result = reverse_engineer(model.ansatz, rho_eps, config.tol_null)
             lam1 = float(result.spectrum[0])
             # parameters of the minimum-eigenvalue direction
@@ -319,6 +317,7 @@ def _run_robustness(config: RunConfig) -> tuple[dict, list[str], list[list]]:
             n_negative = int(np.sum(gev < -neg_tol))
             ss = steady_state_of(params, model.ansatz, method="svd")
             diff = norm_difference(ss.rho, rho_clean)
+            solution = _params_payload(params, result)
             row = {
                 "n_spins": n,
                 "eps": float(eps),
@@ -326,7 +325,7 @@ def _run_robustness(config: RunConfig) -> tuple[dict, list[str], list[list]]:
                 "lambda2": float(result.spectrum[1]),
                 "verdict": result.verdict,
                 "state_diff": diff,
-                "solution": _params_payload(params, model.ansatz, rho_eps),
+                "solution": solution,
                 "gamma_eigenvalues": gev,
                 "gamma_min": float(gev[0]),
                 "n_negative_gamma": n_negative,
@@ -334,7 +333,7 @@ def _run_robustness(config: RunConfig) -> tuple[dict, list[str], list[list]]:
                 "unique": ss.unique,
                 "steady_state_method": ss.method,
                 "uniqueness_bound": ss.uniqueness_bound,
-                "rapidity_residual": rapidity(params, model.ansatz, rho_eps),
+                "rapidity_residual": solution["rapidity_residual"],
             }
             csv_row = [n, float(eps), lam1, diff, float(gev[0])]
             if weak:
@@ -445,7 +444,7 @@ def fit_scalings(csv_path: str | Path) -> dict:
 def _run_feasibility(config: RunConfig) -> dict:
     """Deliberately impoverished ansatz: a lone decay jump, no drives."""
     alpha = complex(config.alpha)
-    n_max = config.n_max or int(max(40, np.ceil(10 * max(4.0, abs(alpha) ** 2))))
+    n_max = config.n_max or models.default_cutoff(models.CoherentSpec(alpha=alpha))
     space = FockSpace(n_max)
     ops = boson_ops(space)
     rho = coherent_state(space, alpha)
@@ -458,18 +457,18 @@ def _run_feasibility(config: RunConfig) -> dict:
         if abs(g) < 1e-9:
             continue
         params = LindbladianParams(c=np.zeros(0), gamma=np.array([[g]], dtype=complex))
-        scan.append(rapidity(params, ansatz, rho) / g**2)
+        scan.append(result.rapidity(params) / g**2)
     unit = LindbladianParams(c=np.zeros(0), gamma=np.array([[1.0]], dtype=complex))
     return {
         "spectrum": result.spectrum,
         "kernel_dim": result.kernel_dim,
         "verdict": result.verdict,
-        "solutions": [_params_payload(p, ansatz, rho) for p in result.solutions],
+        "solutions": [_params_payload(p, result) for p in result.solutions],
         "min_eigenvalue": float(result.spectrum[0]),
         "brute_force": {
             "grid_points": len(scan),
             "min_normalized_rapidity": float(np.min(scan)),
-            "unit_family_rapidity": rapidity(unit, ansatz, rho),
+            "unit_family_rapidity": result.rapidity(unit),
         },
     }
 

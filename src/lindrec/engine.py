@@ -16,6 +16,7 @@ and post-processes solutions for complete positivity.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Union
 
@@ -132,13 +133,16 @@ class CorrelationMatrix:
     Rows/columns 0..J-1 are the drive terms in ansatz order; J..J+K^2-1 are
     the dissipator terms (j, k) in row-major order.  ``mat`` is the
     symmetrized matrix; ``raw_asymmetry`` records the relative deviation of
-    the pre-symmetrization Gram matrix from Hermiticity.
+    the pre-symmetrization Gram matrix from Hermiticity.  ``images`` is the
+    (J + K^2, d, d) term-image stack the Gram matrix was built from, kept so
+    the flow of any parameter vector can be formed without recomputing it.
     """
 
     mat: np.ndarray
     n_drive: int
     n_jump: int
     raw_asymmetry: float
+    images: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -183,11 +187,14 @@ def term_images(ansatz: LindbladAnsatz, rho: np.ndarray) -> np.ndarray:
         raise DimMismatchError(
             f"state shape {rho.shape} does not match ansatz dim {ansatz.dim}"
         )
-    images = [apply_h_term(h, rho) for h in ansatz.h_ops]
-    for l_j in ansatz.jump_ops:
-        for l_k in ansatz.jump_ops:
-            images.append(apply_d_term(l_j, l_k, rho))
-    return np.array(images)
+    # filled in place, so the stack is never held twice
+    images = np.empty((ansatz.n_params, ansatz.dim, ansatz.dim), dtype=complex)
+    for idx, h in enumerate(ansatz.h_ops):
+        images[idx] = apply_h_term(h, rho)
+    pairs = itertools.product(ansatz.jump_ops, repeat=2)
+    for idx, (l_j, l_k) in enumerate(pairs, start=ansatz.n_drive):
+        images[idx] = apply_d_term(l_j, l_k, rho)
+    return images
 
 
 def apply_lindbladian(
@@ -204,7 +211,10 @@ def rapidity(
     params: LindbladianParams, ansatz: LindbladAnsatz, rho: np.ndarray
 ) -> float:
     """Squared Frobenius norm of L[rho]; zero exactly at a steady state."""
-    flow = apply_lindbladian(params, ansatz, rho)
+    return _squared_norm(apply_lindbladian(params, ansatz, rho))
+
+
+def _squared_norm(flow: np.ndarray) -> float:
     return float(np.vdot(flow, flow).real)
 
 
@@ -226,6 +236,7 @@ def build_correlation_matrix(
         n_drive=ansatz.n_drive,
         n_jump=ansatz.n_jump,
         raw_asymmetry=raw_asym,
+        images=images,
     )
 
 
@@ -340,6 +351,13 @@ class ReconstructionResult:
     @property
     def feasible(self) -> bool:
         return self.verdict == FEASIBLE
+
+    def rapidity(self, params: LindbladianParams) -> float:
+        """``rapidity(params, ansatz, rho)`` for the reconstructed pair, formed
+        from the stored term images with the same arithmetic."""
+        if params.n_drive != self.corr.n_drive or params.n_jump != self.corr.n_jump:
+            raise DimMismatchError("parameter shapes do not match the ansatz")
+        return _squared_norm(np.tensordot(params.to_vector(), self.corr.images, axes=1))
 
 
 def reverse_engineer(

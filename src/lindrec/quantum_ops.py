@@ -158,18 +158,18 @@ def spin_ops(sector: SpinSector) -> SpinOps:
 
 
 def mix_with_identity(rho: np.ndarray, eps: float) -> np.ndarray:
-    """Pseudo-white-noise mixture (eps I + (1 - eps) rho), renormalized to trace 1.
+    """White-noise mixture (1 - eps) rho + eps I / d with the maximally mixed state.
 
-    The identity lives on the same sector as ``rho``; the normalization is
-    N_eps = eps d + (1 - eps) for a trace-1 input.
+    The identity lives on the same sector as ``rho``.  No renormalization is
+    applied, so a trace-1 input gives a trace-1 output up to roundoff.
     """
     if not 0.0 <= eps <= 1.0:
         raise EpsOutOfRangeError(f"eps={eps} outside [0, 1]")
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimMismatchError(f"density matrix must be square, got {rho.shape}")
-    out = eps * np.eye(rho.shape[0], dtype=complex) + (1.0 - eps) * rho
-    return out / np.trace(out).real
+    dim = rho.shape[0]
+    return (1.0 - eps) * rho + eps * np.eye(dim) / dim
 
 
 def check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> None:

@@ -4,6 +4,7 @@ import csv
 import numpy as np
 import pytest
 
+from lindrec import models
 from lindrec.cli import (
     RunConfig,
     _parse_float_grid,
@@ -12,9 +13,12 @@ from lindrec.cli import (
     build_parser,
     fit_scalings,
     main,
+    run_experiment,
     write_csv,
 )
+from lindrec.engine import LindbladAnsatz, LindbladianParams, rapidity
 from lindrec.errors import ConfigInvalidError
+from lindrec.quantum_ops import FockSpace, boson_ops, coherent_state, mix_with_identity
 
 
 def load_report(out_dir):
@@ -58,6 +62,12 @@ class TestParsing:
         config = RunConfig(experiment="coherent", tol_null=1.0)
         with pytest.raises(ConfigInvalidError):
             config.validate()
+
+    def test_validate_rejects_eps_outside_unit_interval(self):
+        config = RunConfig(experiment="robustness", eps_list=(1e-3, 1.5))
+        with pytest.raises(ConfigInvalidError):
+            config.validate()
+        assert main(["robustness", "--eps", "0.1,-0.1,0.5", "--out", "unused"]) == 2
 
     def test_regime_sets_default_ratio(self):
         strong = RunConfig(experiment="robustness", regime="strong")
@@ -185,6 +195,81 @@ class TestDeterminism:
         canon_a = json.dumps(rep_a, sort_keys=True)
         canon_b = json.dumps(rep_b, sort_keys=True)
         assert canon_a.encode() == canon_b.encode()
+
+
+class TestReportedRapidity:
+    """Every reported residual equals ``engine.rapidity`` recomputed from the
+    reported parameters on the reconstructed (ansatz, state) pair."""
+
+    @staticmethod
+    def assert_residual(payload, ansatz, rho):
+        params = LindbladianParams(c=payload["c"], gamma=payload["gamma"])
+        assert payload["rapidity_residual"] == rapidity(params, ansatz, rho)
+
+    def test_coherent_and_squeezed(self, tmp_path):
+        config = RunConfig(experiment="coherent", alpha=1 + 0.5j, out_dir=str(tmp_path / "c"))
+        results = run_experiment(config)["results"]
+        model = models.build_model(models.CoherentSpec(alpha=config.alpha))
+        assert results["solutions"]
+        for payload in results["solutions"]:
+            self.assert_residual(payload, model.ansatz, model.rho_ss)
+        config = RunConfig(
+            experiment="squeezed", r=0.5, theta=0.3, n_samples=500, out_dir=str(tmp_path / "s")
+        )
+        results = run_experiment(config)["results"]
+        model = models.build_model(models.SqueezedSpec(r=0.5, theta=0.3))
+        payloads = results["markovian_search"]["solutions"] + results["postselected"]
+        assert payloads
+        for payload in results["solutions"] + payloads:
+            self.assert_residual(payload, model.ansatz, model.rho_ss)
+
+    def test_collective_rows(self, tmp_path):
+        config = RunConfig(
+            experiment="collective", n_list=(6, 10), omega_over_kappa=0.7,
+            out_dir=str(tmp_path),
+        )
+        rows = run_experiment(config)["results"]["rows"]
+        for row in rows:
+            spec = models.CollectiveSpec(n_spins=row["n_spins"], omega0=0.7, kappa=1.0)
+            model = models.build_model(spec)
+            self.assert_residual(row["solution"], model.ansatz, model.rho_ss)
+
+    def test_robustness_rows(self, tmp_path):
+        config = RunConfig(
+            experiment="robustness", regime="weak", n_list=(6, 8),
+            eps_list=(1e-4, 1e-3, 1e-2), out_dir=str(tmp_path),
+        )
+        rows = run_experiment(config)["results"]["rows"]
+        assert len(rows) == 6
+        for row in rows:
+            spec = models.CollectiveSpec(
+                n_spins=row["n_spins"], omega0=2.0, kappa=1.0, basis=models.XY_BASIS
+            )
+            model = models.build_model(spec)
+            rho_eps = mix_with_identity(model.rho_ss, row["eps"])
+            self.assert_residual(row["solution"], model.ansatz, rho_eps)
+            assert row["rapidity_residual"] == row["solution"]["rapidity_residual"]
+
+    def test_feasibility_scan(self, tmp_path):
+        alpha = 1.0 + 1.0j
+        config = RunConfig(experiment="feasibility", alpha=alpha, out_dir=str(tmp_path))
+        results = run_experiment(config)["results"]
+        space = FockSpace(models.default_cutoff(models.CoherentSpec(alpha=alpha)))
+        ansatz = LindbladAnsatz(h_ops=(), jump_ops=(boson_ops(space).a,))
+        rho = coherent_state(space, alpha)
+        for payload in results["solutions"]:
+            self.assert_residual(payload, ansatz, rho)
+        scan = [
+            rapidity(LindbladianParams(c=np.zeros(0), gamma=np.array([[g]])), ansatz, rho)
+            / g**2
+            for g in np.linspace(-2.0, 2.0, 401)
+            if abs(g) >= 1e-9
+        ]
+        brute = results["brute_force"]
+        assert brute["grid_points"] == len(scan) == 400
+        assert brute["min_normalized_rapidity"] == float(np.min(scan))
+        unit = LindbladianParams(c=np.zeros(0), gamma=np.array([[1.0]]))
+        assert brute["unit_family_rapidity"] == rapidity(unit, ansatz, rho)
 
 
 class TestFitScalings:

@@ -132,6 +132,16 @@ class TestRapidity:
             rap = rapidity(params, ansatz, rho)
             assert abs(rap - quad) <= 1e-9 * (1 + rap)
 
+    def test_reconstruction_reuses_term_images(self, rng):
+        ansatz = random_ansatz(rng, 5, 2, 2)
+        rho = random_density(rng, 5)
+        res = reverse_engineer(ansatz, rho)
+        for _ in range(5):
+            params = random_params(rng, 2, 2)
+            assert res.rapidity(params) == rapidity(params, ansatz, rho)
+        with pytest.raises(DimMismatchError):
+            res.rapidity(random_params(rng, 1, 2))
+
 
 class TestCorrelationMatrix:
     def test_coherent_vacuum_is_diagonal(self):

@@ -90,6 +90,21 @@ class TestCollectiveSteadyState:
         flow = apply_lindbladian(params, model.ansatz, model.rho_ss)
         assert np.linalg.norm(flow) < 1e-10
 
+    @pytest.mark.parametrize("n_spins", [2, 3, 10, 60, 200])
+    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    def test_matches_dense_horner_reference(self, n_spins, ratio):
+        # eta = sum_j (S_- / beta)^j accumulated with one dense product per step
+        ops = spin_ops(SpinSector(n_spins))
+        step = ops.sm / (-1j * ratio * n_spins / 2.0)
+        eye = np.eye(n_spins + 1, dtype=complex)
+        eta = eye.copy()
+        for _ in range(n_spins + 1):
+            eta = eye + step @ eta
+        reference = eta @ eta.conj().T
+        reference /= np.trace(reference).real
+        rho = collective_steady_state(n_spins, ratio, 1.0)
+        np.testing.assert_allclose(rho, reference, rtol=1e-15, atol=0)
+
     def test_degenerate_parameters_rejected(self):
         with pytest.raises(DegenerateParamsError):
             collective_steady_state(10, 0.0, 1.0)

@@ -174,8 +174,17 @@ class TestMixWithIdentity:
     def test_pure_qubit_arithmetic(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
         out = mix_with_identity(rho, 0.5)
-        # (0.5 I + 0.5 rho) / 1.5
-        np.testing.assert_allclose(np.linalg.eigvalsh(out), [1 / 3, 2 / 3], atol=1e-14)
+        # 0.5 rho + 0.5 I / 2, already of unit trace
+        np.testing.assert_allclose(np.linalg.eigvalsh(out), [0.25, 0.75], atol=1e-14)
+        assert np.trace(out) == 1.0
+
+    def test_documented_form_without_renormalization(self, rng):
+        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        rho = m @ m.conj().T
+        rho /= np.trace(rho).real
+        for eps in (1e-4, 0.3):
+            expected = (1.0 - eps) * rho + eps * np.eye(6) / 6
+            assert np.array_equal(mix_with_identity(rho, eps), expected)
 
     @pytest.mark.parametrize("eps", [0.0, 0.3, 0.7, 1.0])
     def test_preserves_state_validity(self, rng, eps):
