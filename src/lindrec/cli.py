@@ -2,9 +2,12 @@
 
 Subcommands reconstruct generators for each studied target family, sweep the
 noise-robustness grids, and fit the scaling laws.  Every run writes a JSON
-report (plus a CSV table for sweeps) whose content is deterministic for a
-fixed seed; wall-clock metadata lives under the single ``meta`` key, which is
-excluded from the determinism contract.
+report (plus a CSV table for sweeps) whose content is deterministic: no step
+draws random numbers, so the same configuration gives the same bytes.
+Wall-clock metadata lives under the single ``meta`` key, which is excluded
+from the determinism contract.  ``EXPERIMENTS`` is the one table of
+subcommands: each entry names its runner, its own flags and, for sweeps, its
+CSV table.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure,
 4 infeasible verdict when feasibility was required.
@@ -19,9 +22,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -42,8 +46,6 @@ from .numerics import DEFAULT_NULL_TOL, loglog_fit
 from .quantum_ops import FockSpace, boson_ops, coherent_state, mix_with_identity
 from .verification import norm_difference, steady_state_of
 
-EXPERIMENTS = ("coherent", "squeezed", "collective", "robustness", "feasibility")
-
 DEFAULT_EPS_GRID = tuple(float(x) for x in np.logspace(-4, -2, 9))
 DEFAULT_N_GRID = (10, 20, 40)
 
@@ -53,7 +55,6 @@ class RunConfig:
     experiment: str
     out_dir: str = "out"
     tol_null: float = DEFAULT_NULL_TOL
-    seed: int = 0
     alpha: complex = 1.0 + 0.0j
     r: float = 0.5
     theta: float = 0.0
@@ -63,7 +64,6 @@ class RunConfig:
     kappa: float = 1.0
     regime: str = "strong"
     eps_list: tuple[float, ...] = DEFAULT_EPS_GRID
-    n_samples: int = 10_000
     n_max: int | None = None
     require_feasible: bool = False
 
@@ -195,12 +195,11 @@ def _run_squeezed(config: RunConfig) -> dict:
         [v / np.linalg.norm(v) for v in analytic],
         model.ansatz.n_drive,
         model.ansatz.n_jump,
-        n_samples=config.n_samples,
-        seed=config.seed,
     )
     payload["markovian_search"] = {
         "n_solutions": len(search.solutions),
         "direction_supported": search.direction_supported,
+        "max_min_rate": search.max_min_rate,
         "solutions": [_params_payload(p, result) for p in search.solutions],
     }
     payload["postselected"] = [
@@ -284,16 +283,11 @@ def _two_segment_fit(eps: np.ndarray, diffs: np.ndarray) -> dict:
     }
 
 
-def _run_robustness(config: RunConfig) -> tuple[dict, list[str], list[list]]:
+def _run_robustness(config: RunConfig) -> dict:
     omega0 = config.resolved_ratio() * config.kappa
     weak = config.regime == "weak"
     eps_grid = np.array(config.eps_list, dtype=float)
     rows_payload = []
-    csv_rows = []
-    header = ["N", "eps", "lambda1", "state_diff", "gamma_min"]
-    if weak:
-        header += ["n_negative_gamma", "state_diff_repaired"]
-    header += ["unique"]
     for n in config.n_list:
         spec = models.CollectiveSpec(
             n_spins=n, omega0=omega0, kappa=config.kappa, basis=models.XY_BASIS
@@ -335,24 +329,28 @@ def _run_robustness(config: RunConfig) -> tuple[dict, list[str], list[list]]:
                 "uniqueness_bound": ss.uniqueness_bound,
                 "rapidity_residual": solution["rapidity_residual"],
             }
-            csv_row = [n, float(eps), lam1, diff, float(gev[0])]
             if weak:
                 repaired = repair_markovianity(params)
                 ss_rep = steady_state_of(repaired, model.ansatz, method="lu")
                 diff_rep = norm_difference(ss_rep.rho, rho_clean)
                 row["state_diff_repaired"] = diff_rep
                 row["repaired_gamma_eigenvalues"] = repaired.gamma_eigenvalues
-                csv_row += [n_negative, diff_rep]
-            csv_row += [bool(ss.unique)]
             rows_payload.append(row)
-            csv_rows.append(csv_row)
-    fits = _fit_rows(rows_payload, weak)
-    results = {
+    return {
         "rows": rows_payload,
         "solutions": [row["solution"] for row in rows_payload],
-        "fits": fits,
+        "fits": _fit_rows(rows_payload, weak),
     }
-    return results, header, csv_rows
+
+
+def _scaling_table(config: RunConfig, results: dict) -> tuple[list[str], list[list]]:
+    """``scaling.csv`` of a robustness sweep: one line per row, the columns
+    ``fit_scalings`` reads first."""
+    keys = ["n_spins", "eps", "lambda1", "state_diff", "gamma_min"]
+    if config.regime == "weak":
+        keys += ["n_negative_gamma", "state_diff_repaired"]
+    keys.append("unique")
+    return ["N"] + keys[1:], [[row[key] for key in keys] for row in results["rows"]]
 
 
 def _fit_rows(rows: list[dict], weak: bool) -> dict:
@@ -479,24 +477,14 @@ def run_experiment(config: RunConfig) -> dict:
     Returns the full report dictionary (also written to ``report.json``).
     """
     config.validate()
+    experiment = EXPERIMENTS[config.experiment]
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     error = None
     results: dict = {}
-    csv_payload = None
     try:
-        if config.experiment == "coherent":
-            results = _run_coherent(config)
-        elif config.experiment == "squeezed":
-            results = _run_squeezed(config)
-        elif config.experiment == "collective":
-            results = _run_collective(config)
-        elif config.experiment == "robustness":
-            results, header, csv_rows = _run_robustness(config)
-            csv_payload = (header, csv_rows)
-        elif config.experiment == "feasibility":
-            results = _run_feasibility(config)
+        results = experiment.run(config)
     except (LindrecError, np.linalg.LinAlgError) as exc:
         error = f"{type(exc).__name__}: {exc}"
     report = {
@@ -510,11 +498,11 @@ def run_experiment(config: RunConfig) -> dict:
     if error is not None:
         report["error"] = error
     write_json(out / "report.json", report)
-    solutions = results.get("solutions") if isinstance(results, dict) else None
+    solutions = results.get("solutions")
     if solutions is not None:
         write_json(out / "solutions.json", {"solutions": solutions})
-    if csv_payload is not None:
-        write_csv(out / "scaling.csv", csv_payload[0], csv_payload[1])
+    if experiment.table is not None and error is None:
+        write_csv(out / "scaling.csv", *experiment.table(config, results))
     return report
 
 
@@ -547,51 +535,91 @@ def _parse_complex(text: str) -> complex:
         raise ConfigInvalidError(f"cannot parse complex number {text!r}") from exc
 
 
+@dataclass(frozen=True)
+class Flag:
+    """Command-line flag that sets the ``RunConfig`` field ``dest``.
+
+    ``parse`` turns the flag's text into the field's value when the config is
+    built, as for ``--alpha``, ``--N`` and ``--eps``; ``options`` are passed
+    on to ``argparse``.
+    """
+
+    name: str
+    dest: str
+    parse: Callable[[str], object] | None = None
+    options: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One subcommand: help line, runner, own flags and, for sweeps, the
+    function that tabulates the results as ``scaling.csv``."""
+
+    help: str
+    run: Callable[[RunConfig], dict]
+    flags: tuple[Flag, ...]
+    table: Callable[[RunConfig, dict], tuple[list[str], list[list]]] | None = None
+
+
+COMMON_FLAGS = (
+    Flag("--out", "out_dir", options={"help": "output directory"}),
+    Flag("--tol-null", "tol_null", options={"type": float}),
+    Flag("--n-max", "n_max", options={"type": int, "help": "Fock cutoff override"}),
+)
+_ALPHA = Flag("--alpha", "alpha", _parse_complex)
+_N_GRID = Flag("--N", "n_list", _parse_int_grid, {"help": "e.g. 10,20,40 or 10..60:10"})
+_KAPPA = Flag("--kappa", "kappa", options={"type": float})
+
+EXPERIMENTS = {
+    "coherent": Experiment("coherent target, linear ansatz", _run_coherent, (_ALPHA,)),
+    "squeezed": Experiment(
+        "squeezed-vacuum target, quadratic drives",
+        _run_squeezed,
+        (
+            Flag("--r", "r", options={"type": float}),
+            Flag("--theta", "theta", options={"type": float}),
+            Flag("--jumps", "jumps",
+                 options={"choices": [models.SINGLE_JUMPS, models.TWO_JUMPS]}),
+        ),
+    ),
+    "collective": Experiment(
+        "driven-dissipative collective spins",
+        _run_collective,
+        (_N_GRID, Flag("--omega-over-kappa", "omega_over_kappa", options={"type": float}),
+         _KAPPA),
+    ),
+    "robustness": Experiment(
+        "noise-mixed collective target sweeps",
+        _run_robustness,
+        (
+            Flag("--regime", "regime", options={"choices": ["strong", "weak"]}),
+            _N_GRID,
+            Flag("--eps", "eps_list", _parse_float_grid, {"help": "e.g. 1e-4..1e-2:9"}),
+            _KAPPA,
+        ),
+        table=_scaling_table,
+    ),
+    "feasibility": Experiment(
+        "no-go check on an impoverished ansatz",
+        _run_feasibility,
+        (_ALPHA, Flag("--require-feasible", "require_feasible",
+                      options={"action": "store_true"})),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lindrec",
         description="Reconstruct Lindblad generators for target steady states.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-
-    def common(p):
+    for name, experiment in EXPERIMENTS.items():
+        p = sub.add_parser(name, help=experiment.help)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--tol-null", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--n-max", type=int, default=None, help="Fock cutoff override")
-
-    p = sub.add_parser("coherent", help="coherent target, linear ansatz")
-    common(p)
-    p.add_argument("--alpha", type=str, default=None)
-
-    p = sub.add_parser("squeezed", help="squeezed-vacuum target, quadratic drives")
-    common(p)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument(
-        "--jumps", choices=[models.SINGLE_JUMPS, models.TWO_JUMPS], default=None
-    )
-    p.add_argument("--n-samples", type=int, default=None)
-
-    p = sub.add_parser("collective", help="driven-dissipative collective spins")
-    common(p)
-    p.add_argument("--N", type=str, default=None, help="e.g. 10,20,40 or 10..60:10")
-    p.add_argument("--omega-over-kappa", type=float, default=None)
-    p.add_argument("--kappa", type=float, default=None)
-
-    p = sub.add_parser("robustness", help="noise-mixed collective target sweeps")
-    common(p)
-    p.add_argument("--regime", choices=["strong", "weak"], default=None)
-    p.add_argument("--N", type=str, default=None)
-    p.add_argument("--eps", type=str, default=None, help="e.g. 1e-4..1e-2:9")
-    p.add_argument("--kappa", type=float, default=None)
-
-    p = sub.add_parser("feasibility", help="no-go check on an impoverished ansatz")
-    common(p)
-    p.add_argument("--alpha", type=str, default=None)
-    p.add_argument("--require-feasible", action="store_true", default=False)
-
+        # every flag defaults to None, which leaves the config's value in place
+        for flag in COMMON_FLAGS + experiment.flags:
+            p.add_argument(flag.name, dest=flag.dest, default=None, **flag.options)
     return parser
 
 
@@ -616,27 +644,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if unknown:
         raise ConfigInvalidError(f"unknown config keys: {sorted(unknown)}")
     config = RunConfig(experiment=args.experiment, **values)
-
-    def override(attr, value, transform=None):
+    for flag in COMMON_FLAGS + EXPERIMENTS[args.experiment].flags:
+        value = getattr(args, flag.dest)
         if value is not None:
-            setattr(config, attr, transform(value) if transform else value)
-
-    override("out_dir", getattr(args, "out", None))
-    override("tol_null", getattr(args, "tol_null", None))
-    override("seed", getattr(args, "seed", None))
-    override("n_max", getattr(args, "n_max", None))
-    override("alpha", getattr(args, "alpha", None), _parse_complex)
-    override("r", getattr(args, "r", None))
-    override("theta", getattr(args, "theta", None))
-    override("jumps", getattr(args, "jumps", None))
-    override("n_samples", getattr(args, "n_samples", None))
-    override("n_list", getattr(args, "N", None), _parse_int_grid)
-    override("omega_over_kappa", getattr(args, "omega_over_kappa", None))
-    override("kappa", getattr(args, "kappa", None))
-    override("regime", getattr(args, "regime", None))
-    override("eps_list", getattr(args, "eps", None), _parse_float_grid)
-    if getattr(args, "require_feasible", False):
-        config.require_feasible = True
+            setattr(config, flag.dest, flag.parse(value) if flag.parse else value)
     if isinstance(config.n_list, list):
         config.n_list = tuple(config.n_list)
     if isinstance(config.eps_list, list):

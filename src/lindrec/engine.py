@@ -227,7 +227,10 @@ def build_correlation_matrix(
     result is Hermitian PSD up to roundoff and is symmetrized before use.
     """
     images = term_images(ansatz, rho)
-    gram = np.einsum("aij,bij->ab", images.conj(), images)
+    # one conjugated image at a time, so the stack is never held twice
+    gram = np.empty((images.shape[0],) * 2, dtype=complex)
+    for a, image in enumerate(images):
+        gram[a] = np.einsum("ij,bij->b", image.conj(), images)
     norm = np.linalg.norm(gram)
     raw_asym = float(np.linalg.norm(gram - gram.conj().T) / norm) if norm > 0 else 0.0
     mat = (gram + gram.conj().T) / 2.0
@@ -447,175 +450,128 @@ def physical_gauge_basis(
 
 @dataclass
 class SuperpositionSearchResult:
-    """Outcome of the real-coefficient search over a degenerate kernel."""
+    """Outcome of the real-coefficient search over a degenerate kernel.
+
+    ``max_min_rate`` is the largest smallest eigenvalue of Gamma(a) on the
+    slice tr Gamma(a) = 1, to within about 1e-13, so a value below -1e-13
+    certifies that no kernel combination has a nonzero PSD rate matrix.  It
+    is None when no kernel direction has a nonzero dissipative trace, which
+    by itself certifies the same.
+    """
 
     solutions: list[LindbladianParams]
     coefficients: list[np.ndarray]
     direction_supported: list[bool]
+    max_min_rate: float | None
 
 
-def _polish_toward_psd(
-    a: np.ndarray,
-    gamma_blocks: np.ndarray,
-    max_iters: int = 400,
-    tol: float = 1e-13,
-) -> np.ndarray:
-    """Supergradient ascent of a -> lambda_min(sum_i a_i Gamma_i) on the sphere.
+def _max_min_eigenvalue(
+    gamma0: np.ndarray, directions: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Maximize lambda_min(gamma0 + sum_j x_j directions[j]) over real x.
 
-    The smallest eigenvalue of a Hermitian matrix pencil is concave in the
-    real coefficients, so following u^dag Gamma_i u (u the minimizing
-    eigenvector) with an adaptive step converges to the most-PSD direction;
-    the unnormalized gradient shrinks with the distance to the optimum, so
-    the iteration resolves it to near machine precision.
+    The objective is concave but not smooth where eigenvalues cross, and a
+    supergradient ascent stalls at such crossings short of the optimum.  So
+    the ascent follows the central path of the log-det barrier: for
+    mu = 1, 1/10, ... damped Newton steps maximize
+    s + mu * log det(gamma(x) - s I) from a strictly feasible s.  The
+    objective divided by mu is self-concordant, so a Newton step shortened
+    by 1 / (1 + decrement) stays strictly feasible without a line search.
+    At a point of that path Z = mu (gamma(x) - s I)^-1 has unit trace and is
+    orthogonal to every direction, so no x reaches lambda_min above
+    s + k mu (k the matrix size); the path is followed until
+    k mu <= 1e-13 max(1, |gamma0|).  Needs the directions to be traceless
+    and linearly independent, which keeps the superlevel sets bounded.
+    Returns x and lambda_min there.
     """
-    a = a / np.linalg.norm(a)
-
-    def min_eig(coeffs: np.ndarray):
-        gamma = np.tensordot(coeffs, gamma_blocks, axes=1)
-        w, v = np.linalg.eigh(gamma)
-        return w, v
-
-    step = 1.0
-    w, v = min_eig(a)
-    for _ in range(max_iters):
-        scale = max(1.0, float(np.abs(w).max()))
-        if w[0] >= -tol * scale:
-            return a
-        u = v[:, 0]
-        grad = np.array([float((u.conj() @ g @ u).real) for g in gamma_blocks])
-        if not np.any(grad):
-            return a
-        candidate = a + step * grad
-        candidate /= np.linalg.norm(candidate)
-        w_new, v_new = min_eig(candidate)
-        if w_new[0] > w[0]:
-            a, w, v = candidate, w_new, v_new
-            step *= 1.3
-        else:
-            step /= 2.0
-            if step < 1e-14:
-                return a
-    return a
+    k = gamma0.shape[0]
+    w0 = np.linalg.eigvalsh(gamma0)
+    gap = 1e-13 * max(1.0, float(np.abs(w0).max()))
+    # derivative of gamma(x) - s I along each variable (x_1, ..., x_n, s)
+    basis = np.concatenate([directions, -np.eye(k)[None]])
+    y = np.zeros(len(basis))
+    y[-1] = w0[0] - 1.0
+    mu = 1.0
+    while True:
+        for _ in range(50):
+            w, v = np.linalg.eigh(gamma0 + np.tensordot(y, basis, axes=1))
+            rotated = v.conj().T @ basis @ v
+            scaled = rotated / np.sqrt(np.outer(w, w))
+            grad = mu * np.einsum("akk->a", rotated / w[:, None]).real
+            grad[-1] += 1.0
+            hess = -mu * np.einsum("akl,blk->ab", scaled, scaled).real
+            step = np.linalg.solve(hess, -grad)
+            decrement = np.sqrt(max(float(grad @ step), 0.0) / mu)
+            y = y + step / (1.0 + decrement)
+            if decrement < 1e-3:
+                break
+        if k * mu <= gap:
+            break
+        mu /= 10.0
+    x = y[:-1]
+    return x, float(np.linalg.eigvalsh(gamma0 + np.tensordot(x, directions, axes=1))[0])
 
 
 def markovian_superposition_search(
     kernel_basis: tuple[np.ndarray, ...] | list[np.ndarray],
     n_drive: int,
     n_jump: int,
-    n_samples: int = 10_000,
-    seed: int = 0,
 ) -> SuperpositionSearchResult:
-    """Search real unit-sphere combinations of kernel vectors for PSD rates.
+    """Find the real combinations of kernel vectors with a PSD rate matrix.
 
-    The kernel basis is first mapped to the physical gauge (real couplings,
-    Hermitian gamma) so every real combination unpacks cleanly.  Sampling is
-    deterministic for a fixed seed and always includes the signed basis
-    poles and pairwise two-direction mixes; because the PSD-admissible set
-    can have measure zero on the sphere, the best candidates are polished by
-    supergradient ascent of the concave map a -> lambda_min(gamma(a)) before
-    the PSD test.  Each distinct hit is reported together with its
-    coefficients in the basis as given, and every given direction is flagged
-    according to whether some admissible solution has support on it.
+    The basis is mapped to the physical gauge (real couplings, Hermitian
+    gamma), where a -> Gamma(a) is real-linear.  Directions with Gamma = 0
+    are pure drives and each is reported as a Markovian solution.  Every
+    other PSD rate matrix has tr Gamma > 0, so the rest of the question is
+    the linear matrix inequality Gamma(a) >= 0 on the slice
+    tr Gamma(a) = 1, where a -> lambda_min(Gamma(a)) is concave: one
+    deterministic ascent from the slice's minimum-norm point reaches its
+    maximum, ``max_min_rate``, and the unit-normalized maximizer is
+    reported when it is PSD within ``MARKOV_TOL``.  Nothing is sampled.
+    Each solution comes with its coefficients in the basis as given, and
+    every given direction is flagged according to whether some solution has
+    support on it.
     """
     vectors = [np.asarray(v, dtype=complex).reshape(-1) for v in kernel_basis]
-    m = len(vectors)
-    if m == 0:
-        return SuperpositionSearchResult([], [], [])
-    given = np.array(vectors).T
+    if not vectors:
+        return SuperpositionSearchResult([], [], [], None)
+    gauge_mat = np.array(physical_gauge_basis(vectors, n_drive, n_jump)).T
+    gamma_blocks = gauge_mat[n_drive:].T.reshape(gauge_mat.shape[1], n_jump, n_jump)
+    gamma_blocks = (gamma_blocks + gamma_blocks.conj().transpose(0, 2, 1)) / 2.0
+    # left singular vectors of the real coordinates of each rate matrix split
+    # the coefficients into drive-only directions and a complement on which
+    # a -> Gamma(a) is injective
+    flat = gamma_blocks.reshape(gamma_blocks.shape[0], -1)
+    u, s, _ = np.linalg.svd(np.hstack([flat.real, flat.imag]))
+    rank = int(np.sum(s > MARKOV_TOL))
+    candidates = [gauge_mat @ u[:, k] for k in range(rank, u.shape[1])]
 
-    def coeffs_in_given_basis(vec: np.ndarray) -> np.ndarray:
-        a, *_ = np.linalg.lstsq(given, vec, rcond=None)
-        return a
+    dissipative = u[:, :rank]
+    dissipative_blocks = np.tensordot(dissipative.T, gamma_blocks, axes=1)
+    trace = np.trace(dissipative_blocks, axis1=1, axis2=2).real
+    max_min_rate = None
+    if np.linalg.norm(trace) > MARKOV_TOL:
+        # the slice tr Gamma = 1 is its minimum-norm point plus the span of
+        # the directions orthogonal to the trace vector
+        start = trace / (trace @ trace)
+        along = np.linalg.svd(trace[None, :])[2][1:]
+        x, max_min_rate = _max_min_eigenvalue(
+            np.tensordot(start, dissipative_blocks, axes=1),
+            np.tensordot(along, dissipative_blocks, axes=1),
+        )
+        candidates.append(gauge_mat @ (dissipative @ (start + x @ along)))
 
     solutions: list[LindbladianParams] = []
-    coefficients: list[np.ndarray] = []
-
-    if m == 1:
-        try:
-            params = unpack_kernel_vector(vectors[0], n_drive, n_jump)
-            if params.markovian:
-                solutions.append(params)
-                coefficients.append(np.array([1.0 + 0.0j]))
-        except (NonPhysicalVectorError, PhaseUnfixableError):
-            pass
-        supported = [bool(solutions)]
-        return SuperpositionSearchResult(solutions, coefficients, supported)
-
-    gauge = physical_gauge_basis(vectors, n_drive, n_jump)
-    n_gauge = len(gauge)
-    structured = []
-    eye = np.eye(n_gauge)
-    for i in range(n_gauge):
-        structured.append(eye[i])
-        structured.append(-eye[i])
-        for j in range(i + 1, n_gauge):
-            for sign in (1.0, -1.0):
-                structured.append((eye[i] + sign * eye[j]) / np.sqrt(2))
-    rng = np.random.default_rng(seed)
-    random_block = rng.standard_normal((n_samples, n_gauge))
-    norms = np.linalg.norm(random_block, axis=1)
-    samples = np.vstack([structured, random_block[norms > 0] / norms[norms > 0, None]])
-
-    gauge_mat = np.array(gauge).T
-    gamma_blocks = np.array(
-        [g[n_drive:].reshape(n_jump, n_jump) for g in gauge]
-    )
-    gamma_blocks = (gamma_blocks + gamma_blocks.conj().transpose(0, 2, 1)) / 2.0
-
-    def min_rate(a: np.ndarray) -> float:
-        gamma = np.tensordot(a, gamma_blocks, axes=1)
-        w = np.linalg.eigvalsh(gamma)
-        return float(w[0] / max(1.0, abs(w[-1])))
-
-    def snap_in_given_basis(vec: np.ndarray) -> np.ndarray:
-        """Zero near-vanishing given-basis coefficients when the simplified
-        vector is still PSD-admissible.
-
-        lambda_min responds only quadratically along some kernel directions,
-        so the ascent floors out with sqrt(machine-eps)-sized residuals
-        there; the snapped vector stays inside the kernel span by
-        construction and is kept only if it independently passes unpacking
-        and the PSD test.
-        """
-        a = coeffs_in_given_basis(vec)
-        small = np.abs(a) < 1e-4 * np.max(np.abs(a))
-        if not small.any() or small.all():
-            return vec
-        candidate = given @ np.where(small, 0.0, a)
-        candidate = candidate / np.linalg.norm(candidate)
-        try:
-            snapped = unpack_kernel_vector(candidate, n_drive, n_jump)
-        except (NonPhysicalVectorError, PhaseUnfixableError):
-            return vec
-        return snapped.to_vector() if snapped.markovian else vec
-
-    scores = np.array([min_rate(a) for a in samples])
-    order = np.argsort(scores)[::-1]
-    n_polish = min(len(samples), max(4 * n_gauge, 24))
-    accepted_vectors: list[np.ndarray] = []
-    for idx in order[:n_polish]:
-        a = _polish_toward_psd(samples[idx], gamma_blocks)
-        vec = snap_in_given_basis(gauge_mat @ a.astype(complex))
-        try:
-            params = unpack_kernel_vector(vec, n_drive, n_jump)
-        except (NonPhysicalVectorError, PhaseUnfixableError):
-            continue
-        if not params.markovian:
-            continue
-        canonical = params.to_vector()
-        canonical /= np.linalg.norm(canonical)
-        if any(
-            abs(np.vdot(canonical, prev)) > 1.0 - 1e-8 for prev in accepted_vectors
-        ):
-            continue
-        accepted_vectors.append(canonical)
-        solutions.append(params)
-        coefficients.append(coeffs_in_given_basis(params.to_vector()))
-
-    supported = []
-    for j in range(m):
-        has_support = any(
-            abs(a[j]) > 1e-8 * np.linalg.norm(a) for a in coefficients
-        )
-        supported.append(has_support)
-    return SuperpositionSearchResult(solutions, coefficients, supported)
+    for vec in candidates:
+        params = unpack_kernel_vector(vec / np.linalg.norm(vec), n_drive, n_jump)
+        if params.markovian:
+            solutions.append(params)
+    given = np.array(vectors).T
+    coefficients = [
+        np.linalg.lstsq(given, p.to_vector(), rcond=None)[0] for p in solutions
+    ]
+    supported = [
+        any(abs(a[j]) > 1e-8 * np.linalg.norm(a) for a in coefficients)
+        for j in range(len(vectors))
+    ]
+    return SuperpositionSearchResult(solutions, coefficients, supported, max_min_rate)

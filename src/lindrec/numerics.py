@@ -49,11 +49,16 @@ def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
 
 
 def is_psd(a: np.ndarray, tol: float = 1e-10) -> bool:
-    """Hermitian within ``tol`` and smallest eigenvalue >= -tol * max(1, largest)."""
+    """Hermitian within ``tol`` and smallest eigenvalue >= -tol * max(1, largest).
+
+    An empty (0 x 0) matrix, the rate matrix of a drive-only ansatz, is PSD.
+    """
     if not is_hermitian(a, max(tol, HERMITICITY_REJECT_TOL)):
         return False
     a = _as_square(a)
     w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    if w.size == 0:
+        return True
     scale = max(1.0, float(w[-1]))
     return bool(w[0] >= -tol * scale)
 

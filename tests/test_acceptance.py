@@ -166,9 +166,7 @@ def test_criterion_03_squeezed_single_particle_jumps():
                 assert len(kept) == 1
                 assert np.allclose(kept[0].c, 0.0, atol=1e-12)
                 basis = [v / np.linalg.norm(v) for v in analytic]
-                search = markovian_superposition_search(
-                    basis, 2, 2, n_samples=10_000, seed=2024
-                )
+                search = markovian_superposition_search(basis, 2, 2)
                 assert len(search.solutions) >= 1
                 for coeffs in search.coefficients:
                     assert abs(coeffs[0]) <= 1e-6 * abs(coeffs[2])
@@ -350,7 +348,6 @@ def test_criterion_10_deterministic_reports(tmp_path):
             experiment="collective",
             n_list=(10, 20, 40, 60),
             omega_over_kappa=2.0,
-            seed=11,
             out_dir=str(out),
         )
         run_experiment(RunConfig(**config))

@@ -40,14 +40,14 @@ class TestParsing:
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"alpha": [2.0, 0.0], "seed": 7}))
+        cfg.write_text(json.dumps({"alpha": [2.0, 0.0], "tol_null": 1e-9}))
         parser = build_parser()
         args = parser.parse_args(
             ["coherent", "--config", str(cfg), "--alpha", "1+1j", "--out", "x"]
         )
         config = build_config(args)
         assert config.alpha == 1 + 1j  # flag wins
-        assert config.seed == 7
+        assert config.tol_null == 1e-9
         assert config.out_dir == "x"
 
     def test_unknown_config_key_rejected(self, tmp_path):
@@ -57,6 +57,37 @@ class TestParsing:
         args = parser.parse_args(["coherent", "--config", str(cfg)])
         with pytest.raises(ConfigInvalidError):
             build_config(args)
+
+    def test_removed_seed_and_sample_count_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": 7}))
+        assert main(["coherent", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown config keys: ['seed']" in capsys.readouterr().err
+        for flag in (["--seed", "3"], ["--n-samples", "500"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["squeezed", *flag])
+            assert exc.value.code == 2
+
+    def test_every_flag_sets_its_field(self):
+        parser = build_parser()
+        cases = [
+            (["coherent", "--alpha", "1-2j", "--out", "o", "--tol-null", "1e-9",
+              "--n-max", "12"],
+             {"alpha": 1 - 2j, "out_dir": "o", "tol_null": 1e-9, "n_max": 12}),
+            (["squeezed", "--r", "0.7", "--theta", "0.2", "--jumps", "two"],
+             {"r": 0.7, "theta": 0.2, "jumps": "two"}),
+            (["collective", "--N", "4..8:2", "--omega-over-kappa", "1.5", "--kappa", "2"],
+             {"n_list": (4, 6, 8), "omega_over_kappa": 1.5, "kappa": 2.0}),
+            (["robustness", "--regime", "weak", "--N", "6", "--eps", "1e-3,1e-2",
+              "--kappa", "3"],
+             {"regime": "weak", "n_list": (6,), "eps_list": (1e-3, 1e-2), "kappa": 3.0}),
+            (["feasibility", "--alpha", "2", "--require-feasible"],
+             {"alpha": 2 + 0j, "require_feasible": True}),
+        ]
+        for argv, expected in cases:
+            config = build_config(parser.parse_args(argv))
+            assert {key: getattr(config, key) for key in expected} == expected, argv
+        assert build_config(parser.parse_args(["feasibility"])).require_feasible is False
 
     def test_validate_rejects_bad_tolerance(self):
         config = RunConfig(experiment="coherent", tol_null=1.0)
@@ -100,8 +131,7 @@ class TestRuns:
     def test_squeezed_run_reports_search(self, tmp_path):
         out = tmp_path / "sq"
         rc = main(
-            ["squeezed", "--r", "0.5", "--theta", "0.0", "--n-samples", "500",
-             "--out", str(out), "--seed", "3"]
+            ["squeezed", "--r", "0.5", "--theta", "0.0", "--out", str(out)]
         )
         assert rc == 0
         results = load_report(out)["results"]
@@ -181,7 +211,7 @@ class TestRuns:
 
 class TestDeterminism:
     def test_same_seed_byte_identical_reports(self, tmp_path):
-        args = ["collective", "--N", "6,8", "--omega-over-kappa", "2", "--seed", "5"]
+        args = ["collective", "--N", "6,8", "--omega-over-kappa", "2"]
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(args + ["--out", str(out_a)]) == 0
         assert main(args + ["--out", str(out_b)]) == 0
@@ -214,7 +244,7 @@ class TestReportedRapidity:
         for payload in results["solutions"]:
             self.assert_residual(payload, model.ansatz, model.rho_ss)
         config = RunConfig(
-            experiment="squeezed", r=0.5, theta=0.3, n_samples=500, out_dir=str(tmp_path / "s")
+            experiment="squeezed", r=0.5, theta=0.3, out_dir=str(tmp_path / "s")
         )
         results = run_experiment(config)["results"]
         model = models.build_model(models.SqueezedSpec(r=0.5, theta=0.3))

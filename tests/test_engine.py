@@ -347,20 +347,20 @@ class TestMarkovianPostprocessing:
 class TestSuperpositionSearch:
     def test_single_psd_vector_passes_through(self):
         vec = analytic_kernel_vectors(CoherentSpec(alpha=1.0))[0]
-        res = markovian_superposition_search([vec], 2, 2, n_samples=10, seed=1)
+        res = markovian_superposition_search([vec], 2, 2)
         assert len(res.solutions) == 1
         assert res.direction_supported == [True]
 
     def test_single_indefinite_vector_yields_nothing(self):
         vec = analytic_kernel_vectors(SqueezedSpec(r=0.5))[0]
-        res = markovian_superposition_search([vec], 2, 2, n_samples=10, seed=1)
+        res = markovian_superposition_search([vec], 2, 2)
         assert res.solutions == []
         assert res.direction_supported == [False]
 
     def test_squeezed_kernel_admits_only_the_dissipative_direction(self):
         spec = SqueezedSpec(r=0.5, theta=np.pi / 3)
         basis = [v / np.linalg.norm(v) for v in analytic_kernel_vectors(spec)]
-        res = markovian_superposition_search(basis, 2, 2, n_samples=3000, seed=11)
+        res = markovian_superposition_search(basis, 2, 2)
         assert len(res.solutions) >= 1
         assert res.direction_supported == [False, False, True]
         for coeffs in res.coefficients:
@@ -369,20 +369,55 @@ class TestSuperpositionSearch:
     def test_search_is_deterministic(self):
         spec = SqueezedSpec(r=0.25, theta=0.0)
         basis = [v / np.linalg.norm(v) for v in analytic_kernel_vectors(spec)]
-        a = markovian_superposition_search(basis, 2, 2, n_samples=500, seed=3)
-        b = markovian_superposition_search(basis, 2, 2, n_samples=500, seed=3)
+        a = markovian_superposition_search(basis, 2, 2)
+        b = markovian_superposition_search(basis, 2, 2)
         assert len(a.solutions) == len(b.solutions)
         for pa, pb in zip(a.solutions, b.solutions):
             np.testing.assert_array_equal(pa.gamma, pb.gamma)
+
+    def test_drive_only_and_jump_only_ansatze(self):
+        # thermal state of a truncated mode: n = a^dag a commutes with it, and
+        # decay at rate 1 plus pumping at rate q balance it exactly
+        q = 0.4
+        ops = boson_ops(FockSpace(6))
+        rho = np.diag(q ** np.arange(7)).astype(complex)
+        rho /= np.trace(rho)
+        n_op = ops.a_dag @ ops.a
+        drive_only = LindbladAnsatz(h_ops=(n_op,), jump_ops=())
+        jump_only = LindbladAnsatz(h_ops=(), jump_ops=(ops.a, ops.a_dag))
+        for ansatz in (drive_only, jump_only):
+            res = reverse_engineer(ansatz, rho)
+            assert res.kernel_dim == 1
+            kept = markovian_postselect(res.kernel)
+            assert len(kept) == 1
+            search = markovian_superposition_search(
+                res.kernel_vectors, ansatz.n_drive, ansatz.n_jump
+            )
+            assert len(search.solutions) == 1
+            assert search.direction_supported == [True]
+            for params in (kept[0], search.solutions[0]):
+                assert params.markovian
+                assert rapidity(params, ansatz, rho) < 1e-24
+        assert kept[0].gamma.shape == (2, 2)
+        np.testing.assert_allclose(
+            search.solutions[0].gamma / search.solutions[0].gamma[0, 0],
+            np.diag([1.0, q]), atol=1e-12,
+        )
+        # the slice point gamma / tr(gamma) has smallest eigenvalue q / (1 + q)
+        assert search.max_min_rate == pytest.approx(q / (1 + q), abs=1e-12)
+        drive_search = markovian_superposition_search(
+            reverse_engineer(drive_only, rho).kernel_vectors, 1, 0
+        )
+        assert drive_search.solutions[0].gamma.shape == (0, 0)
+        np.testing.assert_allclose(drive_search.solutions[0].c, [1.0])
+        assert drive_search.max_min_rate is None
 
     def test_numeric_kernel_basis_works_after_gauge_mapping(self):
         # eigensolver output (arbitrary complex mixtures) goes through the
         # same search thanks to the internal physical-gauge construction
         model = build_model(SqueezedSpec(r=0.5, theta=0.0))
         res = reverse_engineer(model.ansatz, model.rho_ss)
-        search = markovian_superposition_search(
-            list(res.kernel_vectors), 2, 2, n_samples=2000, seed=5
-        )
+        search = markovian_superposition_search(list(res.kernel_vectors), 2, 2)
         assert len(search.solutions) >= 1
         ana = analytic_kernel_vectors(SqueezedSpec(r=0.5, theta=0.0))[2]
         best = max(
