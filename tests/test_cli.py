@@ -152,6 +152,25 @@ class TestRuns:
             assert row["solution"]["rapidity_residual"] <= 1e-10
         assert load_report(out)["results"]["second_eigenvalue_decreasing"]
 
+    def test_weak_drive_collective_rows_report_the_closed_form_generator(self, tmp_path):
+        # below omega/kappa = 1 the kernel holds more than the true null at
+        # large N; the row's solution must still be the exact generator
+        config = RunConfig(
+            experiment="collective", n_list=(300, 400), omega_over_kappa=0.5,
+            out_dir=str(tmp_path / "col"),
+        )
+        rows = run_experiment(config)["results"]["rows"]
+        for row in rows:
+            assert "solution" in row, row["n_spins"]
+            sol = row["solution"]
+            assert sol["markovian"]
+            phi = np.concatenate([np.asarray(sol["c"], dtype=complex), np.ravel(sol["gamma"])])
+            spec = models.CollectiveSpec(n_spins=row["n_spins"], omega0=0.5, kappa=1.0)
+            exact = models.collective_generator_params(spec).to_vector()
+            # signed overlap, so the reported sign must match the closed form too
+            overlap = np.vdot(exact, phi).real / (np.linalg.norm(exact) * np.linalg.norm(phi))
+            assert 1.0 - overlap <= 1e-12, row["n_spins"]
+
     def test_feasibility_exit_codes(self, tmp_path):
         out = tmp_path / "feas"
         assert main(["feasibility", "--alpha", "1", "--out", str(out)]) == 0

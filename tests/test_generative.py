@@ -12,14 +12,16 @@ from hypothesis import strategies as st
 from lindrec.engine import (
     FEASIBLE,
     MARKOV_TOL,
+    LindbladAnsatz,
     LindbladianParams,
+    build_correlation_matrix,
     markovian_superposition_search,
     reverse_engineer,
 )
 from lindrec.models import SqueezedSpec, analytic_kernel_vectors
 from lindrec.verification import steady_state_of
 
-from conftest import random_ansatz
+from conftest import random_ansatz, random_density
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -116,3 +118,26 @@ def test_optimum_at_an_eigenvalue_crossing(seed, n_jump):
     np.testing.assert_allclose(sol.gamma, sol.gamma[0, 0] * np.eye(n_jump), atol=1e-8)
     np.testing.assert_allclose(sol.c / sol.gamma[0, 0].real, alpha, rtol=1e-7)
     assert res.direction_supported == [True] * n_jump
+
+
+@SETTINGS
+@given(
+    seed=SEEDS,
+    dim=st.integers(2, 5),
+    n_drive=st.integers(0, 2),
+    n_jump=st.integers(1, 3),
+)
+def test_correlation_matrix_is_unitarily_covariant(seed, dim, n_drive, n_jump):
+    # rotating the state and every ansatz operator by one unitary U maps each
+    # term image O to U O U^dag, which leaves every trace pairing unchanged
+    rng = np.random.default_rng(seed)
+    ansatz = random_ansatz(rng, dim, n_drive, n_jump)
+    rho = random_density(rng, dim)
+    u = random_unitary(rng, dim)
+    rotated = LindbladAnsatz(
+        h_ops=tuple(u @ h @ u.conj().T for h in ansatz.h_ops),
+        jump_ops=tuple(u @ l @ u.conj().T for l in ansatz.jump_ops),
+    )
+    mat = build_correlation_matrix(ansatz, rho).mat
+    mat_rotated = build_correlation_matrix(rotated, u @ rho @ u.conj().T).mat
+    assert np.linalg.norm(mat_rotated - mat) <= 1e-10 * np.linalg.norm(mat)
