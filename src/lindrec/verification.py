@@ -1,13 +1,12 @@
 """Independent verification of reconstructed generators.
 
 The generator is vectorized into a dense d^2 x d^2 matrix acting on
-column-stacked states, from which steady states, residuals, and the
-spectral gap are obtained without going through the correlation matrix.
+column-stacked states, from which steady states and residuals are
+obtained without going through the correlation matrix.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,24 +285,3 @@ def norm_difference(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     if rho_a.shape != rho_b.shape:
         raise DimMismatchError(f"shape mismatch {rho_a.shape} vs {rho_b.shape}")
     return float(np.linalg.norm(rho_a - rho_b))
-
-
-def liouvillian_gap(params: LindbladianParams, ansatz: LindbladAnsatz) -> float:
-    """Smallest nonzero decay rate |Re(lambda)| of the vectorized generator.
-
-    The null space is excluded at a relative threshold of 1e-10; a generator
-    with no decaying mode at all (for example the zero generator) returns
-    0.0 with a warning.
-    """
-    liou = vectorize_liouvillian(params, ansatz)
-    eigs = np.linalg.eigvals(liou.superop)
-    re = np.abs(eigs.real)
-    scale = float(re.max()) if re.size else 0.0
-    if scale == 0.0:
-        warnings.warn("generator has no decaying modes; gap is 0 by convention")
-        return 0.0
-    nonzero = re[re > 1e-10 * max(1.0, scale)]
-    if nonzero.size == 0:
-        warnings.warn("generator has no decaying modes; gap is 0 by convention")
-        return 0.0
-    return float(nonzero.min())

@@ -11,10 +11,8 @@ from lindrec.cli import (
     _parse_int_grid,
     build_config,
     build_parser,
-    fit_scalings,
     main,
     run_experiment,
-    write_csv,
 )
 from lindrec.engine import LindbladAnsatz, LindbladianParams, rapidity
 from lindrec.errors import ConfigInvalidError
@@ -88,6 +86,16 @@ class TestParsing:
             config = build_config(parser.parse_args(argv))
             assert {key: getattr(config, key) for key in expected} == expected, argv
         assert build_config(parser.parse_args(["feasibility"])).require_feasible is False
+
+    def test_malformed_n_grid_is_a_config_error(self, tmp_path):
+        assert main(["collective", "--N", "abc", "--out", str(tmp_path / "o")]) == 2
+        with pytest.raises(ConfigInvalidError):
+            _parse_int_grid("10..x")
+
+    def test_malformed_eps_grid_is_a_config_error(self, tmp_path):
+        assert main(["robustness", "--eps", "1e-4..x", "--out", str(tmp_path / "o")]) == 2
+        with pytest.raises(ConfigInvalidError):
+            _parse_float_grid("1e-4,abc")
 
     def test_validate_rejects_bad_tolerance(self):
         config = RunConfig(experiment="coherent", tol_null=1.0)
@@ -319,30 +327,3 @@ class TestReportedRapidity:
         assert brute["min_normalized_rapidity"] == float(np.min(scan))
         unit = LindbladianParams(c=np.zeros(0), gamma=np.array([[1.0]]))
         assert brute["unit_family_rapidity"] == rapidity(unit, ansatz, rho)
-
-
-class TestFitScalings:
-    def test_insufficient_rows_rejected(self, tmp_path):
-        from lindrec.errors import InsufficientDataError
-
-        path = tmp_path / "scaling.csv"
-        write_csv(
-            path,
-            ["N", "eps", "lambda1", "state_diff", "gamma_min"],
-            [[10, 1e-3, 1e-6, 1e-4, 0.0]],
-        )
-        with pytest.raises(InsufficientDataError):
-            fit_scalings(path)
-
-    def test_recovers_synthetic_exponents(self, tmp_path):
-        path = tmp_path / "scaling.csv"
-        rows = []
-        for n in (10, 20, 40):
-            for eps in np.logspace(-4, -2, 5):
-                rows.append([n, float(eps), 3.0 * eps**2 / n, 0.7 * eps / n**1.5, 0.0])
-        write_csv(path, ["N", "eps", "lambda1", "state_diff", "gamma_min"], rows)
-        fits = fit_scalings(path)
-        assert fits["lambda1"]["slope_eps"] == pytest.approx(2.0, abs=1e-9)
-        assert fits["lambda1"]["slope_N"] == pytest.approx(-1.0, abs=1e-9)
-        assert fits["state_diff"]["slope_eps"] == pytest.approx(1.0, abs=1e-9)
-        assert fits["state_diff"]["slope_N"] == pytest.approx(-1.5, abs=1e-9)

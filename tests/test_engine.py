@@ -4,12 +4,11 @@ import pytest
 from lindrec.engine import (
     LindbladAnsatz,
     LindbladianParams,
-    NonAdmissibleVector,
     apply_d_term,
     apply_h_term,
     apply_lindbladian,
     build_correlation_matrix,
-    fix_global_phase,
+    hermitian_parameter_basis,
     markovian_postselect,
     markovian_superposition_search,
     rapidity,
@@ -17,11 +16,7 @@ from lindrec.engine import (
     reverse_engineer,
     unpack_kernel_vector,
 )
-from lindrec.errors import (
-    DimMismatchError,
-    NonPhysicalVectorError,
-    PhaseUnfixableError,
-)
+from lindrec.errors import DimMismatchError, NonPhysicalVectorError, NotHermitianError
 from lindrec.models import (
     CoherentSpec,
     CollectiveSpec,
@@ -164,10 +159,45 @@ class TestCorrelationMatrix:
         np.testing.assert_allclose(corr.mat, analytic_corr_matrix(spec), atol=1e-8)
 
     def test_gram_matrix_hermitian_before_symmetrization(self, rng):
+        # M is formed as P R^T R P^dag and never symmetrized afterwards
         ansatz = random_ansatz(rng, 5, 2, 2)
         rho = random_density(rng, 5)
-        corr = build_correlation_matrix(ansatz, rho)
-        assert corr.raw_asymmetry <= 1e-9
+        mat = build_correlation_matrix(ansatz, rho).mat
+        assert np.linalg.norm(mat - mat.conj().T) <= 1e-9 * np.linalg.norm(mat)
+
+    def test_factor_reproduces_gram_matrix_of_images(self, rng):
+        # reference: the pairwise traces Tr(O_mu^dag O_nu) written out
+        for dim, n_drive, n_jump in ((5, 2, 2), (3, 0, 3), (4, 3, 1), (2, 1, 3)):
+            ansatz = random_ansatz(rng, dim, n_drive, n_jump)
+            corr = build_correlation_matrix(ansatz, random_density(rng, dim))
+            images = corr.images
+            gram = np.array([[np.vdot(a, b) for b in images] for a in images])
+            scale = np.linalg.norm(gram)
+            assert np.linalg.norm(corr.mat - gram) <= 1e-13 * scale
+            p = hermitian_parameter_basis(n_drive, n_jump)
+            rebuilt = p @ corr.factor.T @ corr.factor @ p.conj().T
+            assert np.linalg.norm(rebuilt - gram) <= 1e-13 * scale
+            assert not np.iscomplexobj(corr.factor)
+            assert np.allclose(corr.factor, np.triu(corr.factor), rtol=0, atol=0)
+
+    def test_factor_is_built_block_by_block(self, rng, monkeypatch):
+        # more image entries than one block, so several QR folds happen
+        import lindrec.engine as engine
+
+        ansatz = random_ansatz(rng, 9, 2, 2)
+        rho = random_density(rng, 9)
+        whole = build_correlation_matrix(ansatz, rho)
+        monkeypatch.setattr(engine, "FACTOR_BLOCK_ROWS", 7)
+        blocked = build_correlation_matrix(ansatz, rho)
+        scale = np.linalg.norm(whole.mat)
+        assert np.linalg.norm(blocked.mat - whole.mat) <= 1e-13 * scale
+
+    def test_non_hermitian_state_rejected(self, rng):
+        ansatz = random_ansatz(rng, 4, 1, 1)
+        rho = random_density(rng, 4)
+        rho[0, 1] += 1e-3
+        with pytest.raises(NotHermitianError):
+            build_correlation_matrix(ansatz, rho)
 
     def test_gram_matrix_psd(self, rng):
         for _ in range(5):
@@ -177,11 +207,31 @@ class TestCorrelationMatrix:
             assert w[0] >= -1e-9 * max(1.0, w[-1])
 
     def test_dissipator_block_index_map(self):
+        # dissipator (j, k) sits at J + j K + k, row-major after the drives
         model = build_model(CoherentSpec(alpha=0.0))
         corr = build_correlation_matrix(model.ansatz, model.rho_ss)
-        assert corr.dissipator_index(0, 0) == 2
-        assert corr.dissipator_index(1, 1) == 5
+        jumps = model.ansatz.jump_ops
+        for j, k, index in ((0, 0, 2), (0, 1, 3), (1, 0, 4), (1, 1, 5)):
+            expected = apply_d_term(jumps[j], jumps[k], model.rho_ss)
+            np.testing.assert_array_equal(corr.images[index], expected)
         assert corr.dim == 6
+
+
+class TestHermitianParameterBasis:
+    def test_unitary_and_physical(self):
+        for n_drive, n_jump in ((0, 1), (2, 2), (3, 3), (1, 4)):
+            p = hermitian_parameter_basis(n_drive, n_jump)
+            n = n_drive + n_jump**2
+            np.testing.assert_allclose(p.conj().T @ p, np.eye(n), atol=1e-15)
+            for column in p.T:
+                unpack_kernel_vector(column, n_drive, n_jump)
+
+    def test_term_images_hermitian_in_the_basis(self, rng):
+        ansatz = random_ansatz(rng, 5, 2, 3)
+        images = build_correlation_matrix(ansatz, random_density(rng, 5)).images
+        mapped = np.tensordot(hermitian_parameter_basis(2, 3).T, images, axes=1)
+        scale = np.linalg.norm(images)
+        assert np.linalg.norm(mapped - mapped.conj().transpose(0, 2, 1)) <= 1e-13 * scale
 
 
 class TestUnpack:
@@ -208,13 +258,15 @@ class TestUnpack:
         np.testing.assert_allclose(params.gamma, expected, atol=1e-12)
         assert params.markovian
 
-    def test_global_phase_removed(self):
+    def test_global_phase_rejected(self):
+        # only the sign is fixed: a complex global phase is not physical
         vec = analytic_kernel_vectors(CoherentSpec(alpha=2j))[0]
-        rotated = np.exp(0.7j) * vec
-        params = unpack_kernel_vector(rotated, 2, 2)
+        with pytest.raises(NonPhysicalVectorError):
+            unpack_kernel_vector(np.exp(0.7j) * vec, 2, 2)
+        flipped = unpack_kernel_vector(-vec, 2, 2)
         reference = unpack_kernel_vector(vec, 2, 2)
-        np.testing.assert_allclose(params.c, reference.c, atol=1e-12)
-        np.testing.assert_allclose(params.gamma, reference.gamma, atol=1e-12)
+        np.testing.assert_array_equal(flipped.c, reference.c)
+        np.testing.assert_array_equal(flipped.gamma, reference.gamma)
 
     def test_sign_picks_nonnegative_dissipative_trace(self):
         vec = -analytic_kernel_vectors(CoherentSpec(alpha=1.0))[0]
@@ -233,8 +285,8 @@ class TestUnpack:
             unpack_kernel_vector(vec, 2, 2)
 
     def test_zero_vector_unfixable(self):
-        with pytest.raises(PhaseUnfixableError):
-            fix_global_phase(np.zeros(6, dtype=complex), 2, 2)
+        with pytest.raises(NonPhysicalVectorError):
+            unpack_kernel_vector(np.zeros(6, dtype=complex), 2, 2)
 
     def test_length_mismatch(self):
         with pytest.raises(DimMismatchError):
@@ -268,7 +320,7 @@ class TestReverseEngineer:
         assert res.spectrum[0] > 1e-10
 
     def test_kernel_soundness(self):
-        # every admissible kernel solution annihilates the target,
+        # every kernel solution annihilates the target,
         # independently of the eigensolver that found it
         for spec in (
             CoherentSpec(alpha=2j),
@@ -285,9 +337,23 @@ class TestReverseEngineer:
         model = build_model(SqueezedSpec(r=0.5, theta=0.0))
         res = reverse_engineer(model.ansatz, model.rho_ss)
         assert res.kernel_dim == 3
-        assert len(res.kernel) == 3
+        assert len(res.kernel) == len(res.solutions) == 3
         for entry in res.kernel:
-            assert isinstance(entry, (LindbladianParams, NonAdmissibleVector))
+            assert isinstance(entry, LindbladianParams)
+
+    def test_every_kernel_vector_is_physical(self, rng):
+        # every drive commutes with the maximally mixed state, so the kernel
+        # is at least J-dimensional; every eigenvector of M, kernel or not,
+        # comes in ascending order and unpacks
+        for _ in range(10):
+            dim = int(rng.integers(2, 6))
+            ansatz = random_ansatz(rng, dim, int(rng.integers(0, 3)), int(rng.integers(1, 4)))
+            res = reverse_engineer(ansatz, np.eye(dim) / dim)
+            vectors = res.kernel_result.eig.eigenvectors
+            assert np.all(np.diff(res.spectrum) >= 0)
+            for vec in vectors.T:
+                unpack_kernel_vector(vec, ansatz.n_drive, ansatz.n_jump)
+            assert len(res.solutions) == res.kernel_dim
 
     def test_scale_covariance_of_drive_coefficient(self):
         # doubling a drive operator halves its recovered coefficient

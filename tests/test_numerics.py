@@ -70,10 +70,13 @@ class TestEigh:
 
 
 class TestExtractKernel:
+    # extract_kernel takes a factor a and reports the null space of a^H a
+
     def test_simple_diagonal(self):
         res = extract_kernel(np.diag([0.0, 3.0]).astype(complex))
         assert res.kernel_dim == 1
         np.testing.assert_allclose(np.abs(res.kernel_basis[0]), [1, 0], atol=1e-14)
+        np.testing.assert_allclose(res.spectrum, [0.0, 9.0])
 
     def test_no_kernel(self):
         res = extract_kernel(np.diag([1.0, 3.0]).astype(complex))
@@ -81,13 +84,36 @@ class TestExtractKernel:
         assert res.kernel_basis == ()
 
     def test_threshold_is_relative_to_scale(self):
-        # a 1e-8 eigenvalue is null next to 1e4 but not next to 1
-        assert extract_kernel(np.diag([1e-8, 1e4]).astype(complex)).kernel_dim == 1
-        assert extract_kernel(np.diag([1e-8, 1.0]).astype(complex)).kernel_dim == 0
+        # a 1e-8 eigenvalue of a^H a is null next to 1e4 but not next to 1
+        assert extract_kernel(np.diag([1e-4, 1e2]).astype(complex)).kernel_dim == 1
+        assert extract_kernel(np.diag([1e-4, 1.0]).astype(complex)).kernel_dim == 0
 
-    def test_warns_on_negative_eigenvalue(self):
-        with pytest.warns(UserWarning):
-            extract_kernel(np.diag([-1e-3, 1.0]).astype(complex))
+    def test_spectrum_of_gram_matrix_without_forming_it(self, rng):
+        a = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
+        res = extract_kernel(a)
+        reference = np.linalg.eigh(a.conj().T @ a)
+        np.testing.assert_allclose(res.spectrum, reference.eigenvalues, rtol=1e-12)
+        gram = a.conj().T @ a
+        for k, vec in enumerate(res.eig.eigenvectors.T):
+            np.testing.assert_allclose(gram @ vec, res.spectrum[k] * vec, atol=1e-12)
+
+    def test_wide_factor_pads_zero_eigenvalues(self, rng):
+        # a 2 x 4 factor has rank at most 2, so a^H a has two zero eigenvalues
+        a = rng.standard_normal((2, 4))
+        res = extract_kernel(a)
+        assert res.spectrum.shape == (4,)
+        np.testing.assert_array_equal(res.spectrum[:2], [0.0, 0.0])
+        assert res.kernel_dim == 2
+        for vec in res.kernel_basis:
+            assert np.linalg.norm(a @ vec) < 1e-14
+
+    def test_small_eigenvalue_keeps_its_accuracy(self):
+        # a^H a has eigenvalues 1 and 1e-20; formed explicitly, the small one
+        # is lost below the roundoff of the large one
+        q = np.linalg.qr(np.array([[1.0, 2.0], [3.0, 4.0]]))[0]
+        a = np.diag([1.0, 1e-10]) @ q.T
+        res = extract_kernel(a)
+        assert res.spectrum[0] == pytest.approx(1e-20, rel=1e-5)
 
     def test_kernel_dim_reduces_when_direction_is_lifted(self, rng):
         a = random_hermitian(rng, 6)

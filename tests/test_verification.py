@@ -16,11 +16,10 @@ from lindrec.models import (
     build_model,
     collective_generator_params,
 )
-from lindrec.quantum_ops import FockSpace, boson_ops, mix_with_identity
+from lindrec.quantum_ops import mix_with_identity
 from lindrec.verification import (
     NULL_SV_TOL,
     _steady_state_svd,
-    liouvillian_gap,
     norm_difference,
     stack_state,
     steady_state_of,
@@ -230,27 +229,6 @@ class TestDiagnostics:
         assert abs(norm_difference(a, b) - np.sqrt(2)) < 1e-14
         with pytest.raises(DimMismatchError):
             norm_difference(a, np.eye(3))
-
-    def test_two_level_decay_gap(self):
-        ops = boson_ops(FockSpace(1))
-        ansatz = LindbladAnsatz(h_ops=(), jump_ops=(ops.a,))
-        params = LindbladianParams(c=np.zeros(0), gamma=np.eye(1, dtype=complex))
-        assert abs(liouvillian_gap(params, ansatz) - 0.5) < 1e-12
-
-    def test_zero_generator_gap_flagged(self, rng):
-        ansatz = random_ansatz(rng, 2, 1, 1)
-        params = LindbladianParams(c=np.zeros(1), gamma=np.zeros((1, 1)))
-        with pytest.warns(UserWarning):
-            assert liouvillian_gap(params, ansatz) == 0.0
-
-    def test_collective_weak_regime_gap_shrinks_with_size(self):
-        gaps = []
-        for n_spins in (6, 10, 14, 18):
-            spec = CollectiveSpec(n_spins=n_spins, omega0=2.0, kappa=1.0)
-            model = build_model(spec)
-            params = collective_generator_params(spec)
-            gaps.append(liouvillian_gap(params, model.ansatz))
-        assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
 class TestConsistency:
