@@ -381,7 +381,7 @@ def reverse_engineer(
     real = extract_kernel(corr.factor, tol_null)
     basis = hermitian_parameter_basis(ansatz.n_drive, ansatz.n_jump)
     eig = HermitianEigResult(real.spectrum, basis @ real.eig.eigenvectors)
-    kres = KernelResult(eig, tuple(eig.eigenvectors.T[: real.kernel_dim]), tol_null)
+    kres = KernelResult(eig, tuple(eig.eigenvectors.T[: real.kernel_dim].copy()), tol_null)
     entries = [
         unpack_kernel_vector(v, ansatz.n_drive, ansatz.n_jump) for v in kres.kernel_basis
     ]

@@ -178,7 +178,7 @@ class TestCorrelationMatrix:
             rebuilt = p @ corr.factor.T @ corr.factor @ p.conj().T
             assert np.linalg.norm(rebuilt - gram) <= 1e-13 * scale
             assert not np.iscomplexobj(corr.factor)
-            assert np.allclose(corr.factor, np.triu(corr.factor), rtol=0, atol=0)
+            assert np.array_equal(corr.factor, np.triu(corr.factor))
 
     def test_factor_is_built_block_by_block(self, rng, monkeypatch):
         # more image entries than one block, so several QR folds happen
