@@ -323,6 +323,7 @@ def _run_robustness(config: RunConfig) -> dict:
                 "markovian": params.markovian,
                 "unique": ss.unique,
                 "steady_state_method": ss.method,
+                "steady_state_fallback": ss.fallback,
                 "uniqueness_bound": ss.uniqueness_bound,
                 "rapidity_residual": solution["rapidity_residual"],
             }
@@ -331,6 +332,8 @@ def _run_robustness(config: RunConfig) -> dict:
                 ss_rep = steady_state_of(repaired, model.ansatz, method="lu")
                 diff_rep = norm_difference(ss_rep.rho, rho_clean)
                 row["state_diff_repaired"] = diff_rep
+                row["steady_state_method_repaired"] = ss_rep.method
+                row["steady_state_residual_repaired"] = ss_rep.residual
                 row["repaired_gamma_eigenvalues"] = repaired.gamma_eigenvalues
             rows_payload.append(row)
     return {

@@ -1,5 +1,5 @@
 """Operators and states: truncated bosonic Fock space, the maximal collective
-spin sector, density-matrix checks, and the white-noise mixing map.
+spin sector, and the white-noise mixing map.
 
 States are built from explicit basis amplitudes rather than by exponentiating
 displacement or squeeze operators, so truncation errors stay controlled and
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffTooSmallError, DimMismatchError, EpsOutOfRangeError
-from .numerics import is_hermitian
 
 # Acceptable norm lost to the Fock truncation.
 NORM_DEFICIT_TOL = 1e-12
@@ -171,14 +170,3 @@ def mix_with_identity(rho: np.ndarray, eps: float) -> np.ndarray:
     dim = rho.shape[0]
     return (1.0 - eps) * rho + eps * np.eye(dim) / dim
 
-
-def check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> None:
-    """Raise if ``rho`` is not Hermitian, unit-trace, and PSD within ``tol``."""
-    rho = np.asarray(rho)
-    if not is_hermitian(rho, tol):
-        raise DimMismatchError("state is not Hermitian within tolerance")
-    if abs(np.trace(rho) - 1.0) > tol:
-        raise DimMismatchError(f"trace {np.trace(rho)} differs from 1")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    if w[0] < -tol:
-        raise DimMismatchError(f"negative eigenvalue {w[0]:.3e}")

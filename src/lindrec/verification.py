@@ -1,8 +1,10 @@
 """Independent verification of reconstructed generators.
 
 The generator is vectorized into a dense d^2 x d^2 matrix acting on
-column-stacked states, from which steady states and residuals are
-obtained without going through the correlation matrix.
+column-stacked states.  With real couplings and a Hermitian rate matrix it
+maps Hermitian matrices to Hermitian matrices, so in an orthonormal basis of
+Hermitian operators that matrix is real.  Steady states and residuals are
+obtained from the real matrix, without going through the correlation matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import LindbladAnsatz, LindbladianParams
-from .errors import DimMismatchError, DimTooLargeError, NoSteadyStateError
+from .errors import (
+    DimMismatchError,
+    DimTooLargeError,
+    NoSteadyStateError,
+    NotHermitianError,
+)
+from .numerics import HERMITICITY_REJECT_TOL, asymmetry
 
 # Largest supported superoperator dimension d^2.
 MAX_SUPEROP_DIM = 10_000
@@ -21,14 +29,27 @@ MAX_SUPEROP_DIM = 10_000
 NULL_SV_TOL = 1e-8
 
 
-def stack_state(rho: np.ndarray) -> np.ndarray:
-    """Column-stack a d x d matrix into a d^2 vector."""
-    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
+# The Hermitian operator basis U: E_ii at the column-stacked position of
+# (i, i); for i < j, (E_ij + E_ji)/sqrt(2) at that of (i, j) and
+# i(E_ij - E_ji)/sqrt(2) at that of (j, i).  U is unitary, and the trace of
+# a state is the sum of its coordinates at positions arange(d) * (d + 1).
 
 
-def unstack_state(vec: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of ``stack_state``."""
-    return np.asarray(vec, dtype=complex).reshape(dim, dim, order="F")
+def hermitian_coordinates(rho: np.ndarray) -> np.ndarray:
+    """Real coordinates U^H vec(rho) of a Hermitian matrix; only its diagonal
+    and upper triangle are read."""
+    rho = np.asarray(rho, dtype=complex)
+    upper = np.triu(rho, 1) * 2**0.5
+    coords = np.diag(rho.real.diagonal()) + upper.real + upper.imag.T
+    return coords.reshape(-1, order="F")
+
+
+def hermitian_from_coordinates(coords: np.ndarray, dim: int) -> np.ndarray:
+    """Hermitian matrix with the real coordinates ``coords``; inverse of
+    ``hermitian_coordinates``."""
+    grid = np.asarray(coords, dtype=float).reshape(dim, dim, order="F")
+    upper = (np.triu(grid, 1) + 1j * np.tril(grid, -1).T) / 2**0.5
+    return upper + upper.conj().T + np.diag(grid.diagonal())
 
 
 @dataclass
@@ -96,6 +117,37 @@ def vectorize_liouvillian(
     return Liouvillian(superop=sup.reshape(d * d, d * d), params=params, ansatz=ansatz)
 
 
+def _real_superop(superop: np.ndarray, dim: int) -> np.ndarray:
+    """The real matrix Re(U^H S U) of the d^2 x d^2 superoperator S.
+
+    Formed by index arithmetic on the (q1, p1, q2, p2) view in O(d^4), one
+    block of rows at a time: U^H is applied to the rows of S in place, so S
+    is overwritten, then U to the columns of each row block, keeping the
+    real part.  For a Hermiticity-preserving S the imaginary part dropped is
+    roundoff, and the result has the singular values of S.
+    """
+    blocks = superop.reshape(dim, dim, dim, dim)
+    half = 2**-0.5
+    for j in range(1, dim):
+        # rows of positions (i, j) and (j, i), i < j
+        upper, lower = blocks[j, :j], blocks[:j, j]
+        diff = lower - upper
+        upper += lower
+        upper *= half
+        np.multiply(diff, 1j * half, out=lower)
+    # columns of positions (p, q): symmetric where p < q, antisymmetric where
+    # p > q; the partner column is the transpose of the last two axes
+    q, p = np.indices((dim, dim))
+    sym, anti = p < q, p > q
+    out = np.empty((dim,) * 4)
+    for j in range(dim):
+        re, im = blocks[j].real, blocks[j].imag
+        out[j] = re
+        np.copyto(out[j], (re + re.transpose(0, 2, 1)) * half, where=sym)
+        np.copyto(out[j], (im - im.transpose(0, 2, 1)) * half, where=anti)
+    return out.reshape(dim * dim, dim * dim)
+
+
 @dataclass
 class SteadyStateResult:
     """Steady state plus diagnostics.
@@ -127,20 +179,18 @@ class SteadyStateResult:
         return self.null_space_dim == 1
 
 
-def _canonicalize_state(x: np.ndarray) -> np.ndarray:
-    """Phase-fix on the trace, Hermitize, clamp tiny negatives, normalize."""
-    tr = np.trace(x)
-    if abs(tr) > 1e-12 * np.linalg.norm(x):
-        x = x * (tr.conjugate() / abs(tr))
-    x = (x + x.conj().T) / 2.0
-    w, v = np.linalg.eigh(x)
+def _canonicalize_state(rho: np.ndarray) -> np.ndarray:
+    """Sign-fix on the trace, clamp tiny negatives, normalize a Hermitian matrix."""
+    if np.trace(rho).real < 0:
+        rho = -rho
+    w, v = np.linalg.eigh(rho)
     if w[0] < 0 and w[0] > -1e-8:
         w = np.maximum(w, 0.0)
-        x = (v * w) @ v.conj().T
-    tr = np.trace(x).real
+        rho = (v * w) @ v.conj().T
+    tr = np.trace(rho).real
     if abs(tr) < 1e-300:
         raise NoSteadyStateError("null vector has vanishing trace")
-    return x / tr
+    return rho / tr
 
 
 def steady_state_of(
@@ -150,17 +200,24 @@ def steady_state_of(
 ) -> SteadyStateResult:
     """Steady state of the parameterized generator.
 
-    Both methods work on the bordered matrix B: the vectorized generator L
-    with row 0 replaced by the trace row, so that B x = e_0 picks the null
-    direction of trace 1.  ``method='svd'`` inverts B once; the first column
-    of the inverse is the steady state, and the 1- and inf-norms of B^-1 and
-    L bound s_{n-1}(L)/s_0(L) from below (B differs from L in one row, so
-    s_{n-1}(L) >= s_min(B) by interlacing).  When that bound exceeds
-    ``NULL_SV_TOL`` and the state passes its residual gate, the SVD of L
-    would report a one-dimensional null space, so uniqueness is certified
-    without it (``method='inverse'`` in the result).  ``method='lu'`` solves
+    Every path works in real arithmetic on T = Re(U^H S U), the vectorized
+    generator S in the Hermitian operator basis U, which has the singular
+    values of S; ||T x|| equals ||S vec(rho)|| for the state rho with
+    coordinates x.  A rate matrix whose asymmetry exceeds
+    ``HERMITICITY_REJECT_TOL`` raises ``NotHermitianError``; below that it
+    is replaced by its Hermitian part.
+
+    Both methods work on the bordered matrix B: T with row 0 replaced by the
+    trace row, so that B x = e_0 picks the null direction of trace 1.
+    ``method='svd'`` inverts B once; the first column of the inverse is the
+    steady state, and the 1- and inf-norms of B^-1 and T bound
+    s_{n-1}(T)/s_0(T) from below (B differs from T in one row, so
+    s_{n-1}(T) >= s_min(B) by interlacing).  When that bound exceeds
+    ``NULL_SV_TOL`` and the state passes its residual gate, the SVD would
+    report a one-dimensional null space, so uniqueness is certified without
+    it (``method='inverse'`` in the result).  ``method='lu'`` solves
     B x = e_0 instead, which verifies the residual but not multiplicity.
-    When the requested path fails, the full SVD of L runs as a fallback: it
+    When the requested path fails, the full SVD of T runs as a fallback: it
     takes the right singular vector of the smallest singular value and
     counts the null-space multiplicity, and the result records why in
     ``fallback``.  Raises ``NoSteadyStateError`` when no null direction
@@ -168,19 +225,27 @@ def steady_state_of(
     """
     if method not in ("svd", "lu"):
         raise ValueError(f"unknown method {method!r}")
-    liou = vectorize_liouvillian(params, ansatz)
+    asym = asymmetry(params.gamma)
+    if asym > HERMITICITY_REJECT_TOL:
+        raise NotHermitianError(f"rate-matrix asymmetry {asym:.3e} exceeds 1e-8")
+    hermitian = LindbladianParams(
+        c=params.c, gamma=(params.gamma + params.gamma.conj().T) / 2.0
+    )
+    dim = ansatz.dim
+    # S is overwritten by the transform and released on return, before the
+    # bordered matrix is allocated
+    gen = _real_superop(vectorize_liouvillian(hermitian, ansatz).superop, dim)
     fast = _steady_state_inverse if method == "svd" else _steady_state_lu
-    result = fast(liou)
+    result = fast(gen, dim)
     if isinstance(result, SteadyStateResult):
         return result
-    robust = _steady_state_svd(liou)
+    robust = _steady_state_svd(gen, dim)
     robust.fallback = result
     return robust
 
 
-def _steady_state_svd(liou: Liouvillian) -> SteadyStateResult:
-    d = liou.dim
-    _, s, vh = np.linalg.svd(liou.superop)
+def _steady_state_svd(gen: np.ndarray, dim: int) -> SteadyStateResult:
+    _, s, vh = np.linalg.svd(gen)
     scale = float(s[0]) if s[0] > 0 else 1.0
     null_dim = int(np.sum(s <= NULL_SV_TOL * scale))
     if s[0] == 0.0:
@@ -190,8 +255,7 @@ def _steady_state_svd(liou: Liouvillian) -> SteadyStateResult:
         raise NoSteadyStateError(
             f"smallest singular value {s[-1]:.3e} above {NULL_SV_TOL:.0e} * {scale:.3e}"
         )
-    rho = _canonicalize_state(unstack_state(vh[-1].conj(), d))
-    residual = float(np.linalg.norm(liou.superop @ stack_state(rho)))
+    rho, residual, _ = _null_residual(gen, dim, vh[-1])
     limit = NULL_SV_TOL * max(1.0, scale)
     if residual > limit:
         raise NoSteadyStateError(f"steady-state residual {residual:.3e} > {limit:.3e}")
@@ -200,27 +264,27 @@ def _steady_state_svd(liou: Liouvillian) -> SteadyStateResult:
     )
 
 
-def _bordered(liou: Liouvillian) -> np.ndarray:
-    """The vectorized generator with row 0 replaced by the trace row.
+def _bordered(gen: np.ndarray, dim: int) -> np.ndarray:
+    """The real generator with row 0 replaced by the trace row.
 
     Trace preservation makes row 0 equal to minus the sum of the other
     diagonal-index rows, so nothing is lost; B is nonsingular exactly when
     the null space is one-dimensional and its vectors have nonzero trace.
     """
-    d = liou.dim
-    mod = liou.superop.copy()
+    mod = gen.copy()
     mod[0] = 0.0
-    mod[0, np.arange(d) * (d + 1)] = 1.0
+    mod[0, np.arange(dim) * (dim + 1)] = 1.0
     return mod
 
 
-def _null_residual(liou: Liouvillian, vec: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Canonical state of a candidate null vector, its residual ||L rho||
-    and the scale ||L||_F / d of the residual gates."""
-    d = liou.dim
-    rho = _canonicalize_state(unstack_state(vec, d))
-    residual = float(np.linalg.norm(liou.superop @ stack_state(rho)))
-    scale = float(np.linalg.norm(liou.superop, ord="fro")) / d
+def _null_residual(
+    gen: np.ndarray, dim: int, coords: np.ndarray
+) -> tuple[np.ndarray, float, float]:
+    """Canonical state of a candidate null vector, its residual ||T x||
+    and the scale ||T||_F / d of the residual gates."""
+    rho = _canonicalize_state(hermitian_from_coordinates(coords, dim))
+    residual = float(np.linalg.norm(gen @ hermitian_coordinates(rho)))
+    scale = float(np.linalg.norm(gen, ord="fro")) / dim
     return rho, residual, scale
 
 
@@ -229,27 +293,27 @@ def _one_inf(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))
 
 
-def _steady_state_inverse(liou: Liouvillian) -> SteadyStateResult | str:
+def _steady_state_inverse(gen: np.ndarray, dim: int) -> SteadyStateResult | str:
     """Certified steady state from one inverse of the bordered matrix.
 
     Returns the fallback reason instead of a result when the certificate is
     not issued.
     """
     try:
-        inv = np.linalg.inv(_bordered(liou))
+        inv = np.linalg.inv(_bordered(gen, dim))
     except np.linalg.LinAlgError:
         return "singular"
     if not np.all(np.isfinite(inv)):
         return "singular"
-    # s_{n-1}(L) >= s_min(B) = 1 / ||B^-1||_2 by interlacing (B is L with one
-    # row replaced) and s_0(L) = ||L||_2; both 2-norms are bounded by _one_inf
-    bound = float(1.0 / np.sqrt(_one_inf(inv) * _one_inf(liou.superop)))
+    # s_{n-1}(T) >= s_min(B) = 1 / ||B^-1||_2 by interlacing (B is T with one
+    # row replaced) and s_0(T) = ||T||_2; both 2-norms are bounded by _one_inf
+    bound = float(1.0 / np.sqrt(_one_inf(inv) * _one_inf(gen)))
     if not bound > NULL_SV_TOL:
         return "bound"
-    rho, residual, scale = _null_residual(liou, inv[:, 0])
-    # ||L rho|| / ||rho|| <= NULL_SV_TOL * ||L||_F / d <= NULL_SV_TOL * s_0 puts a
-    # null singular value below the SVD threshold; it also implies the
-    # absolute gate residual <= NULL_SV_TOL * max(1, ||L||_F / d)
+    rho, residual, scale = _null_residual(gen, dim, inv[:, 0])
+    # ||T x|| / ||x|| <= NULL_SV_TOL * ||T||_F / d <= NULL_SV_TOL * s_0 puts a
+    # null singular value below the SVD threshold (||x|| = ||rho||_F); it also
+    # implies the absolute gate residual <= NULL_SV_TOL * max(1, ||T||_F / d)
     if residual > NULL_SV_TOL * scale * np.linalg.norm(rho):
         return "residual"
     return SteadyStateResult(
@@ -261,18 +325,17 @@ def _steady_state_inverse(liou: Liouvillian) -> SteadyStateResult | str:
     )
 
 
-def _steady_state_lu(liou: Liouvillian) -> SteadyStateResult | str:
+def _steady_state_lu(gen: np.ndarray, dim: int) -> SteadyStateResult | str:
     """Trace-constrained solve; returns the fallback reason on failure."""
-    d = liou.dim
-    rhs = np.zeros(d * d, dtype=complex)
+    rhs = np.zeros(dim * dim)
     rhs[0] = 1.0
     try:
-        vec = np.linalg.solve(_bordered(liou), rhs)
+        vec = np.linalg.solve(_bordered(gen, dim), rhs)
     except np.linalg.LinAlgError:
         return "singular"
     if not np.all(np.isfinite(vec)):
         return "singular"
-    rho, residual, scale = _null_residual(liou, vec)
+    rho, residual, scale = _null_residual(gen, dim, vec)
     if residual > NULL_SV_TOL * max(1.0, scale):
         return "residual"
     return SteadyStateResult(rho=rho, residual=residual, null_space_dim=None, method="lu")

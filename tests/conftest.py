@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from lindrec.engine import LindbladAnsatz, LindbladianParams
+from lindrec.errors import DimMismatchError
+from lindrec.numerics import is_hermitian
 
 
 def random_hermitian(rng, dim):
@@ -13,6 +15,18 @@ def random_density(rng, dim):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = m @ m.conj().T
     return rho / np.trace(rho).real
+
+
+def check_density_matrix(rho, tol=1e-10):
+    """Raise if ``rho`` is not Hermitian, unit-trace, and PSD within ``tol``."""
+    rho = np.asarray(rho)
+    if not is_hermitian(rho, tol):
+        raise DimMismatchError("state is not Hermitian within tolerance")
+    if abs(np.trace(rho) - 1.0) > tol:
+        raise DimMismatchError(f"trace {np.trace(rho)} differs from 1")
+    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
+    if w[0] < -tol:
+        raise DimMismatchError(f"negative eigenvalue {w[0]:.3e}")
 
 
 def random_ansatz(rng, dim, n_drive, n_jump):

@@ -234,6 +234,11 @@ class TestRuns:
             header = fh.readline().strip().split(",")
         assert "state_diff_repaired" in header
         assert "n_negative_gamma" in header
+        for row in load_report(out)["results"]["rows"]:
+            assert row["steady_state_method"] == "inverse"
+            assert row["steady_state_fallback"] is None
+            assert row["steady_state_method_repaired"] == "lu"
+            assert 0 <= row["steady_state_residual_repaired"] <= 1e-8
 
 
 class TestDeterminism:

@@ -20,7 +20,9 @@ from lindrec.models import (
     collective_steady_state,
     default_cutoff,
 )
-from lindrec.quantum_ops import SpinSector, check_density_matrix, spin_ops
+from lindrec.quantum_ops import SpinSector, spin_ops
+
+from conftest import check_density_matrix
 
 R_GRID = [0.0, 0.25, 0.5, 1.0]
 THETA_GRID = [0.0, np.pi / 3, np.pi]

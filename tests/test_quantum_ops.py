@@ -7,12 +7,13 @@ from lindrec.quantum_ops import (
     SpinSector,
     bogoliubov_op,
     boson_ops,
-    check_density_matrix,
     coherent_state,
     mix_with_identity,
     spin_ops,
     squeezed_vacuum,
 )
+
+from conftest import check_density_matrix
 
 
 def variance(op, rho):

@@ -9,25 +9,37 @@ from lindrec.engine import (
     repair_markovianity,
     reverse_engineer,
 )
-from lindrec.errors import DimMismatchError, DimTooLargeError
+from lindrec.errors import DimMismatchError, DimTooLargeError, NotHermitianError
 from lindrec.models import (
     CoherentSpec,
     CollectiveSpec,
     build_model,
     collective_generator_params,
 )
+from lindrec.numerics import asymmetry
 from lindrec.quantum_ops import mix_with_identity
 from lindrec.verification import (
     NULL_SV_TOL,
+    _real_superop,
     _steady_state_svd,
+    hermitian_coordinates,
+    hermitian_from_coordinates,
     norm_difference,
-    stack_state,
     steady_state_of,
-    unstack_state,
     vectorize_liouvillian,
 )
 
 from conftest import random_ansatz, random_density, random_hermitian, random_params
+
+
+def stack_state(rho):
+    """Column-stack a d x d matrix into a d^2 vector."""
+    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
+
+
+def unstack_state(vec, dim):
+    """Inverse of ``stack_state``."""
+    return np.asarray(vec, dtype=complex).reshape(dim, dim, order="F")
 
 
 def master_equation(params, ansatz, rho):
@@ -110,7 +122,82 @@ class TestVectorize:
             vectorize_liouvillian(params, ansatz)
 
 
+def hermitian_basis(dim):
+    """Dense unitary U, column by column from its definition."""
+    basis = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            unit = np.zeros((dim, dim), dtype=complex)
+            if i == j:
+                unit[i, i] = 1.0
+            elif i < j:
+                unit[i, j] = unit[j, i] = 2**-0.5
+            else:
+                unit[j, i], unit[i, j] = 1j * 2**-0.5, -1j * 2**-0.5
+            basis[:, i + j * dim] = stack_state(unit)
+    return basis
+
+
+class TestHermitianBasis:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_real_matrix_is_the_dense_change_of_basis(self, rng, dim):
+        basis = hermitian_basis(dim)
+        assert np.allclose(basis.conj().T @ basis, np.eye(dim * dim), atol=1e-15)
+        ansatz = random_ansatz(rng, dim, 2, 3)
+        params = random_params(rng, 2, 3, hermitian_gamma=True)
+        superop = vectorize_liouvillian(params, ansatz).superop
+        dense = basis.conj().T @ superop @ basis
+        scale = np.abs(dense).max()
+        assert np.abs(dense.imag).max() <= 1e-14 * scale
+        real = _real_superop(superop.copy(), dim)
+        assert real.dtype == np.float64
+        assert np.abs(real - dense.real).max() <= 1e-14 * scale
+        s_real = np.linalg.svd(real, compute_uv=False)
+        s_complex = np.linalg.svd(superop, compute_uv=False)
+        assert np.abs(s_real - s_complex).max() <= 1e-12 * s_complex[0]
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_coordinate_maps_round_trip(self, rng, dim):
+        basis = hermitian_basis(dim)
+        rho = random_hermitian(rng, dim)
+        coords = hermitian_coordinates(rho)
+        assert coords.dtype == np.float64
+        assert np.allclose(coords, basis.conj().T @ stack_state(rho), atol=1e-14)
+        assert np.allclose(hermitian_from_coordinates(coords, dim), rho, atol=1e-14)
+        x = rng.standard_normal(dim * dim)
+        back = hermitian_from_coordinates(x, dim)
+        assert np.allclose(stack_state(back), basis @ x, atol=1e-14)
+        assert np.allclose(hermitian_coordinates(back), x, atol=1e-14)
+
+
 class TestSteadyState:
+    @pytest.mark.parametrize("method", ["svd", "lu"])
+    def test_dense_solves_are_real(self, monkeypatch, method):
+        seen = []
+        for name in ("inv", "solve"):
+            original = getattr(np.linalg, name)
+
+            def spy(a, *args, _original=original, **kwargs):
+                seen.append(np.asarray(a).dtype)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        spec = CollectiveSpec(n_spins=6, omega0=2.0, kappa=1.0)
+        model = build_model(spec)
+        out = steady_state_of(collective_generator_params(spec), model.ansatz, method=method)
+        assert out.method == ("inverse" if method == "svd" else "lu")
+        assert seen and all(dtype == np.float64 for dtype in seen)
+        assert norm_difference(out.rho, model.rho_ss) < 1e-8
+
+    def test_non_hermitian_rate_matrix_rejected(self, rng):
+        ansatz = random_ansatz(rng, 3, 1, 2)
+        params = random_params(rng, 1, 2, hermitian_gamma=True)
+        skew = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+        gamma = params.gamma + 1e-3 * max(1.0, np.linalg.norm(params.gamma)) / 8**0.5 * skew
+        assert asymmetry(gamma) == pytest.approx(1e-3, rel=1e-2)
+        with pytest.raises(NotHermitianError):
+            steady_state_of(LindbladianParams(c=params.c, gamma=gamma), ansatz)
+
     def test_coherent_reconstruction_recovers_target(self):
         model = build_model(CoherentSpec(alpha=1.0, n_max=40))
         sol = reverse_engineer(model.ansatz, model.rho_ss).solutions[0]
@@ -166,7 +253,7 @@ class TestSteadyState:
             assert out.unique and out.fallback is None
             assert out.uniqueness_bound > NULL_SV_TOL
             liou = vectorize_liouvillian(params, ansatz)
-            robust = _steady_state_svd(liou)
+            robust = _steady_state_svd(_real_superop(liou.superop.copy(), dim), dim)
             assert robust.null_space_dim == 1
             assert norm_difference(out.rho, robust.rho) <= 1e-10
             # the certificate is a lower bound on the true singular-value ratio
