@@ -35,8 +35,6 @@ from .models import (
     collective_steady_state,
 )
 from .numerics import (
-    HermitianEigResult,
-    KernelResult,
     eigh,
     extract_kernel,
     is_hermitian,
@@ -54,7 +52,6 @@ from .quantum_ops import (
     squeezed_vacuum,
 )
 from .verification import (
-    Liouvillian,
     SteadyStateResult,
     norm_difference,
     steady_state_of,
@@ -68,11 +65,8 @@ __all__ = [
     "CollectiveSpec",
     "CorrelationMatrix",
     "FockSpace",
-    "HermitianEigResult",
-    "KernelResult",
     "LindbladAnsatz",
     "LindbladianParams",
-    "Liouvillian",
     "Model",
     "ReconstructionResult",
     "SpinSector",

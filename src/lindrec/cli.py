@@ -72,8 +72,13 @@ class RunConfig:
             raise ConfigInvalidError(f"unknown experiment {self.experiment!r}")
         if not 0 < self.tol_null <= 1e-4:
             raise ConfigInvalidError("tol_null must lie in (0, 1e-4]")
-        if self.experiment in ("collective", "robustness") and not self.n_list:
-            raise ConfigInvalidError("empty N grid")
+        if self.experiment in ("collective", "robustness"):
+            if not self.n_list:
+                raise ConfigInvalidError("empty N grid")
+            if min(self.n_list) < 2:
+                raise ConfigInvalidError("N values must be at least 2")
+            if self.omega_over_kappa == 0:
+                raise ConfigInvalidError("omega_over_kappa must be nonzero")
         if self.experiment == "robustness":
             if not self.eps_list:
                 raise ConfigInvalidError("empty eps grid")
@@ -83,6 +88,12 @@ class RunConfig:
                 raise ConfigInvalidError("regime must be strong or weak")
         if self.kappa <= 0:
             raise ConfigInvalidError("kappa must be positive")
+        if self.r < 0:
+            raise ConfigInvalidError("r must be nonnegative")
+        if self.jumps not in (models.SINGLE_JUMPS, models.TWO_JUMPS):
+            raise ConfigInvalidError(f"unknown jumps {self.jumps!r}")
+        if self.n_max is not None and self.n_max < 1:
+            raise ConfigInvalidError("n_max must be at least 1")
 
     def resolved_ratio(self) -> float:
         """Drive-to-decay ratio; the regime picks the default when unset."""
@@ -200,7 +211,7 @@ def _run_squeezed(config: RunConfig) -> dict:
         "solutions": [_params_payload(p, result) for p in search.solutions],
     }
     payload["postselected"] = [
-        _params_payload(p, result) for p in markovian_postselect(result.kernel)
+        _params_payload(p, result) for p in markovian_postselect(result.solutions)
     ]
     return payload
 
@@ -299,7 +310,7 @@ def _run_robustness(config: RunConfig) -> dict:
             result = reverse_engineer(model.ansatz, rho_eps, config.tol_null)
             lam1 = float(result.spectrum[0])
             # parameters of the minimum-eigenvalue direction
-            min_vec = result.kernel_result.eig.eigenvectors[:, 0]
+            min_vec = result.eigenvectors[:, 0]
             params = unpack_kernel_vector(
                 min_vec, model.ansatz.n_drive, model.ansatz.n_jump
             )
@@ -414,11 +425,10 @@ def _fit_rows(rows: list[dict], weak: bool) -> dict:
 
 def _run_feasibility(config: RunConfig) -> dict:
     """Deliberately impoverished ansatz: a lone decay jump, no drives."""
-    alpha = complex(config.alpha)
-    n_max = config.n_max or models.default_cutoff(models.CoherentSpec(alpha=alpha))
-    space = FockSpace(n_max)
+    spec = models.CoherentSpec(alpha=complex(config.alpha), n_max=config.n_max)
+    space = FockSpace(models.default_cutoff(spec) if spec.n_max is None else spec.n_max)
     ops = boson_ops(space)
-    rho = coherent_state(space, alpha)
+    rho = coherent_state(space, spec.alpha)
     ansatz = LindbladAnsatz(h_ops=(), jump_ops=(ops.a,))
     result = reverse_engineer(ansatz, rho, config.tol_null)
     # independent check: scan the one-parameter family directly

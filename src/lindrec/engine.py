@@ -27,8 +27,6 @@ from .errors import DimMismatchError, NonPhysicalVectorError, NotHermitianError
 from .numerics import (
     DEFAULT_NULL_TOL,
     HERMITICITY_REJECT_TOL,
-    HermitianEigResult,
-    KernelResult,
     asymmetry,
     extract_kernel,
     is_psd,
@@ -45,6 +43,10 @@ FACTOR_BLOCK_ROWS = 4096
 
 # PSD tolerance defining the Markovianity flag.
 MARKOV_TOL = 1e-10
+
+# Relative eigenvalue floor of the candidate Gram matrix below which a
+# direction is dropped when the physical gauge basis is formed.
+GAUGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -264,13 +266,11 @@ def build_correlation_matrix(
     )
 
 
-def fix_global_phase(
-    v: np.ndarray, n_drive: int, n_jump: int, tol: float = UNPACK_TOL
-) -> np.ndarray:
+def fix_global_phase(v: np.ndarray, n_drive: int, n_jump: int) -> np.ndarray:
     """Fix the overall sign of a physical parameter vector deterministically.
 
     The dissipative trace tr(gamma) is made nonnegative whenever it is
-    resolvable (above tol * ||v||), since any PSD rate matrix has a
+    resolvable (above UNPACK_TOL * ||v||), since any PSD rate matrix has a
     nonnegative trace.  Otherwise the designated entry, the largest-magnitude
     coupling, or the largest gamma diagonal entry when all couplings are
     negligible, is made positive.  A vector with neither is left as it is.
@@ -279,26 +279,24 @@ def fix_global_phase(
     norm = np.linalg.norm(v)
     diag = v[n_drive + np.arange(n_jump) * (n_jump + 1)].real
     trace = float(diag.sum())
-    if abs(trace) > tol * norm:
+    if abs(trace) > UNPACK_TOL * norm:
         return v if trace > 0 else -v
     for entries in (v[:n_drive].real, diag):
         if entries.size:
             pivot = entries[np.argmax(np.abs(entries))]
-            if abs(pivot) > tol * norm:
+            if abs(pivot) > UNPACK_TOL * norm:
                 return v if pivot > 0 else -v
     return v
 
 
-def unpack_kernel_vector(
-    v: np.ndarray, n_drive: int, n_jump: int, tol: float = UNPACK_TOL
-) -> LindbladianParams:
+def unpack_kernel_vector(v: np.ndarray, n_drive: int, n_jump: int) -> LindbladianParams:
     """Split a parameter vector into (c, gamma) after fixing its sign.
 
     The first ``n_drive`` entries must be real (imaginary parts below
-    tol * ||v||) and the row-major K^2 tail must reshape to a Hermitian
-    matrix (asymmetry below tol * ||v||); otherwise, or for the zero vector,
-    the vector is not a physical solution and ``NonPhysicalVectorError`` is
-    raised.  Kernel vectors from ``reverse_engineer`` always pass.
+    UNPACK_TOL * ||v||) and the row-major K^2 tail must reshape to a
+    Hermitian matrix (asymmetry below UNPACK_TOL * ||v||); otherwise, or for
+    the zero vector, the vector is not a physical solution and
+    ``NonPhysicalVectorError`` is raised.  Kernel vectors from ``reverse_engineer`` always pass.
     """
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.size != n_drive + n_jump**2:
@@ -308,15 +306,15 @@ def unpack_kernel_vector(
     norm = np.linalg.norm(v)
     if norm == 0:
         raise NonPhysicalVectorError("zero vector")
-    v = fix_global_phase(v, n_drive, n_jump, tol)
+    v = fix_global_phase(v, n_drive, n_jump)
     c = v[:n_drive]
-    if c.size and float(np.max(np.abs(c.imag))) > tol * norm:
+    if c.size and float(np.max(np.abs(c.imag))) > UNPACK_TOL * norm:
         raise NonPhysicalVectorError(
             f"residual imaginary couplings {np.max(np.abs(c.imag)):.3e}"
         )
     gamma = v[n_drive:].reshape(n_jump, n_jump)
     asym = float(np.linalg.norm(gamma - gamma.conj().T))
-    if asym > tol * norm:
+    if asym > UNPACK_TOL * norm:
         raise NonPhysicalVectorError(f"gamma asymmetry {asym:.3e} beyond tolerance")
     return LindbladianParams(c=c.real.copy(), gamma=(gamma + gamma.conj().T) / 2.0)
 
@@ -327,32 +325,34 @@ INFEASIBLE = "infeasible"
 
 @dataclass
 class ReconstructionResult:
-    """Everything the reconstruction produces for one (ansatz, state) pair."""
+    """Everything the reconstruction produces for one (ansatz, state) pair.
+
+    ``spectrum`` is the spectrum of M, ascending; column ``k`` of
+    ``eigenvectors`` is the packed (c, gamma row-major) unit eigenvector of
+    ``spectrum[k]``.  The first ``kernel_dim`` columns span the null space,
+    and ``solutions`` holds them unpacked, in the same order.
+    """
 
     corr: CorrelationMatrix
-    kernel_result: KernelResult
-    kernel: list[LindbladianParams]
-    verdict: str
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        return self.kernel_result.spectrum
-
-    @property
-    def kernel_vectors(self) -> tuple[np.ndarray, ...]:
-        return self.kernel_result.kernel_basis
+    spectrum: np.ndarray
+    eigenvectors: np.ndarray
+    solutions: list[LindbladianParams]
 
     @property
     def kernel_dim(self) -> int:
-        return self.kernel_result.kernel_dim
+        return len(self.solutions)
 
     @property
-    def solutions(self) -> list[LindbladianParams]:
-        return self.kernel
+    def kernel_vectors(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.eigenvectors.T[: self.kernel_dim].copy())
 
     @property
     def feasible(self) -> bool:
-        return self.verdict == FEASIBLE
+        return self.kernel_dim > 0
+
+    @property
+    def verdict(self) -> str:
+        return FEASIBLE if self.feasible else INFEASIBLE
 
     def rapidity(self, params: LindbladianParams) -> float:
         """``rapidity(params, ansatz, rho)`` for the reconstructed pair, formed
@@ -378,15 +378,14 @@ def reverse_engineer(
     Markovian combinations of a degenerate kernel.
     """
     corr = build_correlation_matrix(ansatz, rho)
-    real = extract_kernel(corr.factor, tol_null)
-    basis = hermitian_parameter_basis(ansatz.n_drive, ansatz.n_jump)
-    eig = HermitianEigResult(real.spectrum, basis @ real.eig.eigenvectors)
-    kres = KernelResult(eig, tuple(eig.eigenvectors.T[: real.kernel_dim].copy()), tol_null)
-    entries = [
-        unpack_kernel_vector(v, ansatz.n_drive, ansatz.n_jump) for v in kres.kernel_basis
+    spectrum, vectors, kernel_dim = extract_kernel(corr.factor, tol_null)
+    eigenvectors = hermitian_parameter_basis(ansatz.n_drive, ansatz.n_jump) @ vectors
+    # contiguous rows, as kernel_vectors gives them, so both unpack bit-equal
+    solutions = [
+        unpack_kernel_vector(v, ansatz.n_drive, ansatz.n_jump)
+        for v in eigenvectors.T[:kernel_dim].copy()
     ]
-    verdict = FEASIBLE if kres.kernel_dim > 0 else INFEASIBLE
-    return ReconstructionResult(corr=corr, kernel_result=kres, kernel=entries, verdict=verdict)
+    return ReconstructionResult(corr, spectrum, eigenvectors, solutions)
 
 
 def markovian_postselect(kernel: list[LindbladianParams]) -> list[LindbladianParams]:
@@ -415,7 +414,6 @@ def physical_gauge_basis(
     vectors: tuple[np.ndarray, ...] | list[np.ndarray],
     n_drive: int,
     n_jump: int,
-    tol: float = 1e-12,
 ) -> list[np.ndarray]:
     """Orthonormal basis of the same span consisting of fixed points of the
     conjugation map (real couplings, Hermitian gamma).
@@ -439,7 +437,7 @@ def physical_gauge_basis(
     scale = max(w[-1], 1.0)
     basis = []
     for k in range(w.size - 1, -1, -1):
-        if w[k] <= tol * scale or len(basis) == len(vectors):
+        if w[k] <= GAUGE_TOL * scale or len(basis) == len(vectors):
             break
         basis.append(cmat @ (q[:, k] / np.sqrt(w[k])))
     return basis

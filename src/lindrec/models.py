@@ -111,14 +111,14 @@ def build_model(spec: ModelSpec) -> Model:
     {Sx, Sy} (reduced).
     """
     if isinstance(spec, CoherentSpec):
-        space = FockSpace(spec.n_max or default_cutoff(spec))
+        space = FockSpace(default_cutoff(spec) if spec.n_max is None else spec.n_max)
         ops = boson_ops(space)
         ansatz = LindbladAnsatz(
             h_ops=(ops.x, ops.p), jump_ops=(ops.a, ops.a_dag)
         )
         return Model(spec=spec, ansatz=ansatz, rho_ss=coherent_state(space, spec.alpha))
     if isinstance(spec, SqueezedSpec):
-        space = FockSpace(spec.n_max or default_cutoff(spec))
+        space = FockSpace(default_cutoff(spec) if spec.n_max is None else spec.n_max)
         ops = boson_ops(space)
         drives = _quadratic_drives(ops)
         if spec.jumps == SINGLE_JUMPS:

@@ -8,7 +8,6 @@ inputs; the heavy lifting is delegated to LAPACK through numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -62,20 +61,10 @@ def is_psd(a: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(w[0] >= -tol * scale)
 
 
-@dataclass(frozen=True)
-class HermitianEigResult:
-    """Full spectrum of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; column ``k`` of ``eigenvectors``
-    belongs to ``eigenvalues[k]`` and the columns are orthonormal.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eigh(a: np.ndarray) -> HermitianEigResult:
-    """Eigendecomposition of a (numerically) Hermitian matrix.
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(w, v)`` of a (numerically) Hermitian matrix, as
+    ``np.linalg.eigh`` returns it: ``w`` ascending, column ``k`` of ``v``
+    the unit eigenvector of ``w[k]``.
 
     The input is symmetrized to (A + A^dag)/2 before the decomposition;
     asymmetry beyond ``HERMITICITY_REJECT_TOL`` raises instead.
@@ -84,53 +73,29 @@ def eigh(a: np.ndarray) -> HermitianEigResult:
     asym = asymmetry(a)
     if asym > HERMITICITY_REJECT_TOL:
         raise NotHermitianError(f"relative asymmetry {asym:.3e} exceeds 1e-8")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    return HermitianEigResult(eigenvalues=w, eigenvectors=v)
+    return np.linalg.eigh((a + a.conj().T) / 2.0)
 
 
-@dataclass(frozen=True)
-class KernelResult:
-    """Null space of a Hermitian PSD matrix under a relative tolerance.
-
-    ``eig`` is the matrix's full spectrum, ascending, with orthonormal
-    eigenvectors; ``kernel_basis`` holds the eigenvectors whose eigenvalue is
-    below ``tol_null * max(1, largest eigenvalue)``, in ascending order.
-    """
-
-    eig: HermitianEigResult
-    kernel_basis: tuple[np.ndarray, ...]
-    tol_null: float
-
-    @property
-    def kernel_dim(self) -> int:
-        return len(self.kernel_basis)
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        return self.eig.eigenvalues
-
-
-def extract_kernel(a: np.ndarray, tol_null: float = DEFAULT_NULL_TOL) -> KernelResult:
+def extract_kernel(
+    a: np.ndarray, tol_null: float = DEFAULT_NULL_TOL
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Null space of a^H a, read from the SVD of the factor ``a`` (m x n).
 
     a^H a is never formed, so its small eigenvalues are not lost below the
-    roundoff floor of a squared matrix.  Its spectrum is s^2 in ascending
-    order, with a zero for each column beyond the rank bound min(m, n), and
-    its eigenvectors are the right singular vectors; it is PSD by
-    construction.  A direction is null when its eigenvalue lies below
-    ``tol_null * max(1, largest eigenvalue)``.
+    roundoff floor of a squared matrix.  Returns ``(spectrum, eigenvectors,
+    kernel_dim)``: the spectrum is s^2 in ascending order, with a zero for
+    each column beyond the rank bound min(m, n); the eigenvectors, as
+    columns in the same order, are the right singular vectors; a^H a is PSD
+    by construction.  The first ``kernel_dim`` columns span the null space:
+    their eigenvalues lie below ``tol_null * max(1, largest eigenvalue)``.
     """
     a = np.asarray(a)
     _, s, vh = np.linalg.svd(a)
-    n = vh.shape[0]
-    w = np.zeros(n)
+    w = np.zeros(vh.shape[0])
     w[: s.size] = s**2
-    res = HermitianEigResult(eigenvalues=w[::-1], eigenvectors=vh[::-1].conj().T)
     threshold = tol_null * max(1.0, float(np.max(w, initial=0.0)))
-    basis = tuple(
-        res.eigenvectors[:, k].copy() for k in range(n) if res.eigenvalues[k] < threshold
-    )
-    return KernelResult(eig=res, kernel_basis=basis, tol_null=tol_null)
+    spectrum = w[::-1]
+    return spectrum, vh[::-1].conj().T, int(np.sum(spectrum < threshold))
 
 
 def positive_part(a: np.ndarray) -> np.ndarray:
@@ -138,9 +103,8 @@ def positive_part(a: np.ndarray) -> np.ndarray:
 
     Same eigenbasis, eigenvalues lambda -> max(lambda, 0); the result is PSD.
     """
-    res = eigh(a)
-    w = np.maximum(res.eigenvalues, 0.0)
-    v = res.eigenvectors
+    w, v = eigh(a)
+    w = np.maximum(w, 0.0)
     out = (v * w) @ v.conj().T
     return (out + out.conj().T) / 2.0
 

@@ -52,31 +52,15 @@ def hermitian_from_coordinates(coords: np.ndarray, dim: int) -> np.ndarray:
     return upper + upper.conj().T + np.diag(grid.diagonal())
 
 
-@dataclass
-class Liouvillian:
-    """Dense matrix representation of a generator on column-stacked states.
-
-    Trace preservation appears as the vectorized identity being a left null
-    vector of ``superop``.
-    """
-
-    superop: np.ndarray
-    params: LindbladianParams
-    ansatz: LindbladAnsatz
-
-    @property
-    def dim(self) -> int:
-        return self.ansatz.dim
-
-
 def vectorize_liouvillian(
     params: LindbladianParams, ansatz: LindbladAnsatz
-) -> Liouvillian:
+) -> np.ndarray:
     """Build the d^2 x d^2 matrix whose action equals the generator.
 
     Column stacking turns A rho B into (B^T kron A) vec(rho); the matrix is
     filled through its (q1, p1, q2, p2) view instead of from Kronecker
-    products.  The jump terms sum_jk gamma_jk L_j rho L_k^dag form one
+    products.  Trace preservation appears as the vectorized identity being
+    a left null vector of the result.  The jump terms sum_jk gamma_jk L_j rho L_k^dag form one
     rank-K product of the flattened jump operators, so Hermitian and
     non-Hermitian gamma share one path.  The drive and anticommutator terms
     fold into one left and one right d x d matrix, each added once onto the
@@ -114,7 +98,7 @@ def vectorize_liouvillian(
     diag = np.arange(d)
     sup[diag, :, diag, :] += left
     sup[:, diag, :, diag] += right.T
-    return Liouvillian(superop=sup.reshape(d * d, d * d), params=params, ansatz=ansatz)
+    return sup.reshape(d * d, d * d)
 
 
 def _real_superop(superop: np.ndarray, dim: int) -> np.ndarray:
@@ -234,7 +218,7 @@ def steady_state_of(
     dim = ansatz.dim
     # S is overwritten by the transform and released on return, before the
     # bordered matrix is allocated
-    gen = _real_superop(vectorize_liouvillian(hermitian, ansatz).superop, dim)
+    gen = _real_superop(vectorize_liouvillian(hermitian, ansatz), dim)
     fast = _steady_state_inverse if method == "svd" else _steady_state_lu
     result = fast(gen, dim)
     if isinstance(result, SteadyStateResult):

@@ -92,6 +92,31 @@ class TestParsing:
         with pytest.raises(ConfigInvalidError):
             _parse_int_grid("10..x")
 
+    @pytest.mark.parametrize("argv", [
+        ["collective", "--N", "1"],
+        ["robustness", "--N", "1,10"],
+        ["squeezed", "--r", "-1"],
+        ["collective", "--omega-over-kappa", "0"],
+    ])
+    def test_degenerate_model_parameter_is_a_config_error(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_validate_rejects_zero_drive_in_robustness(self):
+        # robustness has no --omega-over-kappa flag; a config file can set it
+        with pytest.raises(ConfigInvalidError):
+            RunConfig(experiment="robustness", omega_over_kappa=0.0).validate()
+
+    def test_unknown_jumps_in_config_file_is_a_config_error(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"jumps": "three"}))
+        assert main(["squeezed", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("experiment", ["coherent", "squeezed", "feasibility"])
+    def test_zero_cutoff_is_a_config_error(self, tmp_path, experiment):
+        # an explicit 0 is rejected, not read as "no cutoff given"
+        assert main([experiment, "--n-max", "0", "--out", str(tmp_path / "o")]) == 2
+
     def test_malformed_eps_grid_is_a_config_error(self, tmp_path):
         assert main(["robustness", "--eps", "1e-4..x", "--out", str(tmp_path / "o")]) == 2
         with pytest.raises(ConfigInvalidError):

@@ -337,8 +337,8 @@ class TestReverseEngineer:
         model = build_model(SqueezedSpec(r=0.5, theta=0.0))
         res = reverse_engineer(model.ansatz, model.rho_ss)
         assert res.kernel_dim == 3
-        assert len(res.kernel) == len(res.solutions) == 3
-        for entry in res.kernel:
+        assert len(res.solutions) == 3
+        for entry in res.solutions:
             assert isinstance(entry, LindbladianParams)
 
     def test_every_kernel_vector_is_physical(self, rng):
@@ -349,7 +349,7 @@ class TestReverseEngineer:
             dim = int(rng.integers(2, 6))
             ansatz = random_ansatz(rng, dim, int(rng.integers(0, 3)), int(rng.integers(1, 4)))
             res = reverse_engineer(ansatz, np.eye(dim) / dim)
-            vectors = res.kernel_result.eig.eigenvectors
+            vectors = res.eigenvectors
             assert np.all(np.diff(res.spectrum) >= 0)
             for vec in vectors.T:
                 unpack_kernel_vector(vec, ansatz.n_drive, ansatz.n_jump)
@@ -454,7 +454,7 @@ class TestSuperpositionSearch:
         for ansatz in (drive_only, jump_only):
             res = reverse_engineer(ansatz, rho)
             assert res.kernel_dim == 1
-            kept = markovian_postselect(res.kernel)
+            kept = markovian_postselect(res.solutions)
             assert len(kept) == 1
             search = markovian_superposition_search(
                 res.kernel_vectors, ansatz.n_drive, ansatz.n_jump

@@ -37,6 +37,14 @@ class TestBuildModel:
         assert model.ansatz.n_params == 6
         check_density_matrix(model.rho_ss)
 
+    def test_explicit_cutoff_is_used_even_when_zero(self):
+        # both default cutoffs are 40 here
+        assert build_model(CoherentSpec(alpha=0.0, n_max=50)).ansatz.dim == 51
+        assert build_model(SqueezedSpec(r=0.0, n_max=50)).ansatz.dim == 51
+        for spec in (CoherentSpec(alpha=0.0, n_max=0), SqueezedSpec(r=0.0, n_max=0)):
+            with pytest.raises(ValueError):
+                build_model(spec)
+
     def test_collective_full_basis_shapes(self):
         model = build_model(CollectiveSpec(n_spins=10, omega0=2.0, kappa=1.0))
         assert model.ansatz.n_drive == 3

@@ -22,19 +22,19 @@ from conftest import random_hermitian
 
 class TestEigh:
     def test_identity(self):
-        res = eigh(np.eye(3, dtype=complex))
-        np.testing.assert_allclose(res.eigenvalues, [1, 1, 1])
+        w, _ = eigh(np.eye(3, dtype=complex))
+        np.testing.assert_allclose(w, [1, 1, 1])
 
     def test_diagonal_sorted_ascending(self):
-        res = eigh(np.diag([2.0, -1.0]).astype(complex))
-        np.testing.assert_allclose(res.eigenvalues, [-1.0, 2.0])
+        w, v = eigh(np.diag([2.0, -1.0]).astype(complex))
+        np.testing.assert_allclose(w, [-1.0, 2.0])
         # eigenvectors are the permuted standard basis
-        np.testing.assert_allclose(np.abs(res.eigenvectors), [[0, 1], [1, 0]], atol=1e-14)
+        np.testing.assert_allclose(np.abs(v), [[0, 1], [1, 0]], atol=1e-14)
 
     def test_coherent_matrix_has_null_mode(self):
         m = analytic_corr_matrix(CoherentSpec(alpha=1.0))
-        res = eigh(m)
-        assert abs(res.eigenvalues[0]) < 1e-10
+        w, _ = eigh(m)
+        assert abs(w[0]) < 1e-10
 
     def test_rejects_non_square(self):
         with pytest.raises(NonSquareError):
@@ -48,24 +48,24 @@ class TestEigh:
     def test_symmetrizes_roundoff_asymmetry(self):
         a = np.diag([1.0, 2.0]).astype(complex)
         a[0, 1] = 1e-12
-        res = eigh(a)
-        np.testing.assert_allclose(res.eigenvalues, [1.0, 2.0], atol=1e-10)
+        w, _ = eigh(a)
+        np.testing.assert_allclose(w, [1.0, 2.0], atol=1e-10)
 
     def test_residual_and_orthonormality(self, rng):
         for dim in (3, 6, 11):
             a = random_hermitian(rng, dim)
-            res = eigh(a)
+            w, v = eigh(a)
             scale = np.linalg.norm(a)
             for k in range(dim):
-                v = res.eigenvectors[:, k]
-                assert np.linalg.norm(a @ v - res.eigenvalues[k] * v) <= 1e-10 * scale
-            gram = res.eigenvectors.conj().T @ res.eigenvectors
+                vec = v[:, k]
+                assert np.linalg.norm(a @ vec - w[k] * vec) <= 1e-10 * scale
+            gram = v.conj().T @ v
             assert np.linalg.norm(gram - np.eye(dim)) <= 1e-10
 
     def test_spectral_reconstruction(self, rng):
         a = random_hermitian(rng, 8)
-        res = eigh(a)
-        rebuilt = (res.eigenvectors * res.eigenvalues) @ res.eigenvectors.conj().T
+        w, v = eigh(a)
+        rebuilt = (v * w) @ v.conj().T
         assert np.linalg.norm(rebuilt - a) <= 1e-9 * np.linalg.norm(a)
 
 
@@ -73,38 +73,38 @@ class TestExtractKernel:
     # extract_kernel takes a factor a and reports the null space of a^H a
 
     def test_simple_diagonal(self):
-        res = extract_kernel(np.diag([0.0, 3.0]).astype(complex))
-        assert res.kernel_dim == 1
-        np.testing.assert_allclose(np.abs(res.kernel_basis[0]), [1, 0], atol=1e-14)
-        np.testing.assert_allclose(res.spectrum, [0.0, 9.0])
+        spectrum, vectors, kernel_dim = extract_kernel(np.diag([0.0, 3.0]).astype(complex))
+        assert kernel_dim == 1
+        np.testing.assert_allclose(np.abs(vectors[:, 0]), [1, 0], atol=1e-14)
+        np.testing.assert_allclose(spectrum, [0.0, 9.0])
 
     def test_no_kernel(self):
-        res = extract_kernel(np.diag([1.0, 3.0]).astype(complex))
-        assert res.kernel_dim == 0
-        assert res.kernel_basis == ()
+        _, vectors, kernel_dim = extract_kernel(np.diag([1.0, 3.0]).astype(complex))
+        assert kernel_dim == 0
+        assert vectors[:, :kernel_dim].size == 0
 
     def test_threshold_is_relative_to_scale(self):
         # a 1e-8 eigenvalue of a^H a is null next to 1e4 but not next to 1
-        assert extract_kernel(np.diag([1e-4, 1e2]).astype(complex)).kernel_dim == 1
-        assert extract_kernel(np.diag([1e-4, 1.0]).astype(complex)).kernel_dim == 0
+        assert extract_kernel(np.diag([1e-4, 1e2]).astype(complex))[2] == 1
+        assert extract_kernel(np.diag([1e-4, 1.0]).astype(complex))[2] == 0
 
     def test_spectrum_of_gram_matrix_without_forming_it(self, rng):
         a = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
-        res = extract_kernel(a)
+        spectrum, vectors, _ = extract_kernel(a)
         reference = np.linalg.eigh(a.conj().T @ a)
-        np.testing.assert_allclose(res.spectrum, reference.eigenvalues, rtol=1e-12)
+        np.testing.assert_allclose(spectrum, reference.eigenvalues, rtol=1e-12)
         gram = a.conj().T @ a
-        for k, vec in enumerate(res.eig.eigenvectors.T):
-            np.testing.assert_allclose(gram @ vec, res.spectrum[k] * vec, atol=1e-12)
+        for k, vec in enumerate(vectors.T):
+            np.testing.assert_allclose(gram @ vec, spectrum[k] * vec, atol=1e-12)
 
     def test_wide_factor_pads_zero_eigenvalues(self, rng):
         # a 2 x 4 factor has rank at most 2, so a^H a has two zero eigenvalues
         a = rng.standard_normal((2, 4))
-        res = extract_kernel(a)
-        assert res.spectrum.shape == (4,)
-        np.testing.assert_array_equal(res.spectrum[:2], [0.0, 0.0])
-        assert res.kernel_dim == 2
-        for vec in res.kernel_basis:
+        spectrum, vectors, kernel_dim = extract_kernel(a)
+        assert spectrum.shape == (4,)
+        np.testing.assert_array_equal(spectrum[:2], [0.0, 0.0])
+        assert kernel_dim == 2
+        for vec in vectors.T[:kernel_dim]:
             assert np.linalg.norm(a @ vec) < 1e-14
 
     def test_small_eigenvalue_keeps_its_accuracy(self):
@@ -112,31 +112,29 @@ class TestExtractKernel:
         # is lost below the roundoff of the large one
         q = np.linalg.qr(np.array([[1.0, 2.0], [3.0, 4.0]]))[0]
         a = np.diag([1.0, 1e-10]) @ q.T
-        res = extract_kernel(a)
-        assert res.spectrum[0] == pytest.approx(1e-20, rel=1e-5)
+        spectrum, _, _ = extract_kernel(a)
+        assert spectrum[0] == pytest.approx(1e-20, rel=1e-5)
 
     def test_kernel_dim_reduces_when_direction_is_lifted(self, rng):
         a = random_hermitian(rng, 6)
         a = a @ a.conj().T  # PSD
-        res = eigh(a)
-        v0 = res.eigenvectors[:, 0]
-        a_null = a - res.eigenvalues[0] * np.outer(v0, v0.conj())
-        before = extract_kernel(a_null)
-        assert before.kernel_dim >= 1
-        lifted = a_null + 0.5 * np.outer(
-            before.kernel_basis[0], before.kernel_basis[0].conj()
-        )
-        after = extract_kernel(lifted)
-        assert after.kernel_dim == before.kernel_dim - 1
+        w, v = eigh(a)
+        v0 = v[:, 0]
+        a_null = a - w[0] * np.outer(v0, v0.conj())
+        _, vectors, dim_before = extract_kernel(a_null)
+        assert dim_before >= 1
+        lifted = a_null + 0.5 * np.outer(vectors[:, 0], vectors[:, 0].conj())
+        _, _, dim_after = extract_kernel(lifted)
+        assert dim_after == dim_before - 1
 
     def test_kernel_basis_orthonormal(self, rng):
         vecs = np.linalg.qr(
             rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         )[0]
         a = (vecs * np.array([0.0, 0.0, 1.0, 2.0, 3.0])) @ vecs.conj().T
-        res = extract_kernel(a)
-        assert res.kernel_dim == 2
-        basis = np.array(res.kernel_basis).T
+        _, vectors, kernel_dim = extract_kernel(a)
+        assert kernel_dim == 2
+        basis = vectors[:, :kernel_dim]
         np.testing.assert_allclose(
             basis.conj().T @ basis, np.eye(2), atol=1e-10
         )

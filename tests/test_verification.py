@@ -70,8 +70,8 @@ class TestVectorize:
             ansatz = random_ansatz(rng, 4, 2, 2)
             params = random_params(rng, 2, 2, hermitian_gamma=hermitian_gamma)
             rho = random_density(rng, 4)
-            liou = vectorize_liouvillian(params, ansatz)
-            via_matrix = unstack_state(liou.superop @ stack_state(rho), 4)
+            superop = vectorize_liouvillian(params, ansatz)
+            via_matrix = unstack_state(superop @ stack_state(rho), 4)
             direct = apply_lindbladian(params, ansatz, rho)
             assert np.linalg.norm(via_matrix - direct) <= 1e-10 * max(
                 1.0, np.linalg.norm(direct)
@@ -92,25 +92,25 @@ class TestVectorize:
                 params = LindbladianParams(
                     c=params.c, gamma=gamma_with_zero_rate(rng, n_jump)
                 )
-            liou = vectorize_liouvillian(params, ansatz)
+            superop = vectorize_liouvillian(params, ansatz)
             rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             expected = master_equation(params, ansatz, rho)
-            got = unstack_state(liou.superop @ stack_state(rho), dim)
+            got = unstack_state(superop @ stack_state(rho), dim)
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_zero_params_zero_matrix(self, rng):
         ansatz = random_ansatz(rng, 3, 1, 1)
         params = LindbladianParams(c=np.zeros(1), gamma=np.zeros((1, 1)))
-        liou = vectorize_liouvillian(params, ansatz)
-        assert np.all(liou.superop == 0)
+        superop = vectorize_liouvillian(params, ansatz)
+        assert np.all(superop == 0)
 
     def test_vectorized_identity_is_left_null(self, rng):
         ansatz = random_ansatz(rng, 4, 2, 2)
         params = random_params(rng, 2, 2, hermitian_gamma=True)
-        liou = vectorize_liouvillian(params, ansatz)
+        superop = vectorize_liouvillian(params, ansatz)
         ident = stack_state(np.eye(4, dtype=complex))
-        residual = ident.conj() @ liou.superop
-        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(liou.superop)
+        residual = ident.conj() @ superop
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(superop)
 
     def test_dimension_guard(self):
         dim = 101
@@ -145,7 +145,7 @@ class TestHermitianBasis:
         assert np.allclose(basis.conj().T @ basis, np.eye(dim * dim), atol=1e-15)
         ansatz = random_ansatz(rng, dim, 2, 3)
         params = random_params(rng, 2, 3, hermitian_gamma=True)
-        superop = vectorize_liouvillian(params, ansatz).superop
+        superop = vectorize_liouvillian(params, ansatz)
         dense = basis.conj().T @ superop @ basis
         scale = np.abs(dense).max()
         assert np.abs(dense.imag).max() <= 1e-14 * scale
@@ -252,14 +252,14 @@ class TestSteadyState:
             certified += 1
             assert out.unique and out.fallback is None
             assert out.uniqueness_bound > NULL_SV_TOL
-            liou = vectorize_liouvillian(params, ansatz)
-            robust = _steady_state_svd(_real_superop(liou.superop.copy(), dim), dim)
+            superop = vectorize_liouvillian(params, ansatz)
+            robust = _steady_state_svd(_real_superop(superop.copy(), dim), dim)
             assert robust.null_space_dim == 1
             assert norm_difference(out.rho, robust.rho) <= 1e-10
             # the certificate is a lower bound on the true singular-value ratio
-            s = np.linalg.svd(liou.superop, compute_uv=False)
+            s = np.linalg.svd(superop, compute_uv=False)
             assert out.uniqueness_bound <= s[-2] / s[0]
-            limit = NULL_SV_TOL * max(1.0, np.linalg.norm(liou.superop) / dim)
+            limit = NULL_SV_TOL * max(1.0, np.linalg.norm(superop) / dim)
             assert out.residual <= limit
         assert certified >= 30
 
@@ -326,11 +326,11 @@ class TestConsistency:
         from lindrec.engine import repair_markovianity
 
         params = repair_markovianity(params)
-        liou = vectorize_liouvillian(params, ansatz)
+        superop = vectorize_liouvillian(params, ansatz)
         vec = stack_state(random_density(rng, 3))
         dt = 1e-3
         for _ in range(1000):
-            vec = vec + dt * (liou.superop @ vec)
+            vec = vec + dt * (superop @ vec)
         rho = unstack_state(vec, 3)
         drift = np.linalg.norm(rho - rho.conj().T) / np.linalg.norm(rho)
         assert drift < 1e-6
@@ -343,8 +343,8 @@ class TestConsistency:
         assert res.feasible
         sol = res.solutions[0]
         assert rapidity(sol, model.ansatz, model.rho_ss) < 1e-16
-        liou = vectorize_liouvillian(sol, model.ansatz)
-        residual = np.linalg.norm(liou.superop @ stack_state(model.rho_ss))
+        superop = vectorize_liouvillian(sol, model.ansatz)
+        residual = np.linalg.norm(superop @ stack_state(model.rho_ss))
         assert residual < 1e-8
 
     def test_three_way_negative_case(self):
@@ -357,11 +357,11 @@ class TestConsistency:
         # the best direction still fails to annihilate the noisy target
         from lindrec.engine import unpack_kernel_vector
 
-        vec = res.kernel_result.eig.eigenvectors[:, 0]
+        vec = res.eigenvectors[:, 0]
         params = unpack_kernel_vector(vec, 2, 2)
         assert rapidity(params, model.ansatz, rho_eps) > 1e-10
-        liou = vectorize_liouvillian(params, model.ansatz)
-        assert np.linalg.norm(liou.superop @ stack_state(rho_eps)) > 1e-6
+        superop = vectorize_liouvillian(params, model.ansatz)
+        assert np.linalg.norm(superop @ stack_state(rho_eps)) > 1e-6
 
     def test_round_trip_collective(self):
         spec = CollectiveSpec(n_spins=10, omega0=2.0, kappa=1.0)
