@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import time
+import typing
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -80,10 +81,10 @@ class RunConfig:
             if self.omega_over_kappa == 0:
                 raise ConfigInvalidError("omega_over_kappa must be nonzero")
         if self.experiment == "robustness":
-            if not self.eps_list:
-                raise ConfigInvalidError("empty eps grid")
-            if not all(0.0 <= eps <= 1.0 for eps in self.eps_list):
-                raise ConfigInvalidError("eps values must lie in [0, 1]")
+            if not all(0.0 < eps <= 1.0 for eps in self.eps_list):
+                raise ConfigInvalidError("eps values must lie in (0, 1]")
+            if len(set(self.eps_list)) < 3:  # each N is fitted against eps
+                raise ConfigInvalidError("need at least three distinct eps values")
             if self.regime not in ("strong", "weak"):
                 raise ConfigInvalidError("regime must be strong or weak")
         if self.kappa <= 0:
@@ -612,6 +613,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _from_json(key: str, value, hint):
+    """Config-file ``value`` of the field ``key`` as the field's type ``hint``
+    (a list becomes a tuple, [re, im] a complex), or ``ConfigInvalidError``."""
+    if type(None) in typing.get_args(hint):  # X | None
+        hint = type(None) if value is None else typing.get_args(hint)[0]
+    if typing.get_origin(hint) is tuple:
+        if isinstance(value, list):
+            return tuple(_from_json(key, item, typing.get_args(hint)[0]) for item in value)
+    elif hint is complex and isinstance(value, list) and len(value) == 2:
+        return complex(*(_from_json(key, part, float) for part in value))
+    # bool is a subclass of int, so it is matched on its own
+    elif isinstance(value, bool) == (hint is bool) and isinstance(
+        value, (int, float) if hint in (float, complex) else hint
+    ):
+        return value
+    raise ConfigInvalidError(f"config key {key!r} has the wrong type: {value!r}")
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config:
@@ -626,21 +645,16 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigInvalidError(
             f"config experiment {file_experiment!r} differs from subcommand"
         )
-    if "alpha" in values and isinstance(values["alpha"], list):
-        values["alpha"] = complex(values["alpha"][0], values["alpha"][1])
-    known = set(RunConfig.__dataclass_fields__)
-    unknown = set(values) - known
+    hints = typing.get_type_hints(RunConfig)
+    unknown = set(values) - set(hints)
     if unknown:
         raise ConfigInvalidError(f"unknown config keys: {sorted(unknown)}")
+    values = {key: _from_json(key, value, hints[key]) for key, value in values.items()}
     config = RunConfig(experiment=args.experiment, **values)
     for flag in COMMON_FLAGS + EXPERIMENTS[args.experiment].flags:
         value = getattr(args, flag.dest)
         if value is not None:
             setattr(config, flag.dest, flag.parse(value) if flag.parse else value)
-    if isinstance(config.n_list, list):
-        config.n_list = tuple(config.n_list)
-    if isinstance(config.eps_list, list):
-        config.eps_list = tuple(config.eps_list)
     return config
 
 

@@ -29,12 +29,13 @@ from .numerics import (
     HERMITICITY_REJECT_TOL,
     asymmetry,
     extract_kernel,
+    hermitian_from_coordinates,
     is_psd,
     positive_part,
 )
 
-# Relative tolerance for the sign rule and for the real-c / Hermitian-gamma
-# checks when unpacking a parameter vector.
+# Relative tolerance for the sign rule and for the imaginary part of the
+# coordinates when unpacking a parameter vector.
 UNPACK_TOL = 1e-8
 
 # Rows of the real image matrix folded into the triangular factor of M at a
@@ -44,8 +45,8 @@ FACTOR_BLOCK_ROWS = 4096
 # PSD tolerance defining the Markovianity flag.
 MARKOV_TOL = 1e-10
 
-# Relative eigenvalue floor of the candidate Gram matrix below which a
-# direction is dropped when the physical gauge basis is formed.
+# Relative floor of the squared singular values below which a direction is
+# dropped when the physical gauge basis is formed.
 GAUGE_TOL = 1e-12
 
 
@@ -71,8 +72,7 @@ class LindbladAnsatz:
         if len(dims) != 1 or any(s[0] != s[1] for s in dims):
             raise DimMismatchError(f"inconsistent operator shapes: {dims}")
         for idx, h in enumerate(h_ops):
-            asym = np.linalg.norm(h - h.conj().T)
-            if asym > 1e-10 * max(1.0, np.linalg.norm(h)):
+            if asymmetry(h) > 1e-10:
                 raise DimMismatchError(f"drive operator {idx} is not Hermitian")
 
     @property
@@ -218,20 +218,16 @@ def _squared_norm(flow: np.ndarray) -> float:
 
 
 def hermitian_parameter_basis(n_drive: int, n_jump: int) -> np.ndarray:
-    """Orthonormal basis P of the physical parameter vectors, as columns.
-
-    The columns are, in this order: the couplings c_j; the rate matrices
-    E_kk; (E_kl + E_lk)/sqrt(2) for k < l; i(E_kl - E_lk)/sqrt(2) for k < l
-    (row-major pairs).  Real combinations of the columns are exactly the
-    vectors with real c and Hermitian gamma, and P is unitary.
+    """Orthonormal basis P of the physical parameter vectors, as columns: the
+    couplings c_j, then the rate matrices of ``hermitian_coordinates``'s
+    basis, flattened row-major.  P is unitary, and P^H maps a vector with
+    real c and Hermitian gamma to its real coordinates (c, coordinates of
+    gamma), with the diagonal rate gamma_kk at J + k (K + 1).
     """
-    units = np.eye(n_jump**2)  # row k K + l is E_kl, flattened row-major
-    k, l = np.triu_indices(n_jump, 1)
-    e_kl, e_lk = units[k * n_jump + l], units[l * n_jump + k]
-    gammas = [units[:: n_jump + 1], (e_kl + e_lk) / 2**0.5, 1j * (e_kl - e_lk) / 2**0.5]
     basis = np.zeros((n_drive + n_jump**2,) * 2, dtype=complex)
     basis[:n_drive, :n_drive] = np.eye(n_drive)
-    basis[n_drive:, n_drive:] = np.concatenate(gammas).T
+    rates = hermitian_from_coordinates(np.eye(n_jump**2), n_jump)
+    basis[n_drive:, n_drive:] = rates.reshape(n_jump**2, n_jump**2).T
     return basis
 
 
@@ -266,37 +262,38 @@ def build_correlation_matrix(
     )
 
 
-def fix_global_phase(v: np.ndarray, n_drive: int, n_jump: int) -> np.ndarray:
-    """Fix the overall sign of a physical parameter vector deterministically.
+def fix_global_phase(x: np.ndarray, n_drive: int, n_jump: int) -> np.ndarray:
+    """Fix the overall sign of the real coordinates ``x`` of a parameter
+    vector deterministically.
 
     The dissipative trace tr(gamma) is made nonnegative whenever it is
-    resolvable (above UNPACK_TOL * ||v||), since any PSD rate matrix has a
+    resolvable (above UNPACK_TOL * ||x||), since any PSD rate matrix has a
     nonnegative trace.  Otherwise the designated entry, the largest-magnitude
-    coupling, or the largest gamma diagonal entry when all couplings are
+    coupling, or the largest diagonal rate when all couplings are
     negligible, is made positive.  A vector with neither is left as it is.
     """
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(v)
-    diag = v[n_drive + np.arange(n_jump) * (n_jump + 1)].real
+    x = np.asarray(x, dtype=float).reshape(-1)
+    norm = np.linalg.norm(x)
+    diag = x[n_drive + np.arange(n_jump) * (n_jump + 1)]
     trace = float(diag.sum())
     if abs(trace) > UNPACK_TOL * norm:
-        return v if trace > 0 else -v
-    for entries in (v[:n_drive].real, diag):
+        return x if trace > 0 else -x
+    for entries in (x[:n_drive], diag):
         if entries.size:
             pivot = entries[np.argmax(np.abs(entries))]
             if abs(pivot) > UNPACK_TOL * norm:
-                return v if pivot > 0 else -v
-    return v
+                return x if pivot > 0 else -x
+    return x
 
 
 def unpack_kernel_vector(v: np.ndarray, n_drive: int, n_jump: int) -> LindbladianParams:
     """Split a parameter vector into (c, gamma) after fixing its sign.
 
-    The first ``n_drive`` entries must be real (imaginary parts below
-    UNPACK_TOL * ||v||) and the row-major K^2 tail must reshape to a
-    Hermitian matrix (asymmetry below UNPACK_TOL * ||v||); otherwise, or for
-    the zero vector, the vector is not a physical solution and
-    ``NonPhysicalVectorError`` is raised.  Kernel vectors from ``reverse_engineer`` always pass.
+    The coordinates x = P^H v (``hermitian_parameter_basis``) must be real:
+    when their imaginary part exceeds UNPACK_TOL * ||v||, or for the zero
+    vector, the vector is not a physical solution and
+    ``NonPhysicalVectorError`` is raised.  Kernel vectors from
+    ``reverse_engineer`` always pass.
     """
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.size != n_drive + n_jump**2:
@@ -306,17 +303,12 @@ def unpack_kernel_vector(v: np.ndarray, n_drive: int, n_jump: int) -> Lindbladia
     norm = np.linalg.norm(v)
     if norm == 0:
         raise NonPhysicalVectorError("zero vector")
-    v = fix_global_phase(v, n_drive, n_jump)
-    c = v[:n_drive]
-    if c.size and float(np.max(np.abs(c.imag))) > UNPACK_TOL * norm:
-        raise NonPhysicalVectorError(
-            f"residual imaginary couplings {np.max(np.abs(c.imag)):.3e}"
-        )
-    gamma = v[n_drive:].reshape(n_jump, n_jump)
-    asym = float(np.linalg.norm(gamma - gamma.conj().T))
-    if asym > UNPACK_TOL * norm:
-        raise NonPhysicalVectorError(f"gamma asymmetry {asym:.3e} beyond tolerance")
-    return LindbladianParams(c=c.real.copy(), gamma=(gamma + gamma.conj().T) / 2.0)
+    x = hermitian_parameter_basis(n_drive, n_jump).conj().T @ v
+    imag = float(np.linalg.norm(x.imag))
+    if imag > UNPACK_TOL * norm:
+        raise NonPhysicalVectorError(f"coordinates have imaginary part {imag:.3e}")
+    c, rates = np.split(fix_global_phase(x.real, n_drive, n_jump), [n_drive])
+    return LindbladianParams(c=c, gamma=hermitian_from_coordinates(rates, n_jump))
 
 
 FEASIBLE = "feasible"
@@ -398,49 +390,23 @@ def repair_markovianity(params: LindbladianParams) -> LindbladianParams:
     return LindbladianParams(c=params.c.copy(), gamma=positive_part(params.gamma))
 
 
-def _conjugation_map(v: np.ndarray, n_drive: int, n_jump: int) -> np.ndarray:
-    """Antilinear involution c -> conj(c), gamma -> gamma^dag on packed vectors.
-
-    Physical parameter vectors (real c, Hermitian gamma) are exactly its
-    fixed points, and it maps the null space of M onto itself.
-    """
-    out = np.empty_like(v)
-    out[:n_drive] = v[:n_drive].conj()
-    out[n_drive:] = v[n_drive:].reshape(n_jump, n_jump).conj().T.reshape(-1)
-    return out
-
-
 def physical_gauge_basis(
     vectors: tuple[np.ndarray, ...] | list[np.ndarray],
     n_drive: int,
     n_jump: int,
-) -> list[np.ndarray]:
-    """Orthonormal basis of the same span consisting of fixed points of the
-    conjugation map (real couplings, Hermitian gamma).
+) -> np.ndarray:
+    """Orthonormal real coordinates (``hermitian_parameter_basis``), as
+    columns, of the physical vectors in the span of ``vectors``.
 
-    For each input vector v both v + T(v) and i(v - T(v)) are fixed points;
-    their mutual inner products are real, so a real-coefficient
-    orthonormalization stays inside the fixed-point set and recovers one
-    basis vector per input dimension.
+    A kernel of M is closed under conjugating the coordinates X = P^H V, so
+    the real span of the columns of Re X and Im X is its physical part.  The
+    left singular vectors of [Re X, Im X] with s^2 above
+    GAUGE_TOL * max(1, s_max^2) span it; at most one per input is kept.
     """
-    if not vectors:
-        return []
-    candidates = []
-    for v in vectors:
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        tv = _conjugation_map(v, n_drive, n_jump)
-        candidates.append(v + tv)
-        candidates.append(1j * (v - tv))
-    cmat = np.array(candidates).T
-    gram = (cmat.conj().T @ cmat).real
-    w, q = np.linalg.eigh(gram)
-    scale = max(w[-1], 1.0)
-    basis = []
-    for k in range(w.size - 1, -1, -1):
-        if w[k] <= GAUGE_TOL * scale or len(basis) == len(vectors):
-            break
-        basis.append(cmat @ (q[:, k] / np.sqrt(w[k])))
-    return basis
+    coords = hermitian_parameter_basis(n_drive, n_jump).conj().T @ np.array(vectors).T
+    u, s, _ = np.linalg.svd(np.hstack([coords.real, coords.imag]), full_matrices=False)
+    rank = int(np.sum(s**2 > GAUGE_TOL * max(1.0, s[0] ** 2)))
+    return u[:, : min(rank, len(vectors))]
 
 
 @dataclass
@@ -514,9 +480,9 @@ def markovian_superposition_search(
 ) -> SuperpositionSearchResult:
     """Find the real combinations of kernel vectors with a PSD rate matrix.
 
-    The basis is mapped to the physical gauge (real couplings, Hermitian
-    gamma), where a -> Gamma(a) is real-linear.  Directions with Gamma = 0
-    are pure drives and each is reported as a Markovian solution.  Every
+    The basis is mapped to the coordinates of its physical vectors (real c,
+    Hermitian gamma), where a -> Gamma(a) is real-linear.  Directions with
+    Gamma = 0 are pure drives, each reported as a Markovian solution.  Every
     other PSD rate matrix has tr Gamma > 0, so the rest of the question is
     the linear matrix inequality Gamma(a) >= 0 on the slice
     tr Gamma(a) = 1, where a -> lambda_min(Gamma(a)) is concave: one
@@ -530,19 +496,17 @@ def markovian_superposition_search(
     vectors = [np.asarray(v, dtype=complex).reshape(-1) for v in kernel_basis]
     if not vectors:
         return SuperpositionSearchResult([], [], [], None)
-    gauge_mat = np.array(physical_gauge_basis(vectors, n_drive, n_jump)).T
-    gamma_blocks = gauge_mat[n_drive:].T.reshape(gauge_mat.shape[1], n_jump, n_jump)
-    gamma_blocks = (gamma_blocks + gamma_blocks.conj().transpose(0, 2, 1)) / 2.0
-    # left singular vectors of the real coordinates of each rate matrix split
-    # the coefficients into drive-only directions and a complement on which
+    gauge = physical_gauge_basis(vectors, n_drive, n_jump)
+    rates = gauge[n_drive:].T
+    # left singular vectors of the rate-matrix coordinates split the
+    # coefficients into drive-only directions and a complement on which
     # a -> Gamma(a) is injective
-    flat = gamma_blocks.reshape(gamma_blocks.shape[0], -1)
-    u, s, _ = np.linalg.svd(np.hstack([flat.real, flat.imag]))
+    u, s, _ = np.linalg.svd(rates)
     rank = int(np.sum(s > MARKOV_TOL))
-    candidates = [gauge_mat @ u[:, k] for k in range(rank, u.shape[1])]
+    candidates = [gauge @ u[:, k] for k in range(rank, u.shape[1])]
 
     dissipative = u[:, :rank]
-    dissipative_blocks = np.tensordot(dissipative.T, gamma_blocks, axes=1)
+    dissipative_blocks = hermitian_from_coordinates(dissipative.T @ rates, n_jump)
     trace = np.trace(dissipative_blocks, axis1=1, axis2=2).real
     max_min_rate = None
     if np.linalg.norm(trace) > MARKOV_TOL:
@@ -554,11 +518,12 @@ def markovian_superposition_search(
             np.tensordot(start, dissipative_blocks, axes=1),
             np.tensordot(along, dissipative_blocks, axes=1),
         )
-        candidates.append(gauge_mat @ (dissipative @ (start + x @ along)))
+        candidates.append(gauge @ (dissipative @ (start + x @ along)))
 
+    basis = hermitian_parameter_basis(n_drive, n_jump)
     solutions: list[LindbladianParams] = []
-    for vec in candidates:
-        params = unpack_kernel_vector(vec / np.linalg.norm(vec), n_drive, n_jump)
+    for coords in candidates:
+        params = unpack_kernel_vector(basis @ coords / np.linalg.norm(coords), n_drive, n_jump)
         if params.markovian:
             solutions.append(params)
     given = np.array(vectors).T

@@ -1,6 +1,6 @@
-"""Dense complex linear algebra: Hermitian eigenproblems, null-space
-extraction from a square-root factor, eigenvalue clamping, and the log-log
-regression used by the scaling fits.
+"""Dense complex linear algebra: the real coordinates of Hermitian matrices,
+Hermitian eigenproblems, null-space extraction from a square-root factor,
+eigenvalue clamping, and the log-log regression used by the scaling fits.
 
 Everything operates on plain numpy arrays and is a pure function of its
 inputs; the heavy lifting is delegated to LAPACK through numpy.
@@ -44,6 +44,30 @@ def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
     return asymmetry(a) <= tol
+
+
+def hermitian_coordinates(rho: np.ndarray) -> np.ndarray:
+    """Real coordinates U^H vec(rho) of a Hermitian matrix, or of each one in
+    a stack on leading axes; only the diagonal and upper triangle are read.
+
+    U is the orthonormal basis of Hermitian d x d matrices, column-stacked:
+    E_ii at the position i + i d of (i, i); for i < j, (E_ij + E_ji)/sqrt(2)
+    at that of (i, j) and i(E_ij - E_ji)/sqrt(2) at that of (j, i).  The
+    trace is the sum of the coordinates at arange(d) * (d + 1).
+    """
+    rho = np.asarray(rho, dtype=complex)
+    upper = np.triu(rho, 1) * 2**0.5
+    coords = upper.real + np.swapaxes(upper.imag, -1, -2) + rho.real * np.eye(rho.shape[-1])
+    return np.swapaxes(coords, -1, -2).reshape(rho.shape[:-2] + (rho.shape[-1] ** 2,))
+
+
+def hermitian_from_coordinates(coords: np.ndarray, dim: int) -> np.ndarray:
+    """Hermitian matrix with the real coordinates ``coords`` (or a stack);
+    inverse of ``hermitian_coordinates``."""
+    coords = np.asarray(coords, dtype=float)
+    grid = np.swapaxes(coords.reshape(coords.shape[:-1] + (dim, dim)), -1, -2)
+    upper = (np.triu(grid, 1) + 1j * np.swapaxes(np.tril(grid, -1), -1, -2)) / 2**0.5
+    return upper + np.swapaxes(upper, -1, -2).conj() + grid * np.eye(dim)
 
 
 def is_psd(a: np.ndarray, tol: float = 1e-10) -> bool:

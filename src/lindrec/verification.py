@@ -20,36 +20,18 @@ from .errors import (
     NoSteadyStateError,
     NotHermitianError,
 )
-from .numerics import HERMITICITY_REJECT_TOL, asymmetry
+from .numerics import (
+    HERMITICITY_REJECT_TOL,
+    asymmetry,
+    hermitian_coordinates,
+    hermitian_from_coordinates,
+)
 
 # Largest supported superoperator dimension d^2.
 MAX_SUPEROP_DIM = 10_000
 
 # Relative singular-value threshold below which a direction counts as null.
 NULL_SV_TOL = 1e-8
-
-
-# The Hermitian operator basis U: E_ii at the column-stacked position of
-# (i, i); for i < j, (E_ij + E_ji)/sqrt(2) at that of (i, j) and
-# i(E_ij - E_ji)/sqrt(2) at that of (j, i).  U is unitary, and the trace of
-# a state is the sum of its coordinates at positions arange(d) * (d + 1).
-
-
-def hermitian_coordinates(rho: np.ndarray) -> np.ndarray:
-    """Real coordinates U^H vec(rho) of a Hermitian matrix; only its diagonal
-    and upper triangle are read."""
-    rho = np.asarray(rho, dtype=complex)
-    upper = np.triu(rho, 1) * 2**0.5
-    coords = np.diag(rho.real.diagonal()) + upper.real + upper.imag.T
-    return coords.reshape(-1, order="F")
-
-
-def hermitian_from_coordinates(coords: np.ndarray, dim: int) -> np.ndarray:
-    """Hermitian matrix with the real coordinates ``coords``; inverse of
-    ``hermitian_coordinates``."""
-    grid = np.asarray(coords, dtype=float).reshape(dim, dim, order="F")
-    upper = (np.triu(grid, 1) + 1j * np.tril(grid, -1).T) / 2**0.5
-    return upper + upper.conj().T + np.diag(grid.diagonal())
 
 
 def vectorize_liouvillian(

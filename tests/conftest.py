@@ -38,6 +38,23 @@ def random_ansatz(rng, dim, n_drive, n_jump):
     return LindbladAnsatz(h_ops=drives, jump_ops=jumps)
 
 
+def hermitian_basis(dim):
+    """Dense unitary U of the Hermitian operator basis, column by column from
+    its definition, on column-stacked matrices."""
+    basis = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            unit = np.zeros((dim, dim), dtype=complex)
+            if i == j:
+                unit[i, i] = 1.0
+            elif i < j:
+                unit[i, j] = unit[j, i] = 2**-0.5
+            else:
+                unit[j, i], unit[i, j] = 1j * 2**-0.5, -1j * 2**-0.5
+            basis[:, i + j * dim] = unit.reshape(-1, order="F")
+    return basis
+
+
 def random_params(rng, n_drive, n_jump, hermitian_gamma=False):
     gamma = rng.standard_normal((n_jump, n_jump)) + 1j * rng.standard_normal(
         (n_jump, n_jump)

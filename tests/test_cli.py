@@ -122,6 +122,43 @@ class TestParsing:
         with pytest.raises(ConfigInvalidError):
             _parse_float_grid("1e-4,abc")
 
+    def test_config_file_may_set_every_field(self, tmp_path):
+        values = {
+            "out_dir": "o", "tol_null": 1e-9, "alpha": [1.0, 2], "r": 0.3, "theta": 0,
+            "jumps": "two", "n_list": [4, 6], "omega_over_kappa": None, "kappa": 2,
+            "regime": "weak", "eps_list": [1e-3, 1e-2, 0.1], "n_max": 12,
+            "require_feasible": True,
+        }
+        assert set(values) == set(RunConfig.__dataclass_fields__) - {"experiment"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(values))
+        config = build_config(build_parser().parse_args(["robustness", "--config", str(path)]))
+        config.validate()
+        assert config.alpha == 1 + 2j
+        assert config.n_list == (4, 6)
+        assert config.eps_list == (1e-3, 1e-2, 0.1)
+
+    @pytest.mark.parametrize("experiment, values", [
+        ("collective", {"kappa": "1"}),
+        ("collective", {"n_list": 10}),
+        ("coherent", {"alpha": [1]}),
+        ("robustness", {"eps_list": "1e-3"}),
+    ])
+    def test_config_file_value_of_the_wrong_type_is_a_config_error(
+        self, tmp_path, experiment, values
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(values))
+        assert main([experiment, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("eps", ["1e-3,1e-2", "0,1e-3,1e-2", "1e-3,1e-3,1e-3"])
+    def test_eps_grid_without_a_slope_fit_is_a_config_error(self, tmp_path, eps):
+        # the eps fits need three distinct, strictly positive points
+        argv = ["robustness", "--N", "4,5,6", "--eps", eps, "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_validate_rejects_bad_tolerance(self):
         config = RunConfig(experiment="coherent", tol_null=1.0)
         with pytest.raises(ConfigInvalidError):

@@ -141,3 +141,38 @@ def test_correlation_matrix_is_unitarily_covariant(seed, dim, n_drive, n_jump):
     mat = build_correlation_matrix(ansatz, rho).mat
     mat_rotated = build_correlation_matrix(rotated, u @ rho @ u.conj().T).mat
     assert np.linalg.norm(mat_rotated - mat) <= 1e-10 * np.linalg.norm(mat)
+
+
+@SETTINGS
+@given(
+    seed=SEEDS,
+    dim=st.integers(2, 4),
+    n_drive=st.integers(0, 1),
+    n_jump=st.integers(1, 3),
+)
+def test_search_is_invariant_under_complex_remixing_of_the_basis(seed, dim, n_drive, n_jump):
+    # the search reads only the span of the kernel basis, so a basis remixed
+    # by a complex unitary, whose vectors are not physical one by one, gives
+    # the same optimum and the same solutions
+    rng = np.random.default_rng(seed)
+    ansatz = random_ansatz(rng, dim, n_drive, n_jump)
+    planted = LindbladianParams(c=rng.standard_normal(n_drive), gamma=random_psd(rng, n_jump))
+    ss = steady_state_of(planted, ansatz)
+    assume(ss.unique)
+    # operators that commute with the state add drive-only kernel directions
+    # and a block of dephasing rates, so the kernel is degenerate and the
+    # optimum is interior
+    commuting = (ss.rho, ss.rho @ ss.rho)
+    ansatz = LindbladAnsatz(h_ops=ansatz.h_ops + commuting, jump_ops=ansatz.jump_ops + commuting)
+    basis = np.array(reverse_engineer(ansatz, ss.rho).kernel_vectors).T
+    remixed = basis @ random_unitary(rng, basis.shape[1])
+    sizes = (ansatz.n_drive, ansatz.n_jump)
+    a = markovian_superposition_search(list(basis.T), *sizes)
+    b = markovian_superposition_search(list(remixed.T), *sizes)
+    assert len(a.solutions) == len(b.solutions) >= 1
+    assert a.max_min_rate > 0
+    assert abs(a.max_min_rate - b.max_min_rate) <= 1e-12
+    span_a, _ = np.linalg.qr(np.array([p.to_vector() for p in a.solutions]).T)
+    for params in b.solutions:
+        vec = params.to_vector() / np.linalg.norm(params.to_vector())
+        assert np.linalg.norm(span_a.conj().T @ vec) > 1 - 1e-8

@@ -11,13 +11,41 @@ from lindrec.models import CoherentSpec, analytic_corr_matrix
 from lindrec.numerics import (
     eigh,
     extract_kernel,
+    hermitian_coordinates,
+    hermitian_from_coordinates,
     is_hermitian,
     is_psd,
     loglog_fit,
     positive_part,
 )
 
-from conftest import random_hermitian
+from conftest import hermitian_basis, random_hermitian
+
+
+class TestHermitianCoordinates:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_coordinate_maps_round_trip(self, rng, dim):
+        basis = hermitian_basis(dim)
+        rho = random_hermitian(rng, dim)
+        coords = hermitian_coordinates(rho)
+        assert coords.dtype == np.float64
+        assert np.allclose(coords, basis.conj().T @ rho.reshape(-1, order="F"), atol=1e-14)
+        assert np.allclose(hermitian_from_coordinates(coords, dim), rho, atol=1e-14)
+        x = rng.standard_normal(dim * dim)
+        back = hermitian_from_coordinates(x, dim)
+        assert np.allclose(back.reshape(-1, order="F"), basis @ x, atol=1e-14)
+        assert np.allclose(hermitian_coordinates(back), x, atol=1e-14)
+
+    def test_stacked_inputs_map_one_matrix_at_a_time(self, rng):
+        stack = np.array([[random_hermitian(rng, 3) for _ in range(4)] for _ in range(2)])
+        coords = hermitian_coordinates(stack)
+        back = hermitian_from_coordinates(coords, 3)
+        assert coords.shape == (2, 4, 9)
+        assert back.shape == stack.shape
+        for index in np.ndindex(2, 4):
+            np.testing.assert_array_equal(coords[index], hermitian_coordinates(stack[index]))
+            np.testing.assert_array_equal(back[index], hermitian_from_coordinates(coords[index], 3))
+        assert hermitian_from_coordinates(np.eye(0), 0).shape == (0, 0, 0)
 
 
 class TestEigh:

@@ -22,14 +22,18 @@ from lindrec.verification import (
     NULL_SV_TOL,
     _real_superop,
     _steady_state_svd,
-    hermitian_coordinates,
-    hermitian_from_coordinates,
     norm_difference,
     steady_state_of,
     vectorize_liouvillian,
 )
 
-from conftest import random_ansatz, random_density, random_hermitian, random_params
+from conftest import (
+    hermitian_basis,
+    random_ansatz,
+    random_density,
+    random_hermitian,
+    random_params,
+)
 
 
 def stack_state(rho):
@@ -122,22 +126,6 @@ class TestVectorize:
             vectorize_liouvillian(params, ansatz)
 
 
-def hermitian_basis(dim):
-    """Dense unitary U, column by column from its definition."""
-    basis = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            unit = np.zeros((dim, dim), dtype=complex)
-            if i == j:
-                unit[i, i] = 1.0
-            elif i < j:
-                unit[i, j] = unit[j, i] = 2**-0.5
-            else:
-                unit[j, i], unit[i, j] = 1j * 2**-0.5, -1j * 2**-0.5
-            basis[:, i + j * dim] = stack_state(unit)
-    return basis
-
-
 class TestHermitianBasis:
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_real_matrix_is_the_dense_change_of_basis(self, rng, dim):
@@ -155,19 +143,6 @@ class TestHermitianBasis:
         s_real = np.linalg.svd(real, compute_uv=False)
         s_complex = np.linalg.svd(superop, compute_uv=False)
         assert np.abs(s_real - s_complex).max() <= 1e-12 * s_complex[0]
-
-    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
-    def test_coordinate_maps_round_trip(self, rng, dim):
-        basis = hermitian_basis(dim)
-        rho = random_hermitian(rng, dim)
-        coords = hermitian_coordinates(rho)
-        assert coords.dtype == np.float64
-        assert np.allclose(coords, basis.conj().T @ stack_state(rho), atol=1e-14)
-        assert np.allclose(hermitian_from_coordinates(coords, dim), rho, atol=1e-14)
-        x = rng.standard_normal(dim * dim)
-        back = hermitian_from_coordinates(x, dim)
-        assert np.allclose(stack_state(back), basis @ x, atol=1e-14)
-        assert np.allclose(hermitian_coordinates(back), x, atol=1e-14)
 
 
 class TestSteadyState:
