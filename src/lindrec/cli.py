@@ -32,6 +32,7 @@ import numpy as np
 
 from . import models
 from .engine import (
+    MARKOV_TOL,
     LindbladAnsatz,
     LindbladianParams,
     ReconstructionResult,
@@ -43,7 +44,7 @@ from .engine import (
     unpack_kernel_vector,
 )
 from .errors import ConfigInvalidError, LindrecError
-from .numerics import DEFAULT_NULL_TOL, loglog_fit
+from .numerics import DEFAULT_NULL_TOL, LogLogFit, loglog_fit
 from .quantum_ops import FockSpace, boson_ops, coherent_state, mix_with_identity
 from .verification import norm_difference, steady_state_of
 
@@ -71,6 +72,10 @@ class RunConfig:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigInvalidError(f"unknown experiment {self.experiment!r}")
+        for name in ("kappa", "omega_over_kappa", "r", "theta", "alpha", "eps_list"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ConfigInvalidError(f"{name} must be finite")
         if not 0 < self.tol_null <= 1e-4:
             raise ConfigInvalidError("tol_null must lie in (0, 1e-4]")
         if self.experiment in ("collective", "robustness"):
@@ -243,7 +248,7 @@ def _collective_row(config: RunConfig, n: int) -> dict:
             "gamma21_over_gamma11": g[1, 0] / g[0, 0],
         }
         gev = sol.gamma_eigenvalues
-        row["n_gamma_above_tol"] = int(np.sum(gev > 1e-10 * max(1.0, gev[-1])))
+        row["n_gamma_above_tol"] = int(np.sum(gev > MARKOV_TOL * max(1.0, gev[-1])))
     return row
 
 
@@ -259,29 +264,30 @@ def _run_collective(config: RunConfig) -> dict:
     }
 
 
+def _branch_fit(x: np.ndarray, y: np.ndarray) -> tuple[LogLogFit, float]:
+    """Log-log fit of one branch and its total squared log residual."""
+    fit = loglog_fit(x, y)
+    return fit, float(np.sum((np.log(y) - (fit.slope * np.log(x) + fit.intercept)) ** 2))
+
+
 def _two_segment_fit(eps: np.ndarray, diffs: np.ndarray) -> dict:
     """Split a log-log curve into two branches at the split minimizing the
-    total squared residual; used to locate the saturation knee."""
-    n = eps.size
+    total squared residual (the lower split on ties); used to locate the
+    saturation knee."""
     single = loglog_fit(eps, diffs)
-    best = None
-    for k in range(3, n - 2):
-        lo = loglog_fit(eps[:k], diffs[:k])
-        hi = loglog_fit(eps[k:], diffs[k:])
-        sse = 0.0
-        for fit, (x, y) in ((lo, (eps[:k], diffs[:k])), (hi, (eps[k:], diffs[k:]))):
-            resid = np.log(y) - (fit.slope * np.log(x) + fit.intercept)
-            sse += float(np.sum(resid**2))
-        if best is None or sse < best[0]:
-            best = (sse, k, lo, hi)
-    if best is None:
+    splits = {
+        k: (_branch_fit(eps[:k], diffs[:k]), _branch_fit(eps[k:], diffs[k:]))
+        for k in range(3, eps.size - 2)
+    }
+    if not splits:
         return {
             "knee_eps": None,
             "slope_small_eps": single.slope,
             "r2_small_eps": single.r_squared,
             "slope_full": single.slope,
         }
-    _, k, lo, hi = best
+    k = min(splits, key=lambda k: splits[k][0][1] + splits[k][1][1])
+    (lo, _), (hi, _) = splits[k]
     return {
         "knee_eps": float(np.sqrt(eps[k - 1] * eps[k])),
         "n_points_below_knee": int(k),
@@ -316,7 +322,7 @@ def _run_robustness(config: RunConfig) -> dict:
                 min_vec, model.ansatz.n_drive, model.ansatz.n_jump
             )
             gev = params.gamma_eigenvalues
-            neg_tol = 1e-10 * max(1.0, float(gev[-1]))
+            neg_tol = MARKOV_TOL * max(1.0, float(gev[-1]))
             n_negative = int(np.sum(gev < -neg_tol))
             ss = steady_state_of(params, model.ansatz, method="svd")
             diff = norm_difference(ss.rho, rho_clean)
@@ -365,62 +371,38 @@ def _scaling_table(config: RunConfig, results: dict) -> tuple[list[str], list[li
 
 
 def _fit_rows(rows: list[dict], weak: bool) -> dict:
+    """Log-log fits of lambda1 and state_diff against eps at every N and,
+    with three or more sizes, against N at every eps."""
+
+    def series(key: str, axis: str, at) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted (x, y) of ``key`` against ``axis`` ("eps" or "n_spins")
+        over the rows where the other axis equals ``at``."""
+        other = "n_spins" if axis == "eps" else "eps"
+        pts = sorted((row[axis], row[key]) for row in rows if row[other] == at)
+        return np.array([p[0] for p in pts], dtype=float), np.array([p[1] for p in pts])
+
     n_values = sorted({row["n_spins"] for row in rows})
-    eps_values = sorted({row["eps"] for row in rows})
-
-    def series(filter_key, filter_val, x_key, y_key):
-        pts = [
-            (row[x_key], row[y_key]) for row in rows if row[filter_key] == filter_val
-        ]
-        pts.sort()
-        return np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
-
-    fits: dict = {"per_N": {}, "per_eps": {}}
-    slope_eps_l1, slope_eps_diff = [], []
-    r2_eps_l1, r2_eps_diff = [], []
-    for n in n_values:
-        eps, lam = series("n_spins", n, "eps", "lambda1")
-        _, diff = series("n_spins", n, "eps", "state_diff")
-        fit_l1 = loglog_fit(eps, lam)
-        fit_diff = loglog_fit(eps, diff)
-        entry = {
-            "lambda1_slope": fit_l1.slope,
-            "lambda1_r2": fit_l1.r_squared,
-            "state_diff_slope": fit_diff.slope,
-            "state_diff_r2": fit_diff.r_squared,
+    eps_values = sorted({row["eps"] for row in rows}) if len(n_values) >= 3 else []
+    fits: dict = {
+        "per_N": {str(n): {} for n in n_values},
+        "per_eps": {repr(float(eps)): {} for eps in eps_values},
+    }
+    for key in ("lambda1", "state_diff"):
+        by_n = [loglog_fit(*series(key, "eps", n)) for n in n_values]
+        by_eps = [loglog_fit(*series(key, "n_spins", eps)) for eps in eps_values]
+        for entry, fit in zip(fits["per_N"].values(), by_n):
+            entry[f"{key}_slope"], entry[f"{key}_r2"] = fit.slope, fit.r_squared
+        for entry, fit in zip(fits["per_eps"].values(), by_eps):
+            entry[f"{key}_slope"] = fit.slope
+        fits[key] = {
+            "slope_eps": float(np.mean([fit.slope for fit in by_n])),
+            "r2_eps": float(np.mean([fit.r_squared for fit in by_n])),
+            "slope_N": float(np.mean([fit.slope for fit in by_eps])) if by_eps else None,
         }
-        if weak:
-            entry["state_diff_two_segment"] = _two_segment_fit(eps, diff)
-            _, diff_rep = series("n_spins", n, "eps", "state_diff_repaired")
-            entry["state_diff_repaired_two_segment"] = _two_segment_fit(eps, diff_rep)
-        fits["per_N"][str(n)] = entry
-        slope_eps_l1.append(fit_l1.slope)
-        slope_eps_diff.append(fit_diff.slope)
-        r2_eps_l1.append(fit_l1.r_squared)
-        r2_eps_diff.append(fit_diff.r_squared)
-    slope_n_l1, slope_n_diff = [], []
-    if len(n_values) >= 3:
-        for eps in eps_values:
-            ns, lam = series("eps", eps, "n_spins", "lambda1")
-            _, diff = series("eps", eps, "n_spins", "state_diff")
-            fit_l1 = loglog_fit(np.array(ns, dtype=float), lam)
-            fit_diff = loglog_fit(np.array(ns, dtype=float), diff)
-            fits["per_eps"][repr(float(eps))] = {
-                "lambda1_slope": fit_l1.slope,
-                "state_diff_slope": fit_diff.slope,
-            }
-            slope_n_l1.append(fit_l1.slope)
-            slope_n_diff.append(fit_diff.slope)
-    fits["lambda1"] = {
-        "slope_eps": float(np.mean(slope_eps_l1)),
-        "r2_eps": float(np.mean(r2_eps_l1)),
-        "slope_N": float(np.mean(slope_n_l1)) if slope_n_l1 else None,
-    }
-    fits["state_diff"] = {
-        "slope_eps": float(np.mean(slope_eps_diff)),
-        "r2_eps": float(np.mean(r2_eps_diff)),
-        "slope_N": float(np.mean(slope_n_diff)) if slope_n_diff else None,
-    }
+    if weak:
+        for n, entry in zip(n_values, fits["per_N"].values()):
+            for key in ("state_diff", "state_diff_repaired"):
+                entry[f"{key}_two_segment"] = _two_segment_fit(*series(key, "eps", n))
     return fits
 
 
@@ -508,11 +490,13 @@ def _parse_float_grid(text: str) -> tuple[float, ...]:
     try:
         if ".." in text:
             span, _, count = text.partition(":")
-            lo, _, hi = span.partition("..")
+            lo, hi = (float(bound) for bound in span.split(".."))
             n = int(count) if count else 9
-            return tuple(
-                float(x) for x in np.logspace(np.log10(float(lo)), np.log10(float(hi)), n)
-            )
+            if not all(0 < bound < np.inf for bound in (lo, hi)):
+                raise ConfigInvalidError(
+                    f"range bounds must be positive and finite: {text!r}"
+                )
+            return tuple(float(x) for x in np.logspace(np.log10(lo), np.log10(hi), n))
         return tuple(float(tok) for tok in text.split(",") if tok)
     except ValueError as exc:
         raise ConfigInvalidError(f"cannot parse float grid {text!r}") from exc

@@ -99,13 +99,17 @@ class LindbladianParams:
 
     ``gamma`` is Hermitian; the generator is a valid (completely positive)
     Markovian one exactly when gamma is PSD, exposed as ``markovian``.
+    Couplings with a nonzero imaginary part raise ``NonPhysicalVectorError``.
     """
 
     c: np.ndarray
     gamma: np.ndarray
 
     def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float).reshape(-1)
+        c = np.asarray(self.c).reshape(-1)
+        if np.any(np.imag(c) != 0):
+            raise NonPhysicalVectorError("couplings must be real")
+        self.c = np.asarray(np.real(c), dtype=float)
         self.gamma = np.asarray(self.gamma, dtype=complex)
         k = self.gamma.shape[0]
         if self.gamma.shape != (k, k):

@@ -1,5 +1,6 @@
 import json
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from lindrec import models
 from lindrec.cli import (
     RunConfig,
+    _fit_rows,
     _parse_float_grid,
     _parse_int_grid,
     build_config,
@@ -159,6 +161,34 @@ class TestParsing:
         assert main(argv) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv, config", [
+        (["collective", "--N", "4", "--kappa", "inf"], None),
+        (["collective", "--N", "4", "--omega-over-kappa", "nan"], None),
+        (["coherent", "--alpha", "nan"], None),
+        (["coherent", "--alpha", "1+infj"], None),
+        (["squeezed", "--theta", "inf"], None),
+        (["squeezed", "--r", "nan"], None),
+        (["robustness", "--eps", "1e-3,1e-2,inf"], None),
+        (["collective"], '{"kappa": Infinity, "n_list": [4]}'),
+        (["collective"], '{"omega_over_kappa": NaN, "n_list": [4]}'),
+        (["coherent"], '{"alpha": [1.0, -Infinity]}'),
+    ])
+    def test_non_finite_number_is_a_config_error(self, tmp_path, argv, config):
+        if config is not None:
+            # json.loads reads the JavaScript names of the non-finite floats
+            (tmp_path / "config.json").write_text(config)
+            argv = argv + ["--config", str(tmp_path / "config.json")]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("eps", ["-1e-4..1e-2", "0..1e-2", "1e-4..-1e-2:5"])
+    def test_eps_range_with_a_non_positive_bound_is_a_config_error(self, tmp_path, eps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigInvalidError):
+                _parse_float_grid(eps)
+            assert main(["robustness", f"--eps={eps}", "--out", str(tmp_path / "o")]) == 2
+
     def test_validate_rejects_bad_tolerance(self):
         config = RunConfig(experiment="coherent", tol_null=1.0)
         with pytest.raises(ConfigInvalidError):
@@ -179,6 +209,72 @@ class TestParsing:
             experiment="robustness", regime="strong", omega_over_kappa=3.0
         )
         assert explicit.resolved_ratio() == 3.0
+
+
+def power_law_rows(n_values, eps_values):
+    """Robustness rows with lambda1 = eps^2/N, state_diff = eps/N^1.5 and a
+    repaired error that follows eps below 1.5e-3 and then jumps to a plateau."""
+    return [
+        {
+            "n_spins": n,
+            "eps": float(eps),
+            "lambda1": eps**2 / n,
+            "state_diff": eps / n**1.5,
+            "state_diff_repaired": eps if eps < 1.5e-3 else 1e-2,
+        }
+        for n in n_values
+        for eps in eps_values
+    ]
+
+
+class TestScalingFits:
+    EPS = np.logspace(-4, -2, 9)
+
+    def test_exact_power_laws(self):
+        fits = _fit_rows(power_law_rows((10, 20, 40), self.EPS), weak=False)
+        expected = {"lambda1": (2.0, -1.0), "state_diff": (1.0, -1.5)}
+        for key, (slope_eps, slope_n) in expected.items():
+            assert fits[key]["slope_eps"] == pytest.approx(slope_eps, abs=1e-10)
+            assert fits[key]["r2_eps"] == pytest.approx(1.0, abs=1e-12)
+            assert fits[key]["slope_N"] == pytest.approx(slope_n, abs=1e-10)
+            for entry in fits["per_N"].values():
+                assert entry[f"{key}_slope"] == pytest.approx(slope_eps, abs=1e-10)
+                assert entry[f"{key}_r2"] == pytest.approx(1.0, abs=1e-12)
+            for entry in fits["per_eps"].values():
+                assert entry[f"{key}_slope"] == pytest.approx(slope_n, abs=1e-10)
+        assert set(fits["per_N"]) == {"10", "20", "40"}
+        assert set(fits["per_eps"]) == {repr(float(eps)) for eps in self.EPS}
+        assert "state_diff_two_segment" not in fits["per_N"]["10"]
+
+    def test_two_sizes_give_no_fit_against_n(self):
+        fits = _fit_rows(power_law_rows((10, 20), self.EPS), weak=False)
+        assert fits["per_eps"] == {}
+        assert fits["lambda1"]["slope_N"] is None
+        assert fits["state_diff"]["slope_N"] is None
+        assert fits["lambda1"]["slope_eps"] == pytest.approx(2.0, abs=1e-10)
+
+    def test_two_segment_fit_finds_the_knee(self):
+        fits = _fit_rows(power_law_rows((10, 20, 40), self.EPS), weak=True)
+        for entry in fits["per_N"].values():
+            knee = entry["state_diff_repaired_two_segment"]
+            # the only split with both branches exact lies between 1e-3 and
+            # the next grid point 10^-2.75
+            assert knee["n_points_below_knee"] == 5
+            assert knee["knee_eps"] == pytest.approx(10**-2.875, rel=1e-12)
+            assert knee["slope_small_eps"] == pytest.approx(1.0, abs=1e-10)
+            assert knee["r2_small_eps"] == pytest.approx(1.0, abs=1e-12)
+            assert knee["slope_large_eps"] == pytest.approx(0.0, abs=1e-10)
+            straight = entry["state_diff_two_segment"]
+            assert straight["slope_small_eps"] == pytest.approx(1.0, abs=1e-10)
+            assert straight["slope_full"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_short_curve_has_no_knee(self):
+        # each branch of a split needs at least three of the five points
+        fits = _fit_rows(power_law_rows((10, 20), self.EPS[::2]), weak=True)
+        knee = fits["per_N"]["10"]["state_diff_repaired_two_segment"]
+        assert knee["knee_eps"] is None
+        assert "n_points_below_knee" not in knee
+        assert knee["slope_small_eps"] == knee["slope_full"]
 
 
 class TestRuns:

@@ -73,6 +73,20 @@ class TestTermMaps:
             apply_d_term(np.eye(3), np.eye(4), random_density(rng, 4))
 
 
+class TestLindbladianParams:
+    def test_complex_couplings_rejected(self):
+        # the imaginary part is not dropped with a ComplexWarning
+        with pytest.raises(NonPhysicalVectorError):
+            LindbladianParams(c=[1j], gamma=np.eye(1))
+        with pytest.raises(NonPhysicalVectorError):
+            LindbladianParams(c=np.array([1.0, 2.0 + 1e-9j]), gamma=np.eye(1))
+
+    def test_complex_dtype_with_zero_imaginary_part_accepted(self):
+        params = LindbladianParams(c=np.array([1.0 + 0j, -2.0]), gamma=np.eye(1))
+        assert params.c.dtype == float
+        np.testing.assert_array_equal(params.c, [1.0, -2.0])
+
+
 class TestApplyLindbladian:
     def test_zero_params_zero_flow(self, rng):
         ansatz = random_ansatz(rng, 4, 2, 2)
