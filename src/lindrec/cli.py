@@ -100,6 +100,19 @@ class RunConfig:
             raise ConfigInvalidError(f"unknown jumps {self.jumps!r}")
         if self.n_max is not None and self.n_max < 1:
             raise ConfigInvalidError("n_max must be at least 1")
+        if self.experiment in ("collective", "robustness"):
+            source, dim = "N", max(self.n_list) + 1
+        elif self.n_max is not None:
+            source, dim = "n_max", self.n_max + 1
+        elif self.experiment == "squeezed":
+            source, dim = "r", models.default_cutoff(models.SqueezedSpec(r=self.r)) + 1
+        else:
+            source = "alpha"
+            dim = models.default_cutoff(models.CoherentSpec(alpha=self.alpha)) + 1
+        if dim > models.MAX_HILBERT_DIM:
+            raise ConfigInvalidError(
+                f"{source} asks for a Hilbert-space dimension above {models.MAX_HILBERT_DIM}"
+            )
 
     def resolved_ratio(self) -> float:
         """Drive-to-decay ratio; the regime picks the default when unset."""

@@ -18,7 +18,6 @@ post-processes solutions for complete positivity.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +54,8 @@ class LindbladAnsatz:
     """Ordered operator basis spanning the candidate generators.
 
     All operators share one dimension; every drive generator must be
-    Hermitian.  At least one generator (drive or jump) is required.
+    Hermitian within 1e-10, and its Hermitian part is stored.  At least one
+    generator (drive or jump) is required.
     """
 
     h_ops: tuple[np.ndarray, ...]
@@ -64,8 +64,6 @@ class LindbladAnsatz:
     def __post_init__(self):
         h_ops = tuple(np.asarray(h, dtype=complex) for h in self.h_ops)
         jump_ops = tuple(np.asarray(l, dtype=complex) for l in self.jump_ops)
-        object.__setattr__(self, "h_ops", h_ops)
-        object.__setattr__(self, "jump_ops", jump_ops)
         if not h_ops and not jump_ops:
             raise DimMismatchError("ansatz needs at least one generator")
         dims = {op.shape for op in h_ops + jump_ops}
@@ -74,6 +72,13 @@ class LindbladAnsatz:
         for idx, h in enumerate(h_ops):
             if asymmetry(h) > 1e-10:
                 raise DimMismatchError(f"drive operator {idx} is not Hermitian")
+        # the Hermitian parts, so that rho h is exactly the adjoint of h rho
+        # in ``term_images``; an exactly Hermitian drive is kept, not copied
+        h_ops = tuple(
+            h if np.array_equal(h, h.conj().T) else (h + h.conj().T) / 2 for h in h_ops
+        )
+        object.__setattr__(self, "h_ops", h_ops)
+        object.__setattr__(self, "jump_ops", jump_ops)
 
     @property
     def dim(self) -> int:
@@ -179,31 +184,70 @@ def apply_d_term(l_j: np.ndarray, l_k: np.ndarray, rho: np.ndarray) -> np.ndarra
 
 
 def term_images(ansatz: LindbladAnsatz, rho: np.ndarray) -> np.ndarray:
-    """Stack of all J + K^2 term images in index-map order, shape (n, d, d).
+    """Stack of all J + K^2 term images of a Hermitian ``rho`` in index-map
+    order, shape (n, d, d).
 
     Computed once per (ansatz, rho) pair; both the generator application and
-    the correlation matrix reuse this stack, so assembling M costs J + K^2
-    superoperator applications plus the pairwise traces.
+    the correlation matrix reuse this stack.  A ``rho`` whose asymmetry
+    exceeds ``HERMITICITY_REJECT_TOL`` raises ``NotHermitianError``;
+    otherwise its Hermitian part is used.  Hermiticity makes rho h the
+    adjoint of h rho and D_{k,j}[rho] the adjoint of D_{j,k}[rho], so with
+    A_j = l_j rho
+
+        D_{j,k}[rho] = A_j l_k^dag - (l_k^dag A_j)/2 - (l_j^dag A_k)^dag / 2
+
+    and the stack takes J + K + K(K+1)/2 + K^2 dense d x d products (drive
+    images, A_j, the sandwiches for k >= j, the anticommutator halves)
+    instead of the 2J + 5K^2 of ``apply_h_term`` and ``apply_d_term``.
+    Besides the stack and the Hermitian part of ``rho``, two d x d work
+    arrays are held.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ansatz.dim, ansatz.dim):
+    dim, n_drive, n_jump = ansatz.dim, ansatz.n_drive, ansatz.n_jump
+    if rho.shape != (dim, dim):
         raise DimMismatchError(
-            f"state shape {rho.shape} does not match ansatz dim {ansatz.dim}"
+            f"state shape {rho.shape} does not match ansatz dim {dim}"
         )
+    asym = asymmetry(rho)
+    if asym > HERMITICITY_REJECT_TOL:
+        raise NotHermitianError(f"state asymmetry {asym:.3e} exceeds 1e-8")
+    rho = (rho + rho.conj().T) / 2
     # filled in place, so the stack is never held twice
-    images = np.empty((ansatz.n_params, ansatz.dim, ansatz.dim), dtype=complex)
-    for idx, h in enumerate(ansatz.h_ops):
-        images[idx] = apply_h_term(h, rho)
-    pairs = itertools.product(ansatz.jump_ops, repeat=2)
-    for idx, (l_j, l_k) in enumerate(pairs, start=ansatz.n_drive):
-        images[idx] = apply_d_term(l_j, l_k, rho)
+    images = np.empty((ansatz.n_params, dim, dim), dtype=complex)
+    work = np.empty((dim, dim), dtype=complex)
+    for image, h in zip(images, ansatz.h_ops):
+        np.matmul(h, rho, out=work)
+        np.conjugate(work.T, out=image)
+        np.subtract(work, image, out=image)
+        image *= -1j
+    # conj(A_j) is held instead of A_j: products with the view l_k^T then
+    # give the conjugates of the products with l_k^dag, with no adjoint copy
+    conj_a = np.empty((dim, dim), dtype=complex)
+    for j, l_j in enumerate(ansatz.jump_ops):
+        np.matmul(l_j, rho, out=conj_a)
+        np.conjugate(conj_a, out=conj_a)
+        for k in range(j, n_jump):
+            np.matmul(conj_a, ansatz.jump_ops[k].T, out=work)
+            np.conjugate(work, out=images[n_drive + j * n_jump + k])
+            if k != j:
+                images[n_drive + k * n_jump + j] = work.T
+        for k, l_k in enumerate(ansatz.jump_ops):
+            # work = conj(l_k^dag A_j) / 2, subtracted from (j, k) and its
+            # adjoint from (k, j)
+            np.matmul(l_k.T, conj_a, out=work)
+            work *= 0.5
+            images[n_drive + k * n_jump + j] -= work.T
+            np.conjugate(work, out=work)
+            images[n_drive + j * n_jump + k] -= work
     return images
 
 
 def apply_lindbladian(
     params: LindbladianParams, ansatz: LindbladAnsatz, rho: np.ndarray
 ) -> np.ndarray:
-    """Full generator action sum_j c_j H-terms + sum_jk gamma_jk D-terms."""
+    """Full generator action sum_j c_j H-terms + sum_jk gamma_jk D-terms on a
+    Hermitian ``rho``, formed from ``term_images`` (J + K + K(K+1)/2 + K^2
+    dense products); a non-Hermitian ``rho`` raises ``NotHermitianError``."""
     if params.n_drive != ansatz.n_drive or params.n_jump != ansatz.n_jump:
         raise DimMismatchError("parameter shapes do not match the ansatz")
     images = term_images(ansatz, rho)
@@ -213,7 +257,10 @@ def apply_lindbladian(
 def rapidity(
     params: LindbladianParams, ansatz: LindbladAnsatz, rho: np.ndarray
 ) -> float:
-    """Squared Frobenius norm of L[rho]; zero exactly at a steady state."""
+    """Squared Frobenius norm of L[rho]; zero exactly at a steady state.
+
+    ``rho`` must be Hermitian, as for ``apply_lindbladian``, which forms
+    L[rho] from ``term_images``."""
     return _squared_norm(apply_lindbladian(params, ansatz, rho))
 
 
@@ -245,12 +292,9 @@ def build_correlation_matrix(
     Hermitian ``rho`` are Hermitian, so their real and imaginary parts form
     a real matrix A (2 d^2 rows) with M = P A^T A P^dag.  QR folds A into
     R (A^T A = R^T R) ``FACTOR_BLOCK_ROWS`` rows at a time, so no copy of
-    the stack is made.  A non-Hermitian ``rho`` is rejected.
+    the stack is made.  ``term_images`` rejects a non-Hermitian ``rho``.
     """
     images = term_images(ansatz, rho)
-    asym = asymmetry(rho)
-    if asym > HERMITICITY_REJECT_TOL:
-        raise NotHermitianError(f"state asymmetry {asym:.3e} exceeds 1e-8")
     basis = hermitian_parameter_basis(ansatz.n_drive, ansatz.n_jump)
     flat = images.reshape(images.shape[0], -1)
     factor = np.zeros((0, basis.shape[1]))

@@ -76,17 +76,35 @@ class CollectiveSpec:
 
 ModelSpec = Union[CoherentSpec, SqueezedSpec, CollectiveSpec]
 
+# Largest Hilbert-space dimension d an experiment may build.  The term images
+# of an ansatz with J drives and K jumps are a (J + K^2) d^2 complex stack,
+# held whole while M is factored: for the collective full basis
+# (J + K^2 = 12) that is 31 MB at d = 401 and 0.8 GB at d = 2048, on top of
+# the dense d x d operators.  The default cutoffs of the Fock targets stay
+# below it up to |alpha| of about 14 and r of about 2.25.
+MAX_HILBERT_DIM = 2048
+
 
 def default_cutoff(spec: CoherentSpec | SqueezedSpec) -> int:
-    """Fock cutoff large enough for a truncation tail below ~1e-18."""
+    """Fock cutoff large enough for a truncation tail below ~1e-18.
+
+    The rule grows without limit in |alpha| and r, so the result is clipped
+    to ``MAX_HILBERT_DIM``: a clipped cutoff gives a dimension (cutoff + 1)
+    above the bound, as the unclipped one would.
+    """
     if isinstance(spec, CoherentSpec):
-        return int(max(40, np.ceil(10 * max(4.0, abs(spec.alpha) ** 2))))
-    t2 = np.tanh(spec.r) ** 2
-    floor = int(np.ceil(20 + 20 * np.sinh(spec.r) ** 2))
-    if t2 == 0:
-        return max(40, floor)
-    pairs = int(np.ceil(np.log(1e-18 * (1 - t2)) / np.log(t2)))
-    return max(40, floor, 2 * pairs + 8)
+        alpha = abs(spec.alpha)
+        need = 10 * max(4.0, alpha * alpha)  # a float product saturates at inf
+    else:
+        with np.errstate(over="ignore"):
+            need = 20 + 20 * np.sinh(spec.r) ** 2
+        t2 = np.tanh(spec.r) ** 2
+        if t2 == 1:  # the even-Fock tail no longer decays in double precision
+            need = np.inf
+        elif t2 > 0:
+            pairs = np.ceil(np.log(1e-18 * (1 - t2)) / np.log(t2))
+            need = max(need, 2 * pairs + 8)
+    return int(min(max(40.0, np.ceil(need)), MAX_HILBERT_DIM))
 
 
 @dataclass(frozen=True)

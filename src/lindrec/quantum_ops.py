@@ -146,10 +146,7 @@ def spin_ops(sector: SpinSector) -> SpinOps:
     s = sector.total_spin
     m = s - np.arange(sector.dim)
     sz = np.diag(m).astype(complex)
-    sp = np.zeros((sector.dim, sector.dim), dtype=complex)
-    for i in range(1, sector.dim):
-        mm = m[i]
-        sp[i - 1, i] = np.sqrt(s * (s + 1) - mm * (mm + 1))
+    sp = np.diag(np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
     sm = sp.conj().T
     sx = (sp + sm) / 2.0
     sy = (sp - sm) / 2.0j

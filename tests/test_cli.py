@@ -181,6 +181,31 @@ class TestParsing:
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["squeezed", "--r", "3"],
+        ["squeezed", "--r", "20"],
+        ["coherent", "--alpha", "30"],
+        ["collective", "--N", "100000"],
+        ["robustness", "--N", "10,20,4000"],
+        ["feasibility", "--n-max", str(models.MAX_HILBERT_DIM)],
+    ])
+    def test_dimension_above_the_bound_is_a_config_error(self, tmp_path, monkeypatch, argv):
+        def no_model(spec):
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(models, "build_model", no_model)
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config", [
+        RunConfig(experiment="collective", n_list=(100, 400)),
+        RunConfig(experiment="squeezed", r=1.0, n_max=164),
+        RunConfig(experiment="squeezed", r=2.0),
+        RunConfig(experiment="coherent", n_max=models.MAX_HILBERT_DIM - 1),
+    ])
+    def test_dimension_within_the_bound_is_valid(self, config):
+        config.validate()
+
     @pytest.mark.parametrize("eps", ["-1e-4..1e-2", "0..1e-2", "1e-4..-1e-2:5"])
     def test_eps_range_with_a_non_positive_bound_is_a_config_error(self, tmp_path, eps):
         with warnings.catch_warnings():

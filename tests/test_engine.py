@@ -14,6 +14,7 @@ from lindrec.engine import (
     rapidity,
     repair_markovianity,
     reverse_engineer,
+    term_images,
     unpack_kernel_vector,
 )
 from lindrec.errors import DimMismatchError, NonPhysicalVectorError, NotHermitianError
@@ -71,6 +72,68 @@ class TestTermMaps:
             apply_h_term(np.eye(3), random_density(rng, 4))
         with pytest.raises(DimMismatchError):
             apply_d_term(np.eye(3), np.eye(4), random_density(rng, 4))
+
+
+def term_by_term_images(ansatz, rho):
+    """The J + K^2 image stack from the reference term maps, in index-map order."""
+    drives = [apply_h_term(h, rho) for h in ansatz.h_ops]
+    jumps = [apply_d_term(l_j, l_k, rho) for l_j in ansatz.jump_ops for l_k in ansatz.jump_ops]
+    return np.array(drives + jumps).reshape(ansatz.n_params, ansatz.dim, ansatz.dim)
+
+
+class TestTermImages:
+    @pytest.mark.parametrize("n_drive, n_jump", [(2, 0), (0, 2), (1, 1), (2, 3), (3, 3)])
+    def test_matches_term_maps_on_random_ansatze(self, rng, n_drive, n_jump):
+        for dim in (2, 5, 9):
+            ansatz = random_ansatz(rng, dim, n_drive, n_jump)
+            rho = random_density(rng, dim)
+            expected = term_by_term_images(ansatz, rho)
+            got = term_images(ansatz, rho)
+            assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("spec", [
+        CoherentSpec(alpha=1.5 - 0.5j),
+        SqueezedSpec(r=0.7, theta=0.4),
+        SqueezedSpec(r=0.7, theta=0.4, jumps="two", n_max=60),
+        CollectiveSpec(n_spins=12, omega0=2.0, kappa=1.0),
+        CollectiveSpec(n_spins=12, omega0=0.5, kappa=1.0, basis="xy2"),
+    ])
+    def test_matches_term_maps_on_model_ansatze(self, spec):
+        model = build_model(spec)
+        expected = term_by_term_images(model.ansatz, model.rho_ss)
+        got = term_images(model.ansatz, model.rho_ss)
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    def test_non_hermitian_state_rejected(self, rng):
+        ansatz = random_ansatz(rng, 4, 1, 2)
+        params = random_params(rng, 1, 2)
+        rho = random_density(rng, 4)
+        rho[0, 1] += 1e-6
+        for call in (
+            lambda: term_images(ansatz, rho),
+            lambda: apply_lindbladian(params, ansatz, rho),
+            lambda: rapidity(params, ansatz, rho),
+        ):
+            with pytest.raises(NotHermitianError):
+                call()
+
+    def test_hermitian_part_of_a_nearly_hermitian_state_is_used(self, rng):
+        ansatz = random_ansatz(rng, 4, 1, 2)
+        rho = random_density(rng, 4)
+        skew = random_hermitian(rng, 4) * 1j
+        expected = term_images(ansatz, rho)
+        got = term_images(ansatz, rho + 1e-10 * skew)
+        assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+    def test_drives_stored_exactly_hermitian(self, rng):
+        h = random_hermitian(rng, 4)
+        h[0, 1] += 1e-12
+        stored = LindbladAnsatz(h_ops=(h,), jump_ops=()).h_ops[0]
+        np.testing.assert_array_equal(stored, stored.conj().T)
+        np.testing.assert_allclose(stored, h, atol=1e-12)
+        # an exactly Hermitian drive is kept as given, not copied
+        exact = random_hermitian(rng, 4)
+        assert LindbladAnsatz(h_ops=(exact,), jump_ops=()).h_ops[0] is exact
 
 
 class TestLindbladianParams:

@@ -10,6 +10,7 @@ from lindrec.engine import (
 )
 from lindrec.errors import DegenerateParamsError, UnsupportedVariantError
 from lindrec.models import (
+    MAX_HILBERT_DIM,
     CoherentSpec,
     CollectiveSpec,
     SqueezedSpec,
@@ -70,6 +71,14 @@ class TestBuildModel:
     def test_default_cutoffs_grow_with_squeezing(self):
         assert default_cutoff(SqueezedSpec(r=1.0)) > default_cutoff(SqueezedSpec(r=0.5))
         assert default_cutoff(CoherentSpec(alpha=3.0)) == 90
+
+    @pytest.mark.parametrize("spec", [
+        SqueezedSpec(r=3.0), SqueezedSpec(r=20.0), SqueezedSpec(r=1e3),
+        CoherentSpec(alpha=30.0), CoherentSpec(alpha=1e200j),
+    ])
+    def test_default_cutoff_beyond_the_bound_is_clipped(self, spec):
+        with np.errstate(all="raise"):
+            assert default_cutoff(spec) == MAX_HILBERT_DIM
 
 
 class TestCollectiveSteadyState:

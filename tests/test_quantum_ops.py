@@ -155,6 +155,16 @@ class TestSpinOps:
             s2, s * (s + 1) * np.eye(sector.dim), atol=1e-10
         )
 
+    @pytest.mark.parametrize("n_spins", [1, 2, 7, 40])
+    def test_raising_matches_elementwise_ladder(self, n_spins):
+        # reference: sqrt(s(s+1) - m(m+1)) entry by entry above the diagonal
+        sector = SpinSector(n_spins)
+        s, m = sector.total_spin, sector.total_spin - np.arange(sector.dim)
+        expected = np.zeros((sector.dim, sector.dim), dtype=complex)
+        for i in range(1, sector.dim):
+            expected[i - 1, i] = np.sqrt(s * (s + 1) - m[i] * (m[i] + 1))
+        np.testing.assert_array_equal(spin_ops(sector).sp, expected)
+
     def test_lowering_nilpotent_on_sector(self):
         n_spins = 6
         ops = spin_ops(SpinSector(n_spins))
