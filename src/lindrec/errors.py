@@ -13,6 +13,10 @@ class NotHermitianError(LindrecError):
     """Matrix asymmetry exceeds the rejection tolerance."""
 
 
+class NonFiniteError(LindrecError):
+    """Matrix argument holds a NaN or infinite entry."""
+
+
 class NonPositiveDataError(LindrecError):
     """Log-log regression received non-positive data."""
 

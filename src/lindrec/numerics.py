@@ -13,6 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    NonFiniteError,
     NonPositiveDataError,
     NonSquareError,
     NotHermitianError,
@@ -31,6 +32,13 @@ def _as_square(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
     return a
+
+
+def require_finite(a: np.ndarray, name: str) -> None:
+    """Raise ``NonFiniteError`` naming ``name`` when ``a`` holds a NaN or an
+    infinity; ``asymmetry`` is NaN then, and a tolerance check passes it."""
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"{name} has a non-finite entry")
 
 
 def asymmetry(a: np.ndarray) -> float:

@@ -25,6 +25,7 @@ from .numerics import (
     asymmetry,
     hermitian_coordinates,
     hermitian_from_coordinates,
+    require_finite,
 )
 
 # Largest supported superoperator dimension d^2.
@@ -169,9 +170,9 @@ def steady_state_of(
     Every path works in real arithmetic on T = Re(U^H S U), the vectorized
     generator S in the Hermitian operator basis U, which has the singular
     values of S; ||T x|| equals ||S vec(rho)|| for the state rho with
-    coordinates x.  A rate matrix whose asymmetry exceeds
-    ``HERMITICITY_REJECT_TOL`` raises ``NotHermitianError``; below that it
-    is replaced by its Hermitian part.
+    coordinates x.  Non-finite couplings or rates raise ``NonFiniteError``.
+    A rate matrix whose asymmetry exceeds ``HERMITICITY_REJECT_TOL`` raises
+    ``NotHermitianError``; below that it is replaced by its Hermitian part.
 
     Both methods work on the bordered matrix B: T with row 0 replaced by the
     trace row, so that B x = e_0 picks the null direction of trace 1.
@@ -191,6 +192,8 @@ def steady_state_of(
     """
     if method not in ("svd", "lu"):
         raise ValueError(f"unknown method {method!r}")
+    require_finite(params.c, "coupling vector c")
+    require_finite(params.gamma, "rate matrix gamma")
     asym = asymmetry(params.gamma)
     if asym > HERMITICITY_REJECT_TOL:
         raise NotHermitianError(f"rate-matrix asymmetry {asym:.3e} exceeds 1e-8")

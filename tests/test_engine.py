@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lindrec.engine import (
+    BANDED_DIAGONAL_RATIO,
     LindbladAnsatz,
     LindbladianParams,
     apply_d_term,
@@ -16,8 +17,14 @@ from lindrec.engine import (
     reverse_engineer,
     term_images,
     unpack_kernel_vector,
+    _Operator,
 )
-from lindrec.errors import DimMismatchError, NonPhysicalVectorError, NotHermitianError
+from lindrec.errors import (
+    DimMismatchError,
+    NonFiniteError,
+    NonPhysicalVectorError,
+    NotHermitianError,
+)
 from lindrec.models import (
     CoherentSpec,
     CollectiveSpec,
@@ -26,7 +33,7 @@ from lindrec.models import (
     analytic_kernel_vectors,
     build_model,
 )
-from lindrec.quantum_ops import FockSpace, boson_ops, mix_with_identity
+from lindrec.quantum_ops import FockSpace, SpinSector, boson_ops, mix_with_identity, spin_ops
 
 from conftest import random_ansatz, random_density, random_hermitian, random_params
 
@@ -81,6 +88,53 @@ def term_by_term_images(ansatz, rho):
     return np.array(drives + jumps).reshape(ansatz.n_params, ansatz.dim, ansatz.dim)
 
 
+# model ansaetze whose operators all lie above the banded-product crossover
+BANDED_SPECS = [
+    CollectiveSpec(n_spins=100, omega0=1.5, kappa=1.0),
+    SqueezedSpec(r=1.0, n_max=164),
+    SqueezedSpec(r=1.0, jumps="two", n_max=164),
+]
+
+
+class TestBandedProducts:
+    @staticmethod
+    def products(mat, rng):
+        """The left and right products of ``_Operator(mat)`` with a random
+        dense matrix, with their ``np.matmul`` references."""
+        dim = mat.shape[0]
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        op = _Operator(mat)
+        scratch = np.empty((min(32, dim), dim), dtype=complex)
+        left, right = np.full((2, dim, dim), np.nan, dtype=complex)
+        op.left(x, left, scratch)
+        op.right(x, right, scratch)
+        return op, (left, mat @ x), (right, x @ mat)
+
+    def test_single_off_diagonal(self, rng):
+        sp = spin_ops(SpinSector(60)).sp
+        op, *pairs = self.products(sp, rng)
+        assert [offset for offset, _ in op.diagonals] == [1]
+        for got, expected in pairs:
+            np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0)
+
+    def test_zero_operator(self, rng):
+        op, *pairs = self.products(np.zeros((45, 45), dtype=complex), rng)
+        assert op.diagonals == []
+        for got, _ in pairs:
+            np.testing.assert_array_equal(got, 0)
+
+    def test_operator_above_the_crossover_takes_the_dense_path(self, rng):
+        dim = 80
+        n_diag = dim // BANDED_DIAGONAL_RATIO + 1
+        diagonals = [np.diag(rng.standard_normal(dim - o) + 1j, o) for o in range(n_diag)]
+        op, *pairs = self.products(sum(diagonals), rng)
+        assert op.diagonals is None
+        for got, expected in pairs:
+            np.testing.assert_array_equal(got, expected)
+        # one diagonal fewer takes the banded path
+        assert _Operator(sum(diagonals[:-1])).diagonals is not None
+
+
 class TestTermImages:
     @pytest.mark.parametrize("n_drive, n_jump", [(2, 0), (0, 2), (1, 1), (2, 3), (3, 3)])
     def test_matches_term_maps_on_random_ansatze(self, rng, n_drive, n_jump):
@@ -97,12 +151,41 @@ class TestTermImages:
         SqueezedSpec(r=0.7, theta=0.4, jumps="two", n_max=60),
         CollectiveSpec(n_spins=12, omega0=2.0, kappa=1.0),
         CollectiveSpec(n_spins=12, omega0=0.5, kappa=1.0, basis="xy2"),
+        *BANDED_SPECS,
     ])
     def test_matches_term_maps_on_model_ansatze(self, spec):
         model = build_model(spec)
         expected = term_by_term_images(model.ansatz, model.rho_ss)
         got = term_images(model.ansatz, model.rho_ss)
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("spec", BANDED_SPECS)
+    def test_model_ansatze_above_the_crossover_are_banded(self, spec):
+        operators = build_model(spec).ansatz._operators
+        assert all(op.diagonals for group in operators for op in group)
+
+    def test_non_finite_state_rejected(self, rng):
+        ansatz = random_ansatz(rng, 4, 1, 2)
+        params = random_params(rng, 1, 2)
+        for bad in (np.nan, np.inf):
+            rho = random_density(rng, 4)
+            rho[2, 2] = bad
+            for call in (
+                lambda: term_images(ansatz, rho),
+                lambda: apply_lindbladian(params, ansatz, rho),
+                lambda: reverse_engineer(ansatz, rho),
+            ):
+                with pytest.raises(NonFiniteError, match="state"):
+                    call()
+
+    def test_non_finite_operator_rejected(self, rng):
+        h = random_hermitian(rng, 3)
+        h[0, 1] = h[1, 0] = np.nan
+        with pytest.raises(NonFiniteError, match="drive operator 0"):
+            LindbladAnsatz(h_ops=(h,), jump_ops=())
+        jumps = (np.eye(3), np.diag([1.0, np.inf, 0.0]))
+        with pytest.raises(NonFiniteError, match="jump operator 1"):
+            LindbladAnsatz(h_ops=(random_hermitian(rng, 3),), jump_ops=jumps)
 
     def test_non_hermitian_state_rejected(self, rng):
         ansatz = random_ansatz(rng, 4, 1, 2)
@@ -256,6 +339,28 @@ class TestCorrelationMatrix:
             assert np.linalg.norm(rebuilt - gram) <= 1e-13 * scale
             assert not np.iscomplexobj(corr.factor)
             assert np.array_equal(corr.factor, np.triu(corr.factor))
+
+    @pytest.mark.parametrize("case", [
+        # (d, J, K): random, drive-only, jump-only, d = 1 and d = 2
+        (7, 2, 3), (6, 3, 0), (6, 0, 3), (1, 1, 2), (2, 2, 2),
+        *BANDED_SPECS,
+    ])
+    def test_factor_matches_the_re_im_fold(self, rng, case):
+        # reference: the real and imaginary parts of all d^2 entries of the
+        # images in the basis P, 2 d^2 rows
+        if isinstance(case, tuple):
+            dim, n_drive, n_jump = case
+            ansatz, rho = random_ansatz(rng, dim, n_drive, n_jump), random_density(rng, dim)
+        else:
+            model = build_model(case)
+            ansatz, rho = model.ansatz, model.rho_ss
+        corr = build_correlation_matrix(ansatz, rho)
+        p = hermitian_parameter_basis(ansatz.n_drive, ansatz.n_jump)
+        entries = corr.images.reshape(ansatz.n_params, -1).T @ p
+        re_im = np.vstack([entries.real, entries.imag])
+        expected = re_im.T @ re_im
+        got = corr.factor.T @ corr.factor
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
     def test_factor_is_built_block_by_block(self, rng, monkeypatch):
         # more image entries than one block, so several QR folds happen

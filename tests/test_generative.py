@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lindrec.engine import (
+    BANDED_DIAGONAL_RATIO,
     FEASIBLE,
     MARKOV_TOL,
     LindbladAnsatz,
@@ -17,6 +18,7 @@ from lindrec.engine import (
     build_correlation_matrix,
     markovian_superposition_search,
     reverse_engineer,
+    _Operator,
 )
 from lindrec.models import SqueezedSpec, analytic_kernel_vectors
 from lindrec.verification import steady_state_of
@@ -176,3 +178,34 @@ def test_search_is_invariant_under_complex_remixing_of_the_basis(seed, dim, n_dr
     for params in b.solutions:
         vec = params.to_vector() / np.linalg.norm(params.to_vector())
         assert np.linalg.norm(span_a.conj().T @ vec) > 1 - 1e-8
+
+
+@SETTINGS
+@given(
+    seed=SEEDS,
+    dim=st.integers(BANDED_DIAGONAL_RATIO, 3 * BANDED_DIAGONAL_RATIO + 10),
+    corners=st.booleans(),
+)
+def test_banded_products_match_matmul(seed, dim, corners):
+    # complex diagonals at random offsets, as many as the banded path takes;
+    # with ``corners`` the outermost offsets +-(d - 1) are among them
+    rng = np.random.default_rng(seed)
+    n_diag = int(rng.integers(1, dim // BANDED_DIAGONAL_RATIO + 1))
+    offsets = rng.choice(np.arange(1 - dim, dim), n_diag, replace=False)
+    if corners:
+        offsets[:2] = (dim - 1, 1 - dim)[:n_diag]
+    mat = np.zeros((dim, dim), dtype=complex)
+    for o in offsets:
+        size = dim - abs(o)
+        mat += np.diag(rng.standard_normal(size) + 1j * rng.standard_normal(size), o)
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    op = _Operator(mat)
+    assert sorted(o for o, _ in op.diagonals) == sorted(set(offsets.tolist()))
+    scratch = np.empty((32, dim), dtype=complex)
+    out = np.full((dim, dim), np.nan, dtype=complex)
+    op.left(x, out, scratch)
+    scale = np.abs(mat).max() * np.abs(x).max()
+    np.testing.assert_allclose(out, mat @ x, rtol=0, atol=1e-14 * scale)
+    out[:] = np.nan
+    op.right(x, out, scratch)
+    np.testing.assert_allclose(out, x @ mat, rtol=0, atol=1e-14 * scale)

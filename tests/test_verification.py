@@ -9,7 +9,12 @@ from lindrec.engine import (
     repair_markovianity,
     reverse_engineer,
 )
-from lindrec.errors import DimMismatchError, DimTooLargeError, NotHermitianError
+from lindrec.errors import (
+    DimMismatchError,
+    DimTooLargeError,
+    NonFiniteError,
+    NotHermitianError,
+)
 from lindrec.models import (
     CoherentSpec,
     CollectiveSpec,
@@ -172,6 +177,16 @@ class TestSteadyState:
         assert asymmetry(gamma) == pytest.approx(1e-3, rel=1e-2)
         with pytest.raises(NotHermitianError):
             steady_state_of(LindbladianParams(c=params.c, gamma=gamma), ansatz)
+
+    def test_non_finite_parameters_rejected(self, rng):
+        ansatz = random_ansatz(rng, 3, 1, 2)
+        params = random_params(rng, 1, 2, hermitian_gamma=True)
+        gamma = params.gamma.copy()
+        gamma[0, 1] = np.nan
+        with pytest.raises(NonFiniteError, match="rate matrix gamma"):
+            steady_state_of(LindbladianParams(c=params.c, gamma=gamma), ansatz)
+        with pytest.raises(NonFiniteError, match="coupling"):
+            steady_state_of(LindbladianParams(c=[np.inf], gamma=params.gamma), ansatz)
 
     def test_coherent_reconstruction_recovers_target(self):
         model = build_model(CoherentSpec(alpha=1.0, n_max=40))
