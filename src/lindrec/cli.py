@@ -206,6 +206,8 @@ def _run_coherent(config: RunConfig) -> dict:
         ss = steady_state_of(result.solutions[0], model.ansatz, method="lu")
         payload["steady_state_error"] = norm_difference(ss.rho, model.rho_ss)
         payload["steady_state_residual"] = ss.residual
+        payload["steady_state_method"] = ss.method
+        payload["steady_state_fallback"] = ss.fallback
     return payload
 
 

@@ -1,15 +1,20 @@
 """Independent verification of reconstructed generators.
 
-The generator is vectorized into a dense d^2 x d^2 matrix acting on
-column-stacked states.  With real couplings and a Hermitian rate matrix it
-maps Hermitian matrices to Hermitian matrices, so in an orthonormal basis of
-Hermitian operators that matrix is real.  Steady states and residuals are
-obtained from the real matrix, without going through the correlation matrix.
+The generator is vectorized into a sparse d^2 x d^2 matrix acting on
+column-stacked states, a sum of Kronecker products of the operators.  With
+real couplings and a Hermitian rate matrix it maps Hermitian matrices to
+Hermitian matrices, so in an orthonormal basis of Hermitian operators that
+matrix is real.  Steady states and residuals are obtained from the sparse
+real matrix, without going through the correlation matrix: SuperLU solves
+it, and the certified path inverts it densely with LAPACK.  scipy is
+imported inside the functions that use it, so importing lindrec does not
+load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,6 +33,9 @@ from .numerics import (
     require_finite,
 )
 
+if TYPE_CHECKING:
+    from scipy import sparse
+
 # Largest supported superoperator dimension d^2.
 MAX_SUPEROP_DIM = 10_000
 
@@ -37,18 +45,23 @@ NULL_SV_TOL = 1e-8
 
 def vectorize_liouvillian(
     params: LindbladianParams, ansatz: LindbladAnsatz
-) -> np.ndarray:
-    """Build the d^2 x d^2 matrix whose action equals the generator.
+) -> sparse.csr_array:
+    """Build the sparse d^2 x d^2 matrix (a ``scipy.sparse`` CSR array) whose
+    action equals the generator.
 
-    Column stacking turns A rho B into (B^T kron A) vec(rho); the matrix is
-    filled through its (q1, p1, q2, p2) view instead of from Kronecker
-    products.  Trace preservation appears as the vectorized identity being
-    a left null vector of the result.  The jump terms sum_jk gamma_jk L_j rho L_k^dag form one
-    rank-K product of the flattened jump operators, so Hermitian and
-    non-Hermitian gamma share one path.  The drive and anticommutator terms
-    fold into one left and one right d x d matrix, each added once onto the
-    block diagonal.
+    Column stacking turns A rho B into (B^T kron A) vec(rho), so the matrix
+    is a sum of at most K + 2 Kronecker products.  With gamma = W diag(s) V^H
+    the jump terms sum_jk gamma_jk L_j rho L_k^dag are sum_m s_m A_m rho
+    B_m^dag over the channels A_m = sum_j W_jm L_j and B_m = sum_k V_km L_k,
+    one product conj(B_m) kron A_m each; for a Hermitian gamma these are its
+    eigen-channels up to sign, and a non-Hermitian gamma takes the same path.
+    The drive and anticommutator terms fold into one left and one right
+    d x d matrix, I kron left and right^T kron I.  Trace preservation
+    appears as the vectorized identity being a left null vector of the
+    result.
     """
+    from scipy import sparse
+
     d = ansatz.dim
     if d * d > MAX_SUPEROP_DIM:
         raise DimTooLargeError(f"superoperator dimension {d * d} exceeds {MAX_SUPEROP_DIM}")
@@ -59,60 +72,51 @@ def vectorize_liouvillian(
     if params.n_drive:
         left -= 1j * np.tensordot(params.c, np.array(ansatz.h_ops), axes=1)
     right = -left
+    terms = []
     if params.n_jump:
-        jumps = np.array(ansatz.jump_ops).reshape(params.n_jump, d * d)
-        weighted = params.gamma.T @ jumps  # row k: sum_j gamma_jk L_j
-        # entry (q1 q2, p1 p2) = sum_jk gamma_jk conj(L_k[q1, q2]) L_j[p1, p2]
-        sandwich = jumps.conj().T @ weighted
-        sup = np.ascontiguousarray(sandwich.reshape(d, d, d, d).transpose(0, 2, 1, 3))
-        del sandwich  # the d^4 product is not kept alongside the result
-        # sum_jk gamma_jk L_k^dag L_j
-        anticomm = np.einsum(
-            "kba,kbc->ac",
-            jumps.reshape(-1, d, d).conj(),
-            weighted.reshape(-1, d, d),
-        )
-        left -= 0.5 * anticomm
-        right -= 0.5 * anticomm
-    else:
-        sup = np.zeros((d, d, d, d), dtype=complex)
-    # sup[q1, p1, q2, p2]: left rho adds left[p1, p2] where q1 == q2,
-    # rho right adds right[q2, q1] where p1 == p2
-    diag = np.arange(d)
-    sup[diag, :, diag, :] += left
-    sup[:, diag, :, diag] += right.T
-    return sup.reshape(d * d, d * d)
+        jumps = np.array(ansatz.jump_ops)
+        w, s, vh = np.linalg.svd(params.gamma)
+        for s_m, a_m, b_m in zip(
+            s, np.tensordot(w.T, jumps, axes=1), np.tensordot(vh.conj(), jumps, axes=1)
+        ):
+            # sum_jk gamma_jk L_k^dag L_j = sum_m s_m B_m^dag A_m
+            anticomm = s_m * (b_m.conj().T @ a_m)
+            left -= 0.5 * anticomm
+            right -= 0.5 * anticomm
+            terms.append(s_m * sparse.kron(sparse.csr_array(b_m.conj()), sparse.csr_array(a_m)))
+    ident = sparse.eye_array(d, dtype=complex, format="csr")
+    terms.append(sparse.kron(ident, sparse.csr_array(left)))
+    terms.append(sparse.kron(sparse.csr_array(right.T), ident))
+    return sum(terms[1:], terms[0]).tocsr()
 
 
-def _real_superop(superop: np.ndarray, dim: int) -> np.ndarray:
-    """The real matrix Re(U^H S U) of the d^2 x d^2 superoperator S.
+def _hermitian_basis(dim: int) -> sparse.csc_array:
+    """The unitary U of ``numerics.hermitian_coordinates`` as a sparse CSC
+    array, with two entries in each column off the diagonal positions."""
+    from scipy import sparse
 
-    Formed by index arithmetic on the (q1, p1, q2, p2) view in O(d^4), one
-    block of rows at a time: U^H is applied to the rows of S in place, so S
-    is overwritten, then U to the columns of each row block, keeping the
-    real part.  For a Hermiticity-preserving S the imaginary part dropped is
-    roundoff, and the result has the singular values of S.
+    i, j = np.triu_indices(dim, 1)
+    upper, lower = i + j * dim, j + i * dim  # positions (i, j) and (j, i), i < j
+    diag = np.arange(dim) * (dim + 1)
+    half = np.full(upper.size, 2**-0.5)
+    # column (i, j): (E_ij + E_ji)/sqrt(2); column (j, i): i(E_ij - E_ji)/sqrt(2)
+    rows = np.concatenate([diag, upper, lower, upper, lower])
+    cols = np.concatenate([diag, upper, upper, lower, lower])
+    vals = np.concatenate([np.ones(dim), half, half, 1j * half, -1j * half])
+    return sparse.csc_array((vals, (rows, cols)), shape=(dim * dim, dim * dim))
+
+
+def _real_generator(superop: sparse.csr_array, dim: int) -> sparse.csr_array:
+    """The real matrix T = Re(U^H S U) of the sparse superoperator S, as a
+    CSR array without duplicate or explicit zero entries.
+
+    For a Hermiticity-preserving S the imaginary part dropped is roundoff,
+    and T has the singular values of S.
     """
-    blocks = superop.reshape(dim, dim, dim, dim)
-    half = 2**-0.5
-    for j in range(1, dim):
-        # rows of positions (i, j) and (j, i), i < j
-        upper, lower = blocks[j, :j], blocks[:j, j]
-        diff = lower - upper
-        upper += lower
-        upper *= half
-        np.multiply(diff, 1j * half, out=lower)
-    # columns of positions (p, q): symmetric where p < q, antisymmetric where
-    # p > q; the partner column is the transpose of the last two axes
-    q, p = np.indices((dim, dim))
-    sym, anti = p < q, p > q
-    out = np.empty((dim,) * 4)
-    for j in range(dim):
-        re, im = blocks[j].real, blocks[j].imag
-        out[j] = re
-        np.copyto(out[j], (re + re.transpose(0, 2, 1)) * half, where=sym)
-        np.copyto(out[j], (im - im.transpose(0, 2, 1)) * half, where=anti)
-    return out.reshape(dim * dim, dim * dim)
+    basis = _hermitian_basis(dim)
+    gen = (basis.conj().T @ superop @ basis).real
+    gen.eliminate_zeros()
+    return gen
 
 
 @dataclass
@@ -170,25 +174,29 @@ def steady_state_of(
     Every path works in real arithmetic on T = Re(U^H S U), the vectorized
     generator S in the Hermitian operator basis U, which has the singular
     values of S; ||T x|| equals ||S vec(rho)|| for the state rho with
-    coordinates x.  Non-finite couplings or rates raise ``NonFiniteError``.
-    A rate matrix whose asymmetry exceeds ``HERMITICITY_REJECT_TOL`` raises
+    coordinates x.  S, U and T are sparse: T is built from the operators'
+    Kronecker products and U has at most two entries per column, so only
+    the certified path and the SVD fallback hold a dense d^2 x d^2 matrix.
+    Non-finite couplings or rates raise ``NonFiniteError``.  A rate matrix
+    whose asymmetry exceeds ``HERMITICITY_REJECT_TOL`` raises
     ``NotHermitianError``; below that it is replaced by its Hermitian part.
 
     Both methods work on the bordered matrix B: T with row 0 replaced by the
     trace row, so that B x = e_0 picks the null direction of trace 1.
-    ``method='svd'`` inverts B once; the first column of the inverse is the
-    steady state, and the 1- and inf-norms of B^-1 and T bound
-    s_{n-1}(T)/s_0(T) from below (B differs from T in one row, so
-    s_{n-1}(T) >= s_min(B) by interlacing).  When that bound exceeds
-    ``NULL_SV_TOL`` and the state passes its residual gate, the SVD would
-    report a one-dimensional null space, so uniqueness is certified without
-    it (``method='inverse'`` in the result).  ``method='lu'`` solves
-    B x = e_0 instead, which verifies the residual but not multiplicity.
-    When the requested path fails, the full SVD of T runs as a fallback: it
-    takes the right singular vector of the smallest singular value and
-    counts the null-space multiplicity, and the result records why in
-    ``fallback``.  Raises ``NoSteadyStateError`` when no null direction
-    exists within tolerance.
+    ``method='svd'`` inverts the dense B once in place (LAPACK gesv); the
+    first column of the inverse is the steady state, and the 1- and
+    inf-norms of B^-1 and T bound s_{n-1}(T)/s_0(T) from below (B differs
+    from T in one row, so s_{n-1}(T) >= s_min(B) by interlacing).  When that
+    bound exceeds ``NULL_SV_TOL`` and the state passes its residual gate, the
+    SVD would report a one-dimensional null space, so uniqueness is
+    certified without it (``method='inverse'`` in the result).
+    ``method='lu'`` solves the sparse B x = e_0 with SuperLU instead, which
+    verifies the residual but not multiplicity.  When the requested path
+    fails, the full SVD of the densified T runs as a fallback: it takes the
+    right singular vector of the smallest singular value and counts the
+    null-space multiplicity, and the result records why in ``fallback``.
+    Raises ``NoSteadyStateError`` when no null direction exists within
+    tolerance.
     """
     if method not in ("svd", "lu"):
         raise ValueError(f"unknown method {method!r}")
@@ -201,9 +209,7 @@ def steady_state_of(
         c=params.c, gamma=(params.gamma + params.gamma.conj().T) / 2.0
     )
     dim = ansatz.dim
-    # S is overwritten by the transform and released on return, before the
-    # bordered matrix is allocated
-    gen = _real_superop(vectorize_liouvillian(hermitian, ansatz), dim)
+    gen = _real_generator(vectorize_liouvillian(hermitian, ansatz), dim)
     fast = _steady_state_inverse if method == "svd" else _steady_state_lu
     result = fast(gen, dim)
     if isinstance(result, SteadyStateResult):
@@ -213,8 +219,8 @@ def steady_state_of(
     return robust
 
 
-def _steady_state_svd(gen: np.ndarray, dim: int) -> SteadyStateResult:
-    _, s, vh = np.linalg.svd(gen)
+def _steady_state_svd(gen: sparse.csr_array, dim: int) -> SteadyStateResult:
+    _, s, vh = np.linalg.svd(gen.toarray())
     scale = float(s[0]) if s[0] > 0 else 1.0
     null_dim = int(np.sum(s <= NULL_SV_TOL * scale))
     if s[0] == 0.0:
@@ -233,53 +239,67 @@ def _steady_state_svd(gen: np.ndarray, dim: int) -> SteadyStateResult:
     )
 
 
-def _bordered(gen: np.ndarray, dim: int) -> np.ndarray:
-    """The real generator with row 0 replaced by the trace row.
+def _bordered(gen: sparse.csr_array, dim: int) -> sparse.csc_array:
+    """The real generator with row 0 replaced by the trace row, as a sparse
+    CSC array.
 
     Trace preservation makes row 0 equal to minus the sum of the other
     diagonal-index rows, so nothing is lost; B is nonsingular exactly when
     the null space is one-dimensional and its vectors have nonzero trace.
     """
-    mod = gen.copy()
-    mod[0] = 0.0
-    mod[0, np.arange(dim) * (dim + 1)] = 1.0
-    return mod
+    from scipy import sparse
+
+    trace_row = sparse.csr_array(
+        (np.ones(dim), (np.zeros(dim, dtype=int), np.arange(dim) * (dim + 1))),
+        shape=(1, dim * dim),
+    )
+    return sparse.vstack([trace_row, gen[1:]], format="csc")
 
 
 def _null_residual(
-    gen: np.ndarray, dim: int, coords: np.ndarray
+    gen: sparse.csr_array, dim: int, coords: np.ndarray
 ) -> tuple[np.ndarray, float, float]:
     """Canonical state of a candidate null vector, its residual ||T x||
     and the scale ||T||_F / d of the residual gates."""
     rho = _canonicalize_state(hermitian_from_coordinates(coords, dim))
     residual = float(np.linalg.norm(gen @ hermitian_coordinates(rho)))
-    scale = float(np.linalg.norm(gen, ord="fro")) / dim
+    # the stored entries of T are its nonzeros, each once
+    scale = float(np.linalg.norm(gen.data)) / dim
     return rho, residual, scale
 
 
-def _one_inf(a: np.ndarray) -> float:
-    """||a||_1 ||a||_inf, an upper bound on ||a||_2^2."""
-    return float(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))
+def _one_inf(magnitudes) -> float:
+    """||a||_1 ||a||_inf from the entrywise magnitudes |a| (dense or
+    sparse), an upper bound on ||a||_2^2."""
+    return float(magnitudes.sum(axis=0).max() * magnitudes.sum(axis=1).max())
 
 
-def _steady_state_inverse(gen: np.ndarray, dim: int) -> SteadyStateResult | str:
+def _steady_state_inverse(gen: sparse.csr_array, dim: int) -> SteadyStateResult | str:
     """Certified steady state from one inverse of the bordered matrix.
 
+    LAPACK gesv factors the dense bordered matrix B in place and overwrites
+    the identity with B^-1, so these two are the only d^2 x d^2 arrays.
     Returns the fallback reason instead of a result when the certificate is
     not issued.
     """
-    try:
-        inv = np.linalg.inv(_bordered(gen, dim))
-    except np.linalg.LinAlgError:
+    from scipy.linalg.lapack import dgesv
+
+    n = dim * dim
+    _, _, inv, info = dgesv(
+        _bordered(gen, dim).toarray(order="F"),
+        np.eye(n, order="F"),
+        overwrite_a=True,
+        overwrite_b=True,
+    )
+    if info != 0 or not np.all(np.isfinite(inv)):
         return "singular"
-    if not np.all(np.isfinite(inv)):
-        return "singular"
+    coords = inv[:, 0].copy()
     # s_{n-1}(T) >= s_min(B) = 1 / ||B^-1||_2 by interlacing (B is T with one
     # row replaced) and s_0(T) = ||T||_2; both 2-norms are bounded by _one_inf
-    bound = float(1.0 / np.sqrt(_one_inf(inv) * _one_inf(gen)))
+    bound = float(1.0 / np.sqrt(_one_inf(np.abs(inv, out=inv)) * _one_inf(abs(gen))))
     if not bound > NULL_SV_TOL:
         return "bound"
-    rho, residual, scale = _null_residual(gen, dim, inv[:, 0])
+    rho, residual, scale = _null_residual(gen, dim, coords)
     # ||T x|| / ||x|| <= NULL_SV_TOL * ||T||_F / d <= NULL_SV_TOL * s_0 puts a
     # null singular value below the SVD threshold (||x|| = ||rho||_F); it also
     # implies the absolute gate residual <= NULL_SV_TOL * max(1, ||T||_F / d)
@@ -294,13 +314,16 @@ def _steady_state_inverse(gen: np.ndarray, dim: int) -> SteadyStateResult | str:
     )
 
 
-def _steady_state_lu(gen: np.ndarray, dim: int) -> SteadyStateResult | str:
-    """Trace-constrained solve; returns the fallback reason on failure."""
+def _steady_state_lu(gen: sparse.csr_array, dim: int) -> SteadyStateResult | str:
+    """Trace-constrained sparse solve with SuperLU; returns the fallback
+    reason on failure."""
+    from scipy.sparse.linalg import splu
+
     rhs = np.zeros(dim * dim)
     rhs[0] = 1.0
     try:
-        vec = np.linalg.solve(_bordered(gen, dim), rhs)
-    except np.linalg.LinAlgError:
+        vec = splu(_bordered(gen, dim)).solve(rhs)
+    except RuntimeError:
         return "singular"
     if not np.all(np.isfinite(vec)):
         return "singular"

@@ -319,6 +319,21 @@ class TestRuns:
         assert sol["gamma"][0][0][1] == 0.0
         assert sol["rapidity_residual"] < 1e-16
 
+    def test_coherent_run_reports_how_it_was_verified(self, tmp_path):
+        reports = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["coherent", "--alpha", "1.5", "--out", str(out)]) == 0
+            report = load_report(out)
+            report.pop("meta")
+            report["config"].pop("out_dir")
+            reports.append(json.dumps(report, sort_keys=True).encode())
+        results = json.loads(reports[0])["results"]
+        assert results["steady_state_method"] == "lu"
+        assert results["steady_state_fallback"] is None
+        assert 0 <= results["steady_state_residual"] <= 1e-8
+        assert reports[0] == reports[1]
+
     def test_squeezed_run_reports_search(self, tmp_path):
         out = tmp_path / "sq"
         rc = main(

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lindrec
 from lindrec.engine import (
     LindbladAnsatz,
     LindbladianParams,
@@ -18,6 +24,7 @@ from lindrec.errors import (
 from lindrec.models import (
     CoherentSpec,
     CollectiveSpec,
+    SqueezedSpec,
     build_model,
     collective_generator_params,
 )
@@ -25,7 +32,7 @@ from lindrec.numerics import asymmetry
 from lindrec.quantum_ops import mix_with_identity
 from lindrec.verification import (
     NULL_SV_TOL,
-    _real_superop,
+    _real_generator,
     _steady_state_svd,
     norm_difference,
     steady_state_of,
@@ -62,6 +69,27 @@ def master_equation(params, ansatz, rho):
             out += params.gamma[j, k] * (
                 l_j @ rho @ l_k.conj().T - 0.5 * (kd_j @ rho + rho @ kd_j)
             )
+    return out
+
+
+def dense_superop(params, ansatz):
+    """The dense d^2 x d^2 generator term by term from the Lindblad form,
+    with vec(A rho B) = (B^T kron A) vec(rho)."""
+    dim = ansatz.dim
+    eye = np.eye(dim)
+    left = np.zeros((dim, dim), dtype=complex)
+    for c_j, h_j in zip(params.c, ansatz.h_ops):
+        left -= 1j * c_j * h_j
+    right = -left
+    out = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for j, l_j in enumerate(ansatz.jump_ops):
+        for k, l_k in enumerate(ansatz.jump_ops):
+            out += params.gamma[j, k] * np.kron(l_k.conj(), l_j)
+            kd_j = params.gamma[j, k] * (l_k.conj().T @ l_j)
+            left -= 0.5 * kd_j
+            right -= 0.5 * kd_j
+    out += np.kron(eye, left)
+    out += np.kron(right.T, eye)
     return out
 
 
@@ -111,7 +139,7 @@ class TestVectorize:
         ansatz = random_ansatz(rng, 3, 1, 1)
         params = LindbladianParams(c=np.zeros(1), gamma=np.zeros((1, 1)))
         superop = vectorize_liouvillian(params, ansatz)
-        assert np.all(superop == 0)
+        assert np.all(superop.toarray() == 0)
 
     def test_vectorized_identity_is_left_null(self, rng):
         ansatz = random_ansatz(rng, 4, 2, 2)
@@ -119,7 +147,7 @@ class TestVectorize:
         superop = vectorize_liouvillian(params, ansatz)
         ident = stack_state(np.eye(4, dtype=complex))
         residual = ident.conj() @ superop
-        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(superop)
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(superop.toarray())
 
     def test_dimension_guard(self):
         dim = 101
@@ -136,38 +164,99 @@ class TestHermitianBasis:
     def test_real_matrix_is_the_dense_change_of_basis(self, rng, dim):
         basis = hermitian_basis(dim)
         assert np.allclose(basis.conj().T @ basis, np.eye(dim * dim), atol=1e-15)
-        ansatz = random_ansatz(rng, dim, 2, 3)
-        params = random_params(rng, 2, 3, hermitian_gamma=True)
-        superop = vectorize_liouvillian(params, ansatz)
-        dense = basis.conj().T @ superop @ basis
+        for case in ("random", "no_drive", "no_jump", "zero_gamma", "zero_rate"):
+            n_drive = 0 if case == "no_drive" else 2
+            n_jump = 0 if case == "no_jump" else 3
+            ansatz = random_ansatz(rng, dim, n_drive, n_jump)
+            params = random_params(rng, n_drive, n_jump, hermitian_gamma=True)
+            if case == "zero_gamma":
+                params = LindbladianParams(c=params.c, gamma=np.zeros((n_jump, n_jump)))
+            elif case == "zero_rate":
+                params = LindbladianParams(c=params.c, gamma=gamma_with_zero_rate(rng, n_jump))
+            superop = dense_superop(params, ansatz)
+            dense = basis.conj().T @ superop @ basis
+            scale = np.abs(dense).max()
+            assert np.abs(dense.imag).max() <= 1e-14 * scale, case
+            real = _real_generator(vectorize_liouvillian(params, ansatz), dim)
+            assert real.dtype == np.float64
+            assert np.abs(real.toarray() - dense.real).max() <= 1e-14 * scale, case
+            s_real = np.linalg.svd(real.toarray(), compute_uv=False)
+            s_complex = np.linalg.svd(superop, compute_uv=False)
+            assert np.abs(s_real - s_complex).max() <= 1e-12 * s_complex[0], case
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            CollectiveSpec(n_spins=40, omega0=2.0, kappa=1.0, basis="xy2"),
+            CoherentSpec(alpha=1.5),
+            SqueezedSpec(r=0.5, theta=0.3, jumps="single", n_max=40),
+            SqueezedSpec(r=0.5, theta=0.3, jumps="two", n_max=40),
+        ],
+        ids=["collective", "coherent", "squeezed_single", "squeezed_two"],
+    )
+    def test_model_generators_are_the_dense_change_of_basis(self, spec):
+        from scipy import sparse
+
+        model = build_model(spec)
+        ansatz = model.ansatz
+        params = reverse_engineer(ansatz, model.rho_ss).solutions[0]
+        # U stored sparse only to keep the d^4-sized products cheap
+        basis = sparse.csc_array(hermitian_basis(ansatz.dim))
+        dense = basis.conj().T @ (dense_superop(params, ansatz) @ basis)
         scale = np.abs(dense).max()
-        assert np.abs(dense.imag).max() <= 1e-14 * scale
-        real = _real_superop(superop.copy(), dim)
+        # the largest column norm is a lower bound on s_0
+        lower = np.linalg.norm(dense, axis=0).max()
+        real = _real_generator(vectorize_liouvillian(params, ansatz), ansatz.dim)
         assert real.dtype == np.float64
-        assert np.abs(real - dense.real).max() <= 1e-14 * scale
-        s_real = np.linalg.svd(real, compute_uv=False)
-        s_complex = np.linalg.svd(superop, compute_uv=False)
-        assert np.abs(s_real - s_complex).max() <= 1e-12 * s_complex[0]
+        # T has at most d nonzeros per row on average, not d^2
+        assert real.nnz <= ansatz.dim * real.shape[0]
+        diff = real.toarray() - dense
+        assert np.abs(diff).max() <= 1e-14 * scale
+        # by Weyl's inequality every singular value of T is within ||T - U^H S U||_2
+        # <= ||T - U^H S U||_F of that of S, and lower <= s_0(S)
+        assert np.linalg.norm(diff) <= 1e-12 * lower
 
 
 class TestSteadyState:
     @pytest.mark.parametrize("method", ["svd", "lu"])
     def test_dense_solves_are_real(self, monkeypatch, method):
+        import scipy.linalg.lapack
+        import scipy.sparse.linalg
+
         seen = []
-        for name in ("inv", "solve"):
-            original = getattr(np.linalg, name)
+        for module, name in ((scipy.linalg.lapack, "dgesv"), (scipy.sparse.linalg, "splu")):
+            original = getattr(module, name)
 
             def spy(a, *args, _original=original, **kwargs):
-                seen.append(np.asarray(a).dtype)
+                seen.append(a.dtype)
                 return _original(a, *args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, name, spy)
+            monkeypatch.setattr(module, name, spy)
         spec = CollectiveSpec(n_spins=6, omega0=2.0, kappa=1.0)
         model = build_model(spec)
         out = steady_state_of(collective_generator_params(spec), model.ansatz, method=method)
         assert out.method == ("inverse" if method == "svd" else "lu")
         assert seen and all(dtype == np.float64 for dtype in seen)
         assert norm_difference(out.rho, model.rho_ss) < 1e-8
+
+    def test_certified_inverse_overwrites_its_inputs(self, monkeypatch):
+        # gesv copies an input that is not Fortran-ordered float64 instead of
+        # overwriting it, which would add a third d^2 x d^2 array
+        import scipy.linalg.lapack
+
+        original = scipy.linalg.lapack.dgesv
+        calls = []
+
+        def spy(a, b, **kwargs):
+            out = original(a, b, **kwargs)
+            calls.append((out[0] is a, out[2] is b, kwargs))
+            return out
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgesv", spy)
+        spec = CollectiveSpec(n_spins=6, omega0=2.0, kappa=1.0)
+        out = steady_state_of(collective_generator_params(spec), build_model(spec).ansatz)
+        assert out.method == "inverse"
+        assert calls == [(True, True, {"overwrite_a": True, "overwrite_b": True})]
 
     def test_non_hermitian_rate_matrix_rejected(self, rng):
         ansatz = random_ansatz(rng, 3, 1, 2)
@@ -217,12 +306,13 @@ class TestSteadyState:
     def test_zero_generator_reports_multiplicity(self, rng):
         ansatz = random_ansatz(rng, 3, 1, 1)
         params = LindbladianParams(c=np.zeros(1), gamma=np.zeros((1, 1)))
-        out = steady_state_of(params, ansatz)
-        assert out.null_space_dim == 9
-        assert out.unique is False
-        assert out.method == "svd"
-        assert out.fallback == "singular"
-        assert out.uniqueness_bound is None
+        for method in ("svd", "lu"):
+            out = steady_state_of(params, ansatz, method=method)
+            assert out.null_space_dim == 9
+            assert out.unique is False
+            assert out.method == "svd"
+            assert out.fallback == "singular"
+            assert out.uniqueness_bound is None
 
     def test_certified_state_matches_svd_verdict(self, rng):
         certified = 0
@@ -243,13 +333,13 @@ class TestSteadyState:
             assert out.unique and out.fallback is None
             assert out.uniqueness_bound > NULL_SV_TOL
             superop = vectorize_liouvillian(params, ansatz)
-            robust = _steady_state_svd(_real_superop(superop.copy(), dim), dim)
+            robust = _steady_state_svd(_real_generator(superop, dim), dim)
             assert robust.null_space_dim == 1
             assert norm_difference(out.rho, robust.rho) <= 1e-10
             # the certificate is a lower bound on the true singular-value ratio
-            s = np.linalg.svd(superop, compute_uv=False)
+            s = np.linalg.svd(superop.toarray(), compute_uv=False)
             assert out.uniqueness_bound <= s[-2] / s[0]
-            limit = NULL_SV_TOL * max(1.0, np.linalg.norm(superop) / dim)
+            limit = NULL_SV_TOL * max(1.0, np.linalg.norm(superop.toarray()) / dim)
             assert out.residual <= limit
         assert certified >= 30
 
@@ -296,6 +386,26 @@ class TestSteadyState:
         assert out.method == "svd"
         assert out.fallback is not None
         assert out.null_space_dim >= 2
+
+
+class TestLazyScipy:
+    def test_importing_the_package_and_cli_loads_no_scipy(self):
+        code = (
+            "import sys, lindrec, lindrec.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        # the child finds lindrec where this process found it
+        path = os.pathsep.join(
+            filter(None, [str(Path(lindrec.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestDiagnostics:
