@@ -46,15 +46,15 @@ FACTOR_BLOCK_ROWS = 4096
 # An operator with n nonzero diagonals is multiplied by one shifted product
 # per diagonal when BANDED_DIAGONAL_RATIO * n <= d, and by np.matmul
 # otherwise.  Measured against np.matmul with d x d complex operands (2 vCPU,
-# OpenBLAS with 2 threads): the banded product from the left wins up to about
-# d / 30 diagonals and the one from the right up to about d / 55, from
-# d = 41 to 401; at d <= 21 np.matmul wins even for one diagonal.  On the
-# model ansaetze this ratio makes ``term_images`` as fast as all-dense
-# products at d = 41 and 1.6-2x faster from d = 81 on.
+# OpenBLAS with 2 threads): the banded product of a C-ordered operand wins
+# up to about d / 30 diagonals from d = 41 to 401; at d <= 21 np.matmul wins
+# even for one diagonal.  On the model ansaetze this ratio makes
+# ``term_images`` as fast as all-dense products at d = 41 and 1.6-2x faster
+# from d = 81 on.
 BANDED_DIAGONAL_RATIO = 40
 
 # Rows of a banded product formed per shifted multiply, which bounds its
-# scratch buffer.
+# block buffer.
 BANDED_BLOCK_ROWS = 32
 
 # PSD tolerance defining the Markovianity flag.
@@ -72,7 +72,7 @@ class _Operator:
     ``diagonals`` lists (offset o, values) with values[r] = mat[r, r + o],
     zero where r + o lies outside the matrix; it is None for an operator
     with more diagonals, whose products are ``np.matmul``.  ``out`` must not
-    overlap ``x``, and ``scratch`` is a (rows, d) work array.
+    overlap ``x`` and is best C-ordered; ``x`` may be a transposed view.
     """
 
     def __init__(self, mat: np.ndarray):
@@ -99,40 +99,25 @@ class _Operator:
             values[max(0, -offset):dim - max(0, offset)] = np.diagonal(mat, offset)
             self.diagonals.append((offset, values))
 
-    def left(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    def left(self, x: np.ndarray, out: np.ndarray) -> None:
         """out = mat @ x."""
         if self.diagonals is None:
             np.matmul(self.mat, x, out=out)
             return
         dim = x.shape[0]
-        for lo in range(0, dim, len(scratch)):
-            hi = min(lo + len(scratch), dim)
+        block = np.empty((min(BANDED_BLOCK_ROWS, dim), dim), dtype=complex)
+        for lo in range(0, dim, len(block)):
+            hi = min(lo + len(block), dim)
             out[lo:hi] = 0
             for offset, values in self.diagonals:
                 # row r gains values[r] * x[r + offset]
                 start, stop = max(lo, -offset), min(hi, dim - offset)
                 if start < stop:
-                    part = scratch[:stop - start]
+                    part = block[:stop - start]
                     np.multiply(
                         values[start:stop, None], x[start + offset:stop + offset], out=part
                     )
                     out[start:stop] += part
-
-    def right(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """out = x @ mat."""
-        if self.diagonals is None:
-            np.matmul(x, self.mat, out=out)
-            return
-        dim = x.shape[0]
-        for lo in range(0, dim, len(scratch)):
-            hi = min(lo + len(scratch), dim)
-            out[lo:hi] = 0
-            for offset, values in self.diagonals:
-                # column c + offset gains x[:, c] * values[c]
-                start, stop = max(0, -offset), dim - max(0, offset)
-                part = scratch[:hi - lo, :stop - start]
-                np.multiply(x[lo:hi, start:stop], values[start:stop], out=part)
-                out[lo:hi, start + offset:stop + offset] += part
 
 
 @dataclass(frozen=True)
@@ -141,8 +126,8 @@ class LindbladAnsatz:
 
     All operators share one dimension and have finite entries
     (``NonFiniteError`` otherwise); every drive generator must be Hermitian
-    within 1e-10, and its Hermitian part is stored.  At least one generator
-    (drive or jump) is required.
+    within 1e-10 (``NotHermitianError`` otherwise), and its Hermitian part
+    is stored.  At least one generator (drive or jump) is required.
     """
 
     h_ops: tuple[np.ndarray, ...]
@@ -159,7 +144,7 @@ class LindbladAnsatz:
         for idx, h in enumerate(h_ops):
             require_finite(h, f"drive operator {idx}")
             if asymmetry(h) > 1e-10:
-                raise DimMismatchError(f"drive operator {idx} is not Hermitian")
+                raise NotHermitianError(f"drive operator {idx} is not Hermitian")
         # the Hermitian parts, so that rho h is exactly the adjoint of h rho
         # in ``term_images``; an exactly Hermitian drive is kept, not copied
         h_ops = tuple(
@@ -298,9 +283,9 @@ def term_images(ansatz: LindbladAnsatz, rho: np.ndarray) -> np.ndarray:
     anticommutator halves) instead of the 2J + 5K^2 of ``apply_h_term`` and
     ``apply_d_term``.  A banded operator (``BANDED_DIAGONAL_RATIO``) takes
     one shifted multiply per nonzero diagonal, O(d^2) each; any other takes
-    a dense O(d^3) product.  Besides the stack and the Hermitian part of
-    ``rho``, two d x d work arrays and a ``BANDED_BLOCK_ROWS`` x d scratch
-    block are held.
+    a dense O(d^3) product.  Every product is taken from the left.  Besides
+    the stack and the Hermitian part of ``rho``, two d x d work arrays and
+    the ``BANDED_BLOCK_ROWS`` x d block of a banded product are held.
     """
     rho = np.asarray(rho, dtype=complex)
     dim, n_drive, n_jump = ansatz.dim, ansatz.n_drive, ansatz.n_jump
@@ -317,9 +302,8 @@ def term_images(ansatz: LindbladAnsatz, rho: np.ndarray) -> np.ndarray:
     # filled in place, so the stack is never held twice
     images = np.empty((ansatz.n_params, dim, dim), dtype=complex)
     work = np.empty((dim, dim), dtype=complex)
-    scratch = np.empty((min(BANDED_BLOCK_ROWS, dim), dim), dtype=complex)
     for image, h in zip(images, drives):
-        h.left(rho, work, scratch)
+        h.left(rho, work)
         np.conjugate(work.T, out=image)
         np.subtract(work, image, out=image)
         image *= -1j
@@ -327,17 +311,18 @@ def term_images(ansatz: LindbladAnsatz, rho: np.ndarray) -> np.ndarray:
     # conjugates of the products with l_k^dag, with no adjoint copy
     conj_a = np.empty((dim, dim), dtype=complex)
     for j, l_j in enumerate(jumps):
-        l_j.left(rho, conj_a, scratch)
+        l_j.left(rho, conj_a)
         np.conjugate(conj_a, out=conj_a)
         for k in range(j, n_jump):
-            jumps_t[k].right(conj_a, work, scratch)
-            np.conjugate(work, out=images[n_drive + j * n_jump + k])
+            # work = l_k A_j^dag, the adjoint of the sandwich A_j l_k^dag
+            jumps[k].left(conj_a.T, work)
+            np.conjugate(work.T, out=images[n_drive + j * n_jump + k])
             if k != j:
-                images[n_drive + k * n_jump + j] = work.T
+                images[n_drive + k * n_jump + j] = work
         for k, l_k_t in enumerate(jumps_t):
             # work = conj(l_k^dag A_j) / 2, subtracted from (j, k) and its
             # adjoint from (k, j)
-            l_k_t.left(conj_a, work, scratch)
+            l_k_t.left(conj_a, work)
             work *= 0.5
             images[n_drive + k * n_jump + j] -= work.T
             np.conjugate(work, out=work)

@@ -197,7 +197,7 @@ def collective_steady_state(n_spins: int, omega0: float, kappa: float) -> np.nda
     eta = sum_{j=0}^{N} (S_- / beta)^j with beta = -i omega0 N / (2 kappa);
     powers beyond j = N vanish by ladder nilpotency.  S_- has a single
     nonzero subdiagonal, so eta is lower triangular with
-    eta[c + j, c] = prod_{t=c+1..c+j} step[t, t-1], built in O(d^2) as a
+    eta[c + j, c] = prod_{t=c+1..c+j} S_-[t, t-1] / beta, built in O(d^2) as a
     column-wise cumulative product.  The density matrix is eta eta^dag
     normalized (this product ordering is the one annihilated by the
     generator; the construction is verified against it to 1e-10 before
@@ -212,12 +212,12 @@ def collective_steady_state(n_spins: int, omega0: float, kappa: float) -> np.nda
     sector = SpinSector(n_spins)
     ops = spin_ops(sector)
     beta = -1j * omega0 * n_spins / (2.0 * kappa)
-    step = ops.sm / beta
-    # factors[i, c] is step[i, i-1] below the diagonal and 1 elsewhere, so
-    # the cumulative product down column c is 1 up to row c and then the
-    # ladder product; the upper triangle is dropped afterwards
+    step = np.diagonal(ops.sm, -1) / beta
+    # factors[i, c] is S_-[i, i-1] / beta below the diagonal and 1
+    # elsewhere, so the cumulative product down column c is 1 up to row c
+    # and then the ladder product; the upper triangle is dropped afterwards
     rows = np.arange(sector.dim)
-    sub = np.concatenate(([1.0], np.diagonal(step, -1)))
+    sub = np.concatenate(([1.0], step))
     factors = np.where(rows[:, None] > rows[None, :], sub[:, None], 1.0)
     eta = np.tril(np.cumprod(factors, axis=0))
     rho = eta @ eta.conj().T

@@ -99,16 +99,15 @@ BANDED_SPECS = [
 class TestBandedProducts:
     @staticmethod
     def products(mat, rng):
-        """The left and right products of ``_Operator(mat)`` with a random
-        dense matrix, with their ``np.matmul`` references."""
+        """The products of ``_Operator(mat)`` with a random dense matrix and
+        with its transposed view, with their ``np.matmul`` references."""
         dim = mat.shape[0]
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         op = _Operator(mat)
-        scratch = np.empty((min(32, dim), dim), dtype=complex)
-        left, right = np.full((2, dim, dim), np.nan, dtype=complex)
-        op.left(x, left, scratch)
-        op.right(x, right, scratch)
-        return op, (left, mat @ x), (right, x @ mat)
+        left, left_t = np.full((2, dim, dim), np.nan, dtype=complex)
+        op.left(x, left)
+        op.left(x.T, left_t)
+        return op, (left, mat @ x), (left_t, mat @ x.T)
 
     def test_single_off_diagonal(self, rng):
         sp = spin_ops(SpinSector(60)).sp
@@ -186,6 +185,10 @@ class TestTermImages:
         jumps = (np.eye(3), np.diag([1.0, np.inf, 0.0]))
         with pytest.raises(NonFiniteError, match="jump operator 1"):
             LindbladAnsatz(h_ops=(random_hermitian(rng, 3),), jump_ops=jumps)
+
+    def test_non_hermitian_drive_rejected(self):
+        with pytest.raises(NotHermitianError, match="drive operator 0"):
+            LindbladAnsatz(h_ops=(np.array([[0, 1], [0, 0]]),), jump_ops=())
 
     def test_non_hermitian_state_rejected(self, rng):
         ansatz = random_ansatz(rng, 4, 1, 2)
