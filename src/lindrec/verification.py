@@ -5,10 +5,10 @@ column-stacked states, a sum of Kronecker products of the operators.  With
 real couplings and a Hermitian rate matrix it maps Hermitian matrices to
 Hermitian matrices, so in an orthonormal basis of Hermitian operators that
 matrix is real.  Steady states and residuals are obtained from the sparse
-real matrix, without going through the correlation matrix: SuperLU solves
-it, and the certified path inverts it densely with LAPACK.  scipy is
-imported inside the functions that use it, so importing lindrec does not
-load it.
+real matrix, without going through the correlation matrix: SuperLU
+factors it once, and the certified path inverts those factors densely in
+place with LAPACK.  scipy is imported inside the functions that use it, so
+importing lindrec does not load it.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .numerics import (
 
 if TYPE_CHECKING:
     from scipy import sparse
+    from scipy.sparse.linalg import SuperLU
 
 # Largest supported superoperator dimension d^2.
 MAX_SUPEROP_DIM = 10_000
@@ -182,19 +183,20 @@ def steady_state_of(
     ``NotHermitianError``; below that it is replaced by its Hermitian part.
 
     Both methods work on the bordered matrix B: T with row 0 replaced by the
-    trace row, so that B x = e_0 picks the null direction of trace 1.
-    ``method='svd'`` inverts the dense B once in place (LAPACK gesv); the
-    first column of the inverse is the steady state, and the 1- and
-    inf-norms of B^-1 and T bound s_{n-1}(T)/s_0(T) from below (B differs
-    from T in one row, so s_{n-1}(T) >= s_min(B) by interlacing).  When that
-    bound exceeds ``NULL_SV_TOL`` and the state passes its residual gate, the
-    SVD would report a one-dimensional null space, so uniqueness is
-    certified without it (``method='inverse'`` in the result).
-    ``method='lu'`` solves the sparse B x = e_0 with SuperLU instead, which
-    verifies the residual but not multiplicity.  When the requested path
-    fails, the full SVD of the densified T runs as a fallback: it takes the
-    right singular vector of the smallest singular value and counts the
-    null-space multiplicity, and the result records why in ``fallback``.
+    trace row, so that B x = e_0 picks the null direction of trace 1.  Both
+    factor the sparse B once with SuperLU and solve B x = e_0 for the
+    steady state.  ``method='lu'`` stops there, which verifies the residual
+    but not multiplicity.  ``method='svd'`` also inverts the factors into
+    one dense array in place (LAPACK getri), a permutation of B^-1, and the
+    1- and inf-norms of B^-1 and T bound s_{n-1}(T)/s_0(T) from below (B
+    differs from T in one row, so s_{n-1}(T) >= s_min(B) by interlacing).
+    When that bound exceeds ``NULL_SV_TOL`` and the state passes its
+    residual gate, the SVD would report a one-dimensional null space, so
+    uniqueness is certified without it (``method='inverse'`` in the
+    result).  When the requested path fails, the full SVD of the densified
+    T runs as a fallback: it takes the right singular vector of the
+    smallest singular value and counts the null-space multiplicity, and the
+    result records why in ``fallback``.
     Raises ``NoSteadyStateError`` when no null direction exists within
     tolerance.
     """
@@ -274,26 +276,58 @@ def _one_inf(magnitudes) -> float:
     return float(magnitudes.sum(axis=0).max() * magnitudes.sum(axis=1).max())
 
 
+def _factor_bordered(
+    gen: sparse.csr_array, dim: int
+) -> tuple[SuperLU, np.ndarray] | None:
+    """SuperLU factors of the sparse bordered matrix B and the solution of
+    B x = e_0, or None when B is singular."""
+    from scipy.sparse.linalg import splu
+
+    rhs = np.zeros(dim * dim)
+    rhs[0] = 1.0
+    try:
+        lu = splu(_bordered(gen, dim))
+    except RuntimeError:
+        return None
+    vec = lu.solve(rhs)
+    if not np.all(np.isfinite(vec)):
+        return None
+    return lu, vec
+
+
 def _steady_state_inverse(gen: sparse.csr_array, dim: int) -> SteadyStateResult | str:
-    """Certified steady state from one inverse of the bordered matrix.
+    """Certified steady state from the SuperLU factors of the bordered matrix.
 
-    LAPACK gesv factors the dense bordered matrix B in place and overwrites
-    the identity with B^-1, so these two are the only d^2 x d^2 arrays.
-    Returns the fallback reason instead of a result when the certificate is
-    not issued.
+    SuperLU factors Pr B Pc = LU.  U and the strict lower part of L are
+    packed into one dense Fortran-ordered array, which LAPACK getri
+    overwrites with (LU)^-1 = Pc^T B^-1 Pr^T, so that array is the only
+    d^2 x d^2 one.  The 1- and inf-norms of the bound do not change under
+    those permutations.  Returns the fallback reason instead of a result
+    when the certificate is not issued.
     """
-    from scipy.linalg.lapack import dgesv
+    from scipy.linalg.lapack import dgetri, dgetri_lwork
 
+    factored = _factor_bordered(gen, dim)
+    if factored is None:
+        return "singular"
+    lu, coords = factored
     n = dim * dim
-    _, _, inv, info = dgesv(
-        _bordered(gen, dim).toarray(order="F"),
-        np.eye(n, order="F"),
-        overwrite_a=True,
-        overwrite_b=True,
+    packed = lu.U.toarray(order="F")
+    # getri takes the unit diagonal of L as implied; scattering the strict
+    # lower part in place adds no sparse temporaries to the dense peak
+    lower = lu.L.tocoo()
+    strict = lower.row > lower.col
+    packed[lower.row[strict], lower.col[strict]] = lower.data[strict]
+    # SuperLU already pivoted the rows, so getri sees identity pivots; its
+    # default workspace of 3n leaves it unblocked, 3.5 times slower at d = 41
+    inv, info = dgetri(
+        packed,
+        np.arange(n, dtype=np.int32),
+        lwork=int(dgetri_lwork(n)[0]),
+        overwrite_lu=True,
     )
     if info != 0 or not np.all(np.isfinite(inv)):
         return "singular"
-    coords = inv[:, 0].copy()
     # s_{n-1}(T) >= s_min(B) = 1 / ||B^-1||_2 by interlacing (B is T with one
     # row replaced) and s_0(T) = ||T||_2; both 2-norms are bounded by _one_inf
     bound = float(1.0 / np.sqrt(_one_inf(np.abs(inv, out=inv)) * _one_inf(abs(gen))))
@@ -317,17 +351,10 @@ def _steady_state_inverse(gen: sparse.csr_array, dim: int) -> SteadyStateResult 
 def _steady_state_lu(gen: sparse.csr_array, dim: int) -> SteadyStateResult | str:
     """Trace-constrained sparse solve with SuperLU; returns the fallback
     reason on failure."""
-    from scipy.sparse.linalg import splu
-
-    rhs = np.zeros(dim * dim)
-    rhs[0] = 1.0
-    try:
-        vec = splu(_bordered(gen, dim)).solve(rhs)
-    except RuntimeError:
+    factored = _factor_bordered(gen, dim)
+    if factored is None:
         return "singular"
-    if not np.all(np.isfinite(vec)):
-        return "singular"
-    rho, residual, scale = _null_residual(gen, dim, vec)
+    rho, residual, scale = _null_residual(gen, dim, factored[1])
     if residual > NULL_SV_TOL * max(1.0, scale):
         return "residual"
     return SteadyStateResult(rho=rho, residual=residual, null_space_dim=None, method="lu")

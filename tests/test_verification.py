@@ -14,6 +14,7 @@ from lindrec.engine import (
     rapidity,
     repair_markovianity,
     reverse_engineer,
+    unpack_kernel_vector,
 )
 from lindrec.errors import (
     DimMismatchError,
@@ -32,6 +33,8 @@ from lindrec.numerics import asymmetry
 from lindrec.quantum_ops import mix_with_identity
 from lindrec.verification import (
     NULL_SV_TOL,
+    _bordered,
+    _one_inf,
     _real_generator,
     _steady_state_svd,
     norm_difference,
@@ -46,6 +49,17 @@ from conftest import (
     random_hermitian,
     random_params,
 )
+
+
+def random_generators(rng, trials):
+    """Seeded random ansaetze of dimension 2 to 8 with repaired Markovian
+    rates, as (dim, ansatz, params)."""
+    for trial in range(trials):
+        dim = 2 + trial % 7
+        n_drive, n_jump = int(rng.integers(0, 3)), int(rng.integers(1, 4))
+        ansatz = random_ansatz(rng, dim, n_drive, n_jump)
+        params = repair_markovianity(random_params(rng, n_drive, n_jump, hermitian_gamma=True))
+        yield dim, ansatz, params
 
 
 def stack_state(rho):
@@ -224,7 +238,7 @@ class TestSteadyState:
         import scipy.sparse.linalg
 
         seen = []
-        for module, name in ((scipy.linalg.lapack, "dgesv"), (scipy.sparse.linalg, "splu")):
+        for module, name in ((scipy.linalg.lapack, "dgetri"), (scipy.sparse.linalg, "splu")):
             original = getattr(module, name)
 
             def spy(a, *args, _original=original, **kwargs):
@@ -240,23 +254,75 @@ class TestSteadyState:
         assert norm_difference(out.rho, model.rho_ss) < 1e-8
 
     def test_certified_inverse_overwrites_its_inputs(self, monkeypatch):
-        # gesv copies an input that is not Fortran-ordered float64 instead of
-        # overwriting it, which would add a third d^2 x d^2 array
+        # getri copies an input that is not Fortran-ordered float64 instead of
+        # overwriting it, which would add a second d^2 x d^2 array
         import scipy.linalg.lapack
 
-        original = scipy.linalg.lapack.dgesv
+        original = scipy.linalg.lapack.dgetri
         calls = []
 
-        def spy(a, b, **kwargs):
-            out = original(a, b, **kwargs)
-            calls.append((out[0] is a, out[2] is b, kwargs))
+        def spy(lu, piv, **kwargs):
+            out = original(lu, piv, **kwargs)
+            calls.append((out[0] is lu, kwargs["overwrite_lu"]))
             return out
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgesv", spy)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgetri", spy)
         spec = CollectiveSpec(n_spins=6, omega0=2.0, kappa=1.0)
         out = steady_state_of(collective_generator_params(spec), build_model(spec).ansatz)
         assert out.method == "inverse"
-        assert calls == [(True, True, {"overwrite_a": True, "overwrite_b": True})]
+        assert calls == [(True, True)]
+
+    def test_certified_inverse_is_as_accurate_as_a_dense_inverse(self, monkeypatch, rng):
+        import scipy.linalg.lapack
+        import scipy.sparse.linalg
+
+        kept = {}
+        splu, dgetri = scipy.sparse.linalg.splu, scipy.linalg.lapack.dgetri
+
+        def spy_splu(a, *args, **kwargs):
+            kept["lu"] = splu(a, *args, **kwargs)
+            return kept["lu"]
+
+        def spy_dgetri(a, *args, **kwargs):
+            out = dgetri(a, *args, **kwargs)
+            # the certified path overwrites the inverse with its magnitudes
+            kept["inv"] = out[0].copy()
+            return out
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy_splu)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgetri", spy_dgetri)
+        # the weak-regime robustness row at N = 40, eps = 1e-3 (d^2 = 1681)
+        spec = CollectiveSpec(n_spins=40, omega0=2.0, kappa=1.0, basis="xy2")
+        model = build_model(spec)
+        result = reverse_engineer(model.ansatz, mix_with_identity(model.rho_ss, 1e-3))
+        ansatz = model.ansatz
+        params = unpack_kernel_vector(result.eigenvectors[:, 0], ansatz.n_drive, ansatz.n_jump)
+        cases = [(ansatz.dim, ansatz, params), *random_generators(rng, 16)]
+        certified = []
+        for dim, ansatz, params in cases:
+            kept.clear()
+            out = steady_state_of(params, ansatz)
+            if out.method != "inverse":
+                continue
+            certified.append(dim)
+            hermitian = LindbladianParams(
+                c=params.c, gamma=(params.gamma + params.gamma.conj().T) / 2
+            )
+            gen = _real_generator(vectorize_liouvillian(hermitian, ansatz), dim)
+            bordered = _bordered(gen, dim).toarray()
+            reference = np.linalg.inv(bordered)
+            ref_bound = 1.0 / np.sqrt(_one_inf(np.abs(reference)) * _one_inf(abs(gen)))
+            assert out.uniqueness_bound == pytest.approx(ref_bound, rel=1e-12)
+            # getri inverts Pr B Pc = LU, so with X = Pc inv Pr the residual
+            # B X - I is a permutation of (Pr B Pc) inv - I
+            lu, inv = kept["lu"], kept["inv"]
+            permuted = bordered[np.argsort(lu.perm_r)][:, np.argsort(lu.perm_c)]
+            ident = np.eye(dim * dim)
+            ref_residual = np.linalg.norm(bordered @ reference - ident)
+            assert np.linalg.norm(permuted @ inv - ident) <= 4 * ref_residual
+            solved = steady_state_of(params, ansatz, method="lu")
+            assert norm_difference(out.rho, solved.rho) <= 1e-12
+        assert certified[0] == 41 and len(certified) >= 10
 
     def test_non_hermitian_rate_matrix_rejected(self, rng):
         ansatz = random_ansatz(rng, 3, 1, 2)
@@ -316,13 +382,7 @@ class TestSteadyState:
 
     def test_certified_state_matches_svd_verdict(self, rng):
         certified = 0
-        for trial in range(40):
-            dim = 2 + trial % 7
-            n_drive, n_jump = int(rng.integers(0, 3)), int(rng.integers(1, 4))
-            ansatz = random_ansatz(rng, dim, n_drive, n_jump)
-            params = repair_markovianity(
-                random_params(rng, n_drive, n_jump, hermitian_gamma=True)
-            )
+        for dim, ansatz, params in random_generators(rng, 40):
             out = steady_state_of(params, ansatz)
             if out.method != "inverse":
                 # only degenerate draws (a zero repaired gamma) fall back here
@@ -455,8 +515,6 @@ class TestConsistency:
         res = reverse_engineer(model.ansatz, rho_eps)
         assert not res.feasible
         # the best direction still fails to annihilate the noisy target
-        from lindrec.engine import unpack_kernel_vector
-
         vec = res.eigenvectors[:, 0]
         params = unpack_kernel_vector(vec, 2, 2)
         assert rapidity(params, model.ansatz, rho_eps) > 1e-10
