@@ -37,7 +37,6 @@ from .models import (
 from .numerics import (
     eigh,
     extract_kernel,
-    is_hermitian,
     is_psd,
     loglog_fit,
     positive_part,
@@ -85,7 +84,6 @@ __all__ = [
     "collective_steady_state",
     "eigh",
     "extract_kernel",
-    "is_hermitian",
     "is_psd",
     "loglog_fit",
     "markovian_postselect",

@@ -45,7 +45,10 @@ from .engine import (
 )
 from .errors import ConfigInvalidError, LindrecError
 from .numerics import DEFAULT_NULL_TOL, LogLogFit, loglog_fit
-from .quantum_ops import FockSpace, boson_ops, coherent_state, mix_with_identity
+from .quantum_ops import (
+    coherent_state,  # noqa: F401 -- module attribute that perfbench/tracing.py wraps
+    mix_with_identity,
+)
 from .verification import norm_difference, steady_state_of
 
 DEFAULT_EPS_GRID = tuple(float(x) for x in np.logspace(-4, -2, 9))
@@ -100,19 +103,25 @@ class RunConfig:
             raise ConfigInvalidError(f"unknown jumps {self.jumps!r}")
         if self.n_max is not None and self.n_max < 1:
             raise ConfigInvalidError("n_max must be at least 1")
-        if self.experiment in ("collective", "robustness"):
-            source, dim = "N", max(self.n_list) + 1
-        elif self.n_max is not None:
-            source, dim = "n_max", self.n_max + 1
-        elif self.experiment == "squeezed":
-            source, dim = "r", models.default_cutoff(models.SqueezedSpec(r=self.r)) + 1
-        else:
-            source = "alpha"
-            dim = models.default_cutoff(models.CoherentSpec(alpha=self.alpha)) + 1
-        if dim > models.MAX_HILBERT_DIM:
+        if max(models.hilbert_dim(spec) for spec in self.specs()) > models.MAX_HILBERT_DIM:
             raise ConfigInvalidError(
-                f"{source} asks for a Hilbert-space dimension above {models.MAX_HILBERT_DIM}"
+                f"a model needs a Hilbert-space dimension above {models.MAX_HILBERT_DIM}"
             )
+
+    def specs(self) -> list[models.ModelSpec]:
+        """Model spec of each reconstruction the experiment runs, in order."""
+        if self.experiment in ("coherent", "feasibility"):
+            return [models.CoherentSpec(alpha=self.alpha, n_max=self.n_max)]
+        if self.experiment == "squeezed":
+            return [models.SqueezedSpec(
+                r=self.r, theta=self.theta, jumps=self.jumps, n_max=self.n_max
+            )]
+        basis = models.XY_BASIS if self.experiment == "robustness" else models.FULL_BASIS
+        omega0 = self.resolved_ratio() * self.kappa
+        return [
+            models.CollectiveSpec(n_spins=n, omega0=omega0, kappa=self.kappa, basis=basis)
+            for n in self.n_list
+        ]
 
     def resolved_ratio(self) -> float:
         """Drive-to-decay ratio; the regime picks the default when unset."""
@@ -123,23 +132,16 @@ class RunConfig:
         return 2.0
 
 
-def _jsonify(obj):
-    """Recursively convert to JSON-safe types; complex becomes [re, im]."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+def _json_default(obj):
+    """JSON form of a value ``json`` cannot write: an array as a list, a
+    complex as [re, im] and any other numpy scalar as its Python value."""
     if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
+        return obj.tolist()
     if isinstance(obj, (complex, np.complexfloating)):
         return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -149,7 +151,8 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n")
+    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
+    _atomic_write(path, text + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -195,7 +198,7 @@ def _subspace_overlap(vec: np.ndarray, basis: list[np.ndarray]) -> float:
 
 
 def _run_coherent(config: RunConfig) -> dict:
-    spec = models.CoherentSpec(alpha=config.alpha, n_max=config.n_max)
+    (spec,) = config.specs()
     model = models.build_model(spec)
     result = reverse_engineer(model.ansatz, model.rho_ss, config.tol_null)
     payload = _reconstruction_payload(result)
@@ -212,9 +215,7 @@ def _run_coherent(config: RunConfig) -> dict:
 
 
 def _run_squeezed(config: RunConfig) -> dict:
-    spec = models.SqueezedSpec(
-        r=config.r, theta=config.theta, jumps=config.jumps, n_max=config.n_max
-    )
+    (spec,) = config.specs()
     model = models.build_model(spec)
     result = reverse_engineer(model.ansatz, model.rho_ss, config.tol_null)
     payload = _reconstruction_payload(result)
@@ -237,19 +238,13 @@ def _run_squeezed(config: RunConfig) -> dict:
     return payload
 
 
-def _collective_row(config: RunConfig, n: int) -> dict:
+def _collective_row(spec: models.CollectiveSpec, tol_null: float) -> dict:
     """One row of the collective scan; the model and its term images are
     released on return, before the next (larger) row is built."""
-    spec = models.CollectiveSpec(
-        n_spins=n,
-        omega0=config.resolved_ratio() * config.kappa,
-        kappa=config.kappa,
-        basis=models.FULL_BASIS,
-    )
     model = models.build_model(spec)
-    result = reverse_engineer(model.ansatz, model.rho_ss, config.tol_null)
+    result = reverse_engineer(model.ansatz, model.rho_ss, tol_null)
     row = {
-        "n_spins": n,
+        "n_spins": spec.n_spins,
         "two_lowest_eigenvalues": result.spectrum[:2],
         "kernel_dim": result.kernel_dim,
     }
@@ -268,7 +263,7 @@ def _collective_row(config: RunConfig, n: int) -> dict:
 
 
 def _run_collective(config: RunConfig) -> dict:
-    rows = [_collective_row(config, n) for n in config.n_list]
+    rows = [_collective_row(spec, config.tol_null) for spec in config.specs()]
     second_eigs = [float(row["two_lowest_eigenvalues"][1]) for row in rows]
     return {
         "rows": rows,
@@ -314,14 +309,10 @@ def _two_segment_fit(eps: np.ndarray, diffs: np.ndarray) -> dict:
 
 
 def _run_robustness(config: RunConfig) -> dict:
-    omega0 = config.resolved_ratio() * config.kappa
     weak = config.regime == "weak"
     eps_grid = np.array(config.eps_list, dtype=float)
     rows_payload = []
-    for n in config.n_list:
-        spec = models.CollectiveSpec(
-            n_spins=n, omega0=omega0, kappa=config.kappa, basis=models.XY_BASIS
-        )
+    for spec in config.specs():
         model = models.build_model(spec)
         rho_clean = model.rho_ss
         for eps in eps_grid:
@@ -343,7 +334,7 @@ def _run_robustness(config: RunConfig) -> dict:
             diff = norm_difference(ss.rho, rho_clean)
             solution = _params_payload(params, result)
             row = {
-                "n_spins": n,
+                "n_spins": spec.n_spins,
                 "eps": float(eps),
                 "lambda1": lam1,
                 "lambda2": float(result.spectrum[1]),
@@ -423,12 +414,10 @@ def _fit_rows(rows: list[dict], weak: bool) -> dict:
 
 def _run_feasibility(config: RunConfig) -> dict:
     """Deliberately impoverished ansatz: a lone decay jump, no drives."""
-    spec = models.CoherentSpec(alpha=complex(config.alpha), n_max=config.n_max)
-    space = FockSpace(models.default_cutoff(spec) if spec.n_max is None else spec.n_max)
-    ops = boson_ops(space)
-    rho = coherent_state(space, spec.alpha)
-    ansatz = LindbladAnsatz(h_ops=(), jump_ops=(ops.a,))
-    result = reverse_engineer(ansatz, rho, config.tol_null)
+    (spec,) = config.specs()
+    model = models.build_model(spec)
+    ansatz = LindbladAnsatz(h_ops=(), jump_ops=(model.ansatz.jump_ops[0],))
+    result = reverse_engineer(ansatz, model.rho_ss, config.tol_null)
     # independent check: scan the one-parameter family directly
     grid = np.linspace(-2.0, 2.0, 401)
     scan = []

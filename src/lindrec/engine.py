@@ -22,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, NonPhysicalVectorError, NotHermitianError
+from .errors import DimMismatchError, NonPhysicalVectorError
 from .numerics import (
     DEFAULT_NULL_TOL,
-    HERMITICITY_REJECT_TOL,
-    asymmetry,
     extract_kernel,
     hermitian_from_coordinates,
+    hermitian_part,
     is_psd,
     positive_part,
     require_finite,
@@ -141,14 +140,11 @@ class LindbladAnsatz:
         dims = {op.shape for op in h_ops + jump_ops}
         if len(dims) != 1 or any(s[0] != s[1] for s in dims):
             raise DimMismatchError(f"inconsistent operator shapes: {dims}")
-        for idx, h in enumerate(h_ops):
-            require_finite(h, f"drive operator {idx}")
-            if asymmetry(h) > 1e-10:
-                raise NotHermitianError(f"drive operator {idx} is not Hermitian")
         # the Hermitian parts, so that rho h is exactly the adjoint of h rho
         # in ``term_images``; an exactly Hermitian drive is kept, not copied
         h_ops = tuple(
-            h if np.array_equal(h, h.conj().T) else (h + h.conj().T) / 2 for h in h_ops
+            hermitian_part(h, f"drive operator {idx}", tol=1e-10)
+            for idx, h in enumerate(h_ops)
         )
         for idx, l in enumerate(jump_ops):
             require_finite(l, f"jump operator {idx}")
@@ -270,10 +266,9 @@ def term_images(ansatz: LindbladAnsatz, rho: np.ndarray) -> np.ndarray:
     order, shape (n, d, d).
 
     Computed once per (ansatz, rho) pair; both the generator application and
-    the correlation matrix reuse this stack.  A ``rho`` with a non-finite
-    entry raises ``NonFiniteError``, and one whose asymmetry exceeds
-    ``HERMITICITY_REJECT_TOL`` raises ``NotHermitianError``; otherwise its
-    Hermitian part is used.  Hermiticity makes rho h the adjoint of h rho
+    the correlation matrix reuse this stack.  ``rho`` is taken as
+    ``hermitian_part(rho, "state")``, which rejects a non-finite or
+    non-Hermitian state.  Hermiticity makes rho h the adjoint of h rho
     and D_{k,j}[rho] the adjoint of D_{j,k}[rho], so with A_j = l_j rho
 
         D_{j,k}[rho] = A_j l_k^dag - (l_k^dag A_j)/2 - (l_j^dag A_k)^dag / 2
@@ -293,11 +288,7 @@ def term_images(ansatz: LindbladAnsatz, rho: np.ndarray) -> np.ndarray:
         raise DimMismatchError(
             f"state shape {rho.shape} does not match ansatz dim {dim}"
         )
-    require_finite(rho, "state")
-    asym = asymmetry(rho)
-    if asym > HERMITICITY_REJECT_TOL:
-        raise NotHermitianError(f"state asymmetry {asym:.3e} exceeds 1e-8")
-    rho = (rho + rho.conj().T) / 2
+    rho = hermitian_part(rho, "state")
     drives, jumps, jumps_t = ansatz._operators
     # filled in place, so the stack is never held twice
     images = np.empty((ansatz.n_params, dim, dim), dtype=complex)

@@ -107,6 +107,15 @@ def default_cutoff(spec: CoherentSpec | SqueezedSpec) -> int:
     return int(min(max(40.0, np.ceil(need)), MAX_HILBERT_DIM))
 
 
+def hilbert_dim(spec: ModelSpec) -> int:
+    """Hilbert-space dimension of the model ``build_model(spec)`` builds:
+    n_spins + 1 for a collective target, and for a Fock target one more
+    than ``n_max``, or than ``default_cutoff(spec)`` when ``n_max`` is None."""
+    if isinstance(spec, CollectiveSpec):
+        return spec.n_spins + 1
+    return (default_cutoff(spec) if spec.n_max is None else spec.n_max) + 1
+
+
 @dataclass(frozen=True)
 class Model:
     spec: ModelSpec
@@ -128,27 +137,6 @@ def build_model(spec: ModelSpec) -> Model:
     {a^2, ad^2}.  Collective: drives and jumps both {Sx, Sy, Sz} (full) or
     {Sx, Sy} (reduced).
     """
-    if isinstance(spec, CoherentSpec):
-        space = FockSpace(default_cutoff(spec) if spec.n_max is None else spec.n_max)
-        ops = boson_ops(space)
-        ansatz = LindbladAnsatz(
-            h_ops=(ops.x, ops.p), jump_ops=(ops.a, ops.a_dag)
-        )
-        return Model(spec=spec, ansatz=ansatz, rho_ss=coherent_state(space, spec.alpha))
-    if isinstance(spec, SqueezedSpec):
-        space = FockSpace(default_cutoff(spec) if spec.n_max is None else spec.n_max)
-        ops = boson_ops(space)
-        drives = _quadratic_drives(ops)
-        if spec.jumps == SINGLE_JUMPS:
-            jumps = (ops.a, ops.a_dag)
-        else:
-            jumps = (ops.a @ ops.a, ops.a_dag @ ops.a_dag)
-        ansatz = LindbladAnsatz(h_ops=tuple(drives), jump_ops=jumps)
-        return Model(
-            spec=spec,
-            ansatz=ansatz,
-            rho_ss=squeezed_vacuum(space, spec.r, spec.theta),
-        )
     if isinstance(spec, CollectiveSpec):
         sector = SpinSector(spec.n_spins)
         ops = spin_ops(sector)
@@ -166,7 +154,26 @@ def build_model(spec: ModelSpec) -> Model:
         ansatz = LindbladAnsatz(h_ops=drives, jump_ops=jumps)
         rho = collective_steady_state(spec.n_spins, spec.omega0, spec.kappa)
         return Model(spec=spec, ansatz=ansatz, rho_ss=rho)
-    raise UnsupportedVariantError(f"unknown spec type {type(spec)!r}")
+    if not isinstance(spec, (CoherentSpec, SqueezedSpec)):
+        raise UnsupportedVariantError(f"unknown spec type {type(spec)!r}")
+    space = FockSpace(hilbert_dim(spec) - 1)
+    ops = boson_ops(space)
+    if isinstance(spec, CoherentSpec):
+        ansatz = LindbladAnsatz(
+            h_ops=(ops.x, ops.p), jump_ops=(ops.a, ops.a_dag)
+        )
+        return Model(spec=spec, ansatz=ansatz, rho_ss=coherent_state(space, spec.alpha))
+    drives = _quadratic_drives(ops)
+    if spec.jumps == SINGLE_JUMPS:
+        jumps = (ops.a, ops.a_dag)
+    else:
+        jumps = (ops.a @ ops.a, ops.a_dag @ ops.a_dag)
+    ansatz = LindbladAnsatz(h_ops=tuple(drives), jump_ops=jumps)
+    return Model(
+        spec=spec,
+        ansatz=ansatz,
+        rho_ss=squeezed_vacuum(space, spec.r, spec.theta),
+    )
 
 
 def collective_generator_params(spec: CollectiveSpec) -> LindbladianParams:

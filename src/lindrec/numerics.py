@@ -1,5 +1,6 @@
-"""Dense complex linear algebra: the real coordinates of Hermitian matrices,
-Hermitian eigenproblems, null-space extraction from a square-root factor,
+"""Dense complex linear algebra: the check and symmetrization of Hermitian
+inputs, the real coordinates of Hermitian matrices, Hermitian
+eigenproblems, null-space extraction from a square-root factor,
 eigenvalue clamping, and the log-log regression used by the scaling fits.
 
 Everything operates on plain numpy arrays and is a pure function of its
@@ -47,11 +48,21 @@ def asymmetry(a: np.ndarray) -> float:
     return float(np.linalg.norm(a - a.conj().T) / max(1.0, np.linalg.norm(a)))
 
 
-def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    return asymmetry(a) <= tol
+def hermitian_part(
+    a: np.ndarray, name: str, tol: float = HERMITICITY_REJECT_TOL
+) -> np.ndarray:
+    """Hermitian part (A + A^dag)/2 of a square matrix that is Hermitian
+    within ``tol``, or ``a`` itself, not a copy, when it is exactly Hermitian.
+
+    A non-finite entry raises ``NonFiniteError`` and an asymmetry above
+    ``tol`` raises ``NotHermitianError``, each naming ``name``.
+    """
+    a = _as_square(a)
+    require_finite(a, name)
+    asym = asymmetry(a)
+    if asym > tol:
+        raise NotHermitianError(f"{name} asymmetry {asym:.3e} exceeds {tol:g}")
+    return a if np.array_equal(a, a.conj().T) else (a + a.conj().T) / 2
 
 
 def hermitian_coordinates(rho: np.ndarray) -> np.ndarray:
@@ -83,9 +94,11 @@ def is_psd(a: np.ndarray, tol: float = 1e-10) -> bool:
 
     An empty (0 x 0) matrix, the rate matrix of a drive-only ansatz, is PSD.
     """
-    if not is_hermitian(a, max(tol, HERMITICITY_REJECT_TOL)):
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    a = _as_square(a)
+    if not asymmetry(a) <= max(tol, HERMITICITY_REJECT_TOL):  # NaN fails too
+        return False
     w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
     if w.size == 0:
         return True
@@ -98,14 +111,10 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``np.linalg.eigh`` returns it: ``w`` ascending, column ``k`` of ``v``
     the unit eigenvector of ``w[k]``.
 
-    The input is symmetrized to (A + A^dag)/2 before the decomposition;
-    asymmetry beyond ``HERMITICITY_REJECT_TOL`` raises instead.
+    The decomposition is of ``hermitian_part(a, "matrix")``: a non-finite
+    entry or an asymmetry beyond ``HERMITICITY_REJECT_TOL`` raises instead.
     """
-    a = _as_square(a)
-    asym = asymmetry(a)
-    if asym > HERMITICITY_REJECT_TOL:
-        raise NotHermitianError(f"relative asymmetry {asym:.3e} exceeds 1e-8")
-    return np.linalg.eigh((a + a.conj().T) / 2.0)
+    return np.linalg.eigh(hermitian_part(a, "matrix"))
 
 
 def extract_kernel(

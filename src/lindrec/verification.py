@@ -19,17 +19,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .engine import LindbladAnsatz, LindbladianParams
-from .errors import (
-    DimMismatchError,
-    DimTooLargeError,
-    NoSteadyStateError,
-    NotHermitianError,
-)
+from .errors import DimMismatchError, DimTooLargeError, NoSteadyStateError
 from .numerics import (
-    HERMITICITY_REJECT_TOL,
-    asymmetry,
     hermitian_coordinates,
     hermitian_from_coordinates,
+    hermitian_part,
     require_finite,
 )
 
@@ -178,9 +172,9 @@ def steady_state_of(
     coordinates x.  S, U and T are sparse: T is built from the operators'
     Kronecker products and U has at most two entries per column, so only
     the certified path and the SVD fallback hold a dense d^2 x d^2 matrix.
-    Non-finite couplings or rates raise ``NonFiniteError``.  A rate matrix
-    whose asymmetry exceeds ``HERMITICITY_REJECT_TOL`` raises
-    ``NotHermitianError``; below that it is replaced by its Hermitian part.
+    Non-finite couplings raise ``NonFiniteError``; the rate matrix is
+    replaced by ``hermitian_part(gamma, "rate matrix gamma")``, which
+    rejects a non-finite or non-Hermitian one.
 
     Both methods work on the bordered matrix B: T with row 0 replaced by the
     trace row, so that B x = e_0 picks the null direction of trace 1.  Both
@@ -203,12 +197,8 @@ def steady_state_of(
     if method not in ("svd", "lu"):
         raise ValueError(f"unknown method {method!r}")
     require_finite(params.c, "coupling vector c")
-    require_finite(params.gamma, "rate matrix gamma")
-    asym = asymmetry(params.gamma)
-    if asym > HERMITICITY_REJECT_TOL:
-        raise NotHermitianError(f"rate-matrix asymmetry {asym:.3e} exceeds 1e-8")
     hermitian = LindbladianParams(
-        c=params.c, gamma=(params.gamma + params.gamma.conj().T) / 2.0
+        c=params.c, gamma=hermitian_part(params.gamma, "rate matrix gamma")
     )
     dim = ansatz.dim
     gen = _real_generator(vectorize_liouvillian(hermitian, ansatz), dim)

@@ -3,7 +3,7 @@ import pytest
 
 from lindrec.engine import LindbladAnsatz, LindbladianParams
 from lindrec.errors import DimMismatchError
-from lindrec.numerics import is_hermitian
+from lindrec.numerics import asymmetry
 
 
 def random_hermitian(rng, dim):
@@ -20,7 +20,7 @@ def random_density(rng, dim):
 def check_density_matrix(rho, tol=1e-10):
     """Raise if ``rho`` is not Hermitian, unit-trace, and PSD within ``tol``."""
     rho = np.asarray(rho)
-    if not is_hermitian(rho, tol):
+    if not asymmetry(rho) <= tol:
         raise DimMismatchError("state is not Hermitian within tolerance")
     if abs(np.trace(rho) - 1.0) > tol:
         raise DimMismatchError(f"trace {np.trace(rho)} differs from 1")

@@ -188,6 +188,7 @@ class TestParsing:
         ["collective", "--N", "100000"],
         ["robustness", "--N", "10,20,4000"],
         ["feasibility", "--n-max", str(models.MAX_HILBERT_DIM)],
+        ["feasibility", "--alpha", "30"],
     ])
     def test_dimension_above_the_bound_is_a_config_error(self, tmp_path, monkeypatch, argv):
         def no_model(spec):
@@ -205,6 +206,22 @@ class TestParsing:
     ])
     def test_dimension_within_the_bound_is_valid(self, config):
         config.validate()
+
+    @pytest.mark.parametrize("config", [
+        RunConfig(experiment="coherent", alpha=2.0),
+        RunConfig(experiment="coherent", n_max=50),
+        RunConfig(experiment="feasibility", alpha=2.0),
+        RunConfig(experiment="feasibility", n_max=50),
+        RunConfig(experiment="squeezed", r=1.0),
+        RunConfig(experiment="squeezed", r=0.5, jumps=models.TWO_JUMPS, n_max=60),
+        RunConfig(experiment="collective", n_list=(4, 9)),
+        RunConfig(experiment="robustness", n_list=(10, 3, 6)),
+    ])
+    def test_dimension_bound_agrees_with_the_built_models(self, config):
+        config.validate()
+        specs = config.specs()
+        dims = [models.build_model(spec).ansatz.dim for spec in specs]
+        assert [models.hilbert_dim(spec) for spec in specs] == dims
 
     @pytest.mark.parametrize("eps", ["-1e-4..1e-2", "0..1e-2", "1e-4..-1e-2:5"])
     def test_eps_range_with_a_non_positive_bound_is_a_config_error(self, tmp_path, eps):

@@ -584,6 +584,11 @@ class TestMarkovianPostprocessing:
         assert np.linalg.norm(repaired.gamma - params.gamma) < 1e-12
         np.testing.assert_allclose(repaired.c, params.c)
 
+    def test_repair_rejects_a_nan_rate(self):
+        params = LindbladianParams(c=np.array([1.0]), gamma=np.diag([1.0, np.nan]))
+        with pytest.raises(NonFiniteError):
+            repair_markovianity(params)
+
     def test_repair_clamps_negative_rate(self):
         params = LindbladianParams(
             c=np.zeros(0), gamma=np.diag([1.0, -0.01]).astype(complex)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lindrec.errors import (
+    NonFiniteError,
     NonPositiveDataError,
     NonSquareError,
     NotHermitianError,
@@ -13,7 +14,6 @@ from lindrec.numerics import (
     extract_kernel,
     hermitian_coordinates,
     hermitian_from_coordinates,
-    is_hermitian,
     is_psd,
     loglog_fit,
     positive_part,
@@ -194,19 +194,24 @@ class TestPositivePart:
         with pytest.raises(NotHermitianError):
             positive_part(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
+    @pytest.mark.parametrize("decompose", [eigh, positive_part])
+    def test_rejects_a_nan_entry(self, decompose):
+        # a NaN asymmetry passes a tolerance check, so the entries are
+        # checked on their own
+        with pytest.raises(NonFiniteError):
+            decompose(np.diag([1.0, np.nan]).astype(complex))
+
 
 class TestPredicates:
-    def test_is_hermitian(self, rng):
-        assert is_hermitian(random_hermitian(rng, 4))
-        assert not is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-        assert not is_hermitian(np.zeros((2, 3)))
-
     def test_is_psd(self, rng):
         a = random_hermitian(rng, 4)
         assert is_psd(a @ a.conj().T)
         assert not is_psd(np.diag([1.0, -1.0]).astype(complex))
         # tiny negative within tolerance still counts
         assert is_psd(np.diag([1.0, -1e-12]).astype(complex))
+        assert not is_psd(np.array([[0, 1], [0, 0]], dtype=complex))
+        assert not is_psd(np.zeros((2, 3)))
+        assert not is_psd(np.diag([1.0, np.nan]))
 
 
 class TestLogLogFit:
