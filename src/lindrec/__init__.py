@@ -12,8 +12,6 @@ from .engine import (
     LindbladAnsatz,
     LindbladianParams,
     ReconstructionResult,
-    apply_d_term,
-    apply_h_term,
     apply_lindbladian,
     build_correlation_matrix,
     markovian_postselect,
@@ -73,8 +71,6 @@ __all__ = [
     "SteadyStateResult",
     "analytic_corr_matrix",
     "analytic_kernel_vectors",
-    "apply_d_term",
-    "apply_h_term",
     "apply_lindbladian",
     "boson_ops",
     "build_correlation_matrix",

@@ -81,22 +81,23 @@ class RunConfig:
                 raise ConfigInvalidError(f"{name} must be finite")
         if not 0 < self.tol_null <= 1e-4:
             raise ConfigInvalidError("tol_null must lie in (0, 1e-4]")
+        if self.kappa <= 0:
+            raise ConfigInvalidError("kappa must be positive")
         if self.experiment in ("collective", "robustness"):
             if not self.n_list:
                 raise ConfigInvalidError("empty N grid")
             if min(self.n_list) < 2:
                 raise ConfigInvalidError("N values must be at least 2")
-            if self.omega_over_kappa == 0:
-                raise ConfigInvalidError("omega_over_kappa must be nonzero")
+            if self.resolved_ratio() * self.kappa == 0:  # omega0 of specs()
+                raise ConfigInvalidError("omega_over_kappa * kappa must be nonzero")
         if self.experiment == "robustness":
-            if not all(0.0 < eps <= 1.0 for eps in self.eps_list):
-                raise ConfigInvalidError("eps values must lie in (0, 1]")
+            # at eps = 1 the target is I/d, which every unital term annihilates
+            if not all(0.0 < eps < 1.0 for eps in self.eps_list):
+                raise ConfigInvalidError("eps values must lie in (0, 1)")
             if len(set(self.eps_list)) < 3:  # each N is fitted against eps
                 raise ConfigInvalidError("need at least three distinct eps values")
             if self.regime not in ("strong", "weak"):
                 raise ConfigInvalidError("regime must be strong or weak")
-        if self.kappa <= 0:
-            raise ConfigInvalidError("kappa must be positive")
         if self.r < 0:
             raise ConfigInvalidError("r must be nonnegative")
         if self.jumps not in (models.SINGLE_JUMPS, models.TWO_JUMPS):
@@ -651,15 +652,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = build_config(args)
-        config.validate()
+        report = run_experiment(config)
     except ConfigInvalidError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        report = run_experiment(config)
-    except (LindrecError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     if "error" in report:
         print(f"numerical failure: {report['error']}", file=sys.stderr)
         return 3

@@ -236,30 +236,6 @@ class CorrelationMatrix:
     factor: np.ndarray
     images: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-
-def apply_h_term(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Drive term image -i (h rho - rho h); Hermitian and traceless."""
-    h = np.asarray(h, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if h.shape != rho.shape:
-        raise DimMismatchError(f"shape mismatch {h.shape} vs {rho.shape}")
-    return -1j * (h @ rho - rho @ h)
-
-
-def apply_d_term(l_j: np.ndarray, l_k: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Dissipator term image l_j rho l_k^dag - (l_k^dag l_j rho + rho l_k^dag l_j)/2."""
-    l_j = np.asarray(l_j, dtype=complex)
-    l_k = np.asarray(l_k, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if l_j.shape != rho.shape or l_k.shape != rho.shape:
-        raise DimMismatchError("jump operator and state dimensions differ")
-    kd_j = l_k.conj().T @ l_j
-    return l_j @ rho @ l_k.conj().T - 0.5 * (kd_j @ rho + rho @ kd_j)
-
 
 def term_images(ansatz: LindbladAnsatz, rho: np.ndarray) -> np.ndarray:
     """Stack of all J + K^2 term images of a Hermitian ``rho`` in index-map
@@ -275,12 +251,13 @@ def term_images(ansatz: LindbladAnsatz, rho: np.ndarray) -> np.ndarray:
 
     and the stack takes J + K + K(K+1)/2 + K^2 products of an operator with
     a d x d matrix (drive images, A_j, the sandwiches for k >= j, the
-    anticommutator halves) instead of the 2J + 5K^2 of ``apply_h_term`` and
-    ``apply_d_term``.  A banded operator (``BANDED_DIAGONAL_RATIO``) takes
-    one shifted multiply per nonzero diagonal, O(d^2) each; any other takes
-    a dense O(d^3) product.  Every product is taken from the left.  Besides
-    the stack and the Hermitian part of ``rho``, two d x d work arrays and
-    the ``BANDED_BLOCK_ROWS`` x d block of a banded product are held.
+    anticommutator halves) instead of the 2J + 5K^2 of forming each term
+    from its definition, as the reference maps of the tests do.  A banded
+    operator (``BANDED_DIAGONAL_RATIO``) takes one shifted multiply per
+    nonzero diagonal, O(d^2) each; any other takes a dense O(d^3) product.
+    Every product is taken from the left.  Besides the stack and the
+    Hermitian part of ``rho``, two d x d work arrays and the
+    ``BANDED_BLOCK_ROWS`` x d block of a banded product are held.
     """
     rho = np.asarray(rho, dtype=complex)
     dim, n_drive, n_jump = ansatz.dim, ansatz.n_drive, ansatz.n_jump

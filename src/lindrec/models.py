@@ -15,9 +15,10 @@ from typing import Union
 import numpy as np
 
 from .engine import LindbladAnsatz, LindbladianParams, apply_lindbladian
-from .errors import DegenerateParamsError, UnsupportedVariantError
+from .errors import DegenerateParamsError, DimMismatchError, UnsupportedVariantError
 from .quantum_ops import (
     FockSpace,
+    SpinOps,
     SpinSector,
     boson_ops,
     coherent_state,
@@ -68,6 +69,8 @@ class CollectiveSpec:
     def __post_init__(self):
         if self.n_spins < 2:
             raise ValueError("n_spins must be >= 2")
+        if self.omega0 == 0:
+            raise ValueError("omega0 must be nonzero")
         if self.kappa <= 0:
             raise ValueError("kappa must be > 0")
         if self.basis not in (FULL_BASIS, XY_BASIS):
@@ -123,12 +126,6 @@ class Model:
     rho_ss: np.ndarray
 
 
-def _quadratic_drives(ops) -> list[np.ndarray]:
-    a2 = ops.a @ ops.a
-    ad2 = ops.a_dag @ ops.a_dag
-    return [(a2 + ad2) / np.sqrt(2), (a2 - ad2) / (1j * np.sqrt(2))]
-
-
 def build_model(spec: ModelSpec) -> Model:
     """Target state plus the operator basis for the reconstruction.
 
@@ -152,7 +149,7 @@ def build_model(spec: ModelSpec) -> Model:
             drives = (ops.sx, ops.sy)
             jumps = (ops.sx / scale, ops.sy / scale)
         ansatz = LindbladAnsatz(h_ops=drives, jump_ops=jumps)
-        rho = collective_steady_state(spec.n_spins, spec.omega0, spec.kappa)
+        rho = collective_steady_state(spec, ops)
         return Model(spec=spec, ansatz=ansatz, rho_ss=rho)
     if not isinstance(spec, (CoherentSpec, SqueezedSpec)):
         raise UnsupportedVariantError(f"unknown spec type {type(spec)!r}")
@@ -163,12 +160,10 @@ def build_model(spec: ModelSpec) -> Model:
             h_ops=(ops.x, ops.p), jump_ops=(ops.a, ops.a_dag)
         )
         return Model(spec=spec, ansatz=ansatz, rho_ss=coherent_state(space, spec.alpha))
-    drives = _quadratic_drives(ops)
-    if spec.jumps == SINGLE_JUMPS:
-        jumps = (ops.a, ops.a_dag)
-    else:
-        jumps = (ops.a @ ops.a, ops.a_dag @ ops.a_dag)
-    ansatz = LindbladAnsatz(h_ops=tuple(drives), jump_ops=jumps)
+    a2, ad2 = ops.a @ ops.a, ops.a_dag @ ops.a_dag
+    drives = ((a2 + ad2) / np.sqrt(2), (a2 - ad2) / (1j * np.sqrt(2)))
+    jumps = (ops.a, ops.a_dag) if spec.jumps == SINGLE_JUMPS else (a2, ad2)
+    ansatz = LindbladAnsatz(h_ops=drives, jump_ops=jumps)
     return Model(
         spec=spec,
         ansatz=ansatz,
@@ -198,8 +193,9 @@ def collective_generator_params(spec: CollectiveSpec) -> LindbladianParams:
     return LindbladianParams(c=c, gamma=gamma)
 
 
-def collective_steady_state(n_spins: int, omega0: float, kappa: float) -> np.ndarray:
-    """Analytic steady state of the driven-dissipative collective spin model.
+def collective_steady_state(spec: CollectiveSpec, ops: SpinOps) -> np.ndarray:
+    """Analytic steady state of the driven-dissipative collective spin model
+    ``spec``, built from the spin operators ``ops`` of its sector.
 
     eta = sum_{j=0}^{N} (S_- / beta)^j with beta = -i omega0 N / (2 kappa);
     powers beyond j = N vanish by ladder nilpotency.  S_- has a single
@@ -208,22 +204,20 @@ def collective_steady_state(n_spins: int, omega0: float, kappa: float) -> np.nda
     column-wise cumulative product.  The density matrix is eta eta^dag
     normalized (this product ordering is the one annihilated by the
     generator; the construction is verified against it to 1e-10 before
-    returning).
+    returning).  Operators of another sector raise ``DimMismatchError``: the
+    residual cannot catch them, since the same eta is the steady state of
+    that sector too.
     """
-    if n_spins < 2:
-        raise DegenerateParamsError("n_spins must be >= 2")
-    if omega0 == 0:
-        raise DegenerateParamsError("omega0 must be nonzero")
-    if kappa <= 0:
-        raise DegenerateParamsError("kappa must be > 0")
-    sector = SpinSector(n_spins)
-    ops = spin_ops(sector)
+    n_spins, omega0, kappa = spec.n_spins, spec.omega0, spec.kappa
+    dim = n_spins + 1
+    if ops.sm.shape != (dim, dim):
+        raise DimMismatchError(f"spin operators of shape {ops.sm.shape} for N = {n_spins}")
     beta = -1j * omega0 * n_spins / (2.0 * kappa)
     step = np.diagonal(ops.sm, -1) / beta
     # factors[i, c] is S_-[i, i-1] / beta below the diagonal and 1
     # elsewhere, so the cumulative product down column c is 1 up to row c
     # and then the ladder product; the upper triangle is dropped afterwards
-    rows = np.arange(sector.dim)
+    rows = np.arange(dim)
     sub = np.concatenate(([1.0], step))
     factors = np.where(rows[:, None] > rows[None, :], sub[:, None], 1.0)
     eta = np.tril(np.cumprod(factors, axis=0))
@@ -232,7 +226,7 @@ def collective_steady_state(n_spins: int, omega0: float, kappa: float) -> np.nda
     ansatz = LindbladAnsatz(h_ops=(ops.sx,), jump_ops=(ops.sm,))
     params = LindbladianParams(
         c=np.array([omega0]),
-        gamma=np.array([[kappa / sector.total_spin]], dtype=complex),
+        gamma=np.array([[kappa / (n_spins / 2.0)]], dtype=complex),
     )
     residual = float(np.linalg.norm(apply_lindbladian(params, ansatz, rho)))
     if residual > 1e-10:

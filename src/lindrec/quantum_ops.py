@@ -85,7 +85,8 @@ def squeezed_vacuum(space: FockSpace, r: float, theta: float = 0.0) -> np.ndarra
 
     Even-Fock amplitudes follow the two-step recursion fixed by b|xi> = 0;
     the analytic norm sum_m |c_2m|^2 = cosh(r) (with c_0 = 1) gives an exact
-    truncation-deficit check.  The constructor verifies ||b rho||_F < 1e-8.
+    truncation-deficit check.  The constructor verifies ||b psi|| < 1e-8 on
+    the normalized amplitudes psi, which equals ||b rho||_F for rho = psi psi^dag.
     """
     if r < 0:
         raise ValueError("squeeze parameter r must be >= 0")
@@ -105,12 +106,10 @@ def squeezed_vacuum(space: FockSpace, r: float, theta: float = 0.0) -> np.ndarra
     if deficit > NORM_DEFICIT_TOL:
         raise CutoffTooSmallError(f"even-Fock tail {deficit:.3e} > 1e-12")
     amps /= np.sqrt(captured)
-    rho = np.outer(amps, amps.conj())
-    b = bogoliubov_op(space, r, theta)
-    self_check = float(np.linalg.norm(b @ rho))
+    self_check = float(np.linalg.norm(bogoliubov_op(space, r, theta) @ amps))
     if self_check > 1e-8:
-        raise CutoffTooSmallError(f"||b rho|| = {self_check:.3e} fails the self-check")
-    return rho
+        raise CutoffTooSmallError(f"||b psi|| = {self_check:.3e} fails the self-check")
+    return np.outer(amps, amps.conj())
 
 
 @dataclass(frozen=True)

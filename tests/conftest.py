@@ -29,6 +29,28 @@ def check_density_matrix(rho, tol=1e-10):
         raise DimMismatchError(f"negative eigenvalue {w[0]:.3e}")
 
 
+def apply_h_term(h, rho):
+    """Drive term image -i (h rho - rho h) from its definition: the reference
+    for ``engine.term_images``."""
+    h = np.asarray(h, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
+    if h.shape != rho.shape:
+        raise DimMismatchError(f"shape mismatch {h.shape} vs {rho.shape}")
+    return -1j * (h @ rho - rho @ h)
+
+
+def apply_d_term(l_j, l_k, rho):
+    """Dissipator term image l_j rho l_k^dag - (l_k^dag l_j rho + rho l_k^dag l_j)/2
+    from its definition: the reference for ``engine.term_images``."""
+    l_j = np.asarray(l_j, dtype=complex)
+    l_k = np.asarray(l_k, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
+    if l_j.shape != rho.shape or l_k.shape != rho.shape:
+        raise DimMismatchError("jump operator and state dimensions differ")
+    kd_j = l_k.conj().T @ l_j
+    return l_j @ rho @ l_k.conj().T - 0.5 * (kd_j @ rho + rho @ kd_j)
+
+
 def random_ansatz(rng, dim, n_drive, n_jump):
     drives = tuple(random_hermitian(rng, dim) for _ in range(n_drive))
     jumps = tuple(

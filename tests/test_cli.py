@@ -99,6 +99,8 @@ class TestParsing:
         ["robustness", "--N", "1,10"],
         ["squeezed", "--r", "-1"],
         ["collective", "--omega-over-kappa", "0"],
+        # omega0 = omega_over_kappa * kappa underflows to 0
+        ["collective", "--N", "4", "--omega-over-kappa", "1e-10", "--kappa", "1e-320"],
     ])
     def test_degenerate_model_parameter_is_a_config_error(self, tmp_path, argv):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -154,9 +156,12 @@ class TestParsing:
         assert main([experiment, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("eps", ["1e-3,1e-2", "0,1e-3,1e-2", "1e-3,1e-3,1e-3"])
+    @pytest.mark.parametrize(
+        "eps", ["1e-3,1e-2", "0,1e-3,1e-2", "1e-3,1e-3,1e-3", "1e-3,1e-2,1"]
+    )
     def test_eps_grid_without_a_slope_fit_is_a_config_error(self, tmp_path, eps):
-        # the eps fits need three distinct, strictly positive points
+        # the eps fits need three distinct points in (0, 1): at eps = 1 the
+        # target is I/d, so lambda1 is exactly 0 and has no logarithm
         argv = ["robustness", "--N", "4,5,6", "--eps", eps, "--out", str(tmp_path / "o")]
         assert main(argv) == 2
         assert not (tmp_path / "o").exists()

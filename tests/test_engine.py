@@ -5,8 +5,6 @@ from lindrec.engine import (
     BANDED_DIAGONAL_RATIO,
     LindbladAnsatz,
     LindbladianParams,
-    apply_d_term,
-    apply_h_term,
     apply_lindbladian,
     build_correlation_matrix,
     hermitian_parameter_basis,
@@ -35,7 +33,14 @@ from lindrec.models import (
 )
 from lindrec.quantum_ops import FockSpace, SpinSector, boson_ops, mix_with_identity, spin_ops
 
-from conftest import random_ansatz, random_density, random_hermitian, random_params
+from conftest import (
+    apply_d_term,
+    apply_h_term,
+    random_ansatz,
+    random_density,
+    random_hermitian,
+    random_params,
+)
 
 
 class TestTermMaps:
@@ -399,7 +404,7 @@ class TestCorrelationMatrix:
         for j, k, index in ((0, 0, 2), (0, 1, 3), (1, 0, 4), (1, 1, 5)):
             expected = apply_d_term(jumps[j], jumps[k], model.rho_ss)
             np.testing.assert_array_equal(corr.images[index], expected)
-        assert corr.dim == 6
+        assert corr.mat.shape == (6, 6)
 
 
 class TestHermitianParameterBasis:

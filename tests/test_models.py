@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from lindrec import models
 from lindrec.engine import (
     apply_lindbladian,
     build_correlation_matrix,
@@ -8,7 +11,7 @@ from lindrec.engine import (
     reverse_engineer,
     unpack_kernel_vector,
 )
-from lindrec.errors import DegenerateParamsError, UnsupportedVariantError
+from lindrec.errors import DegenerateParamsError, DimMismatchError, UnsupportedVariantError
 from lindrec.models import (
     MAX_HILBERT_DIM,
     CoherentSpec,
@@ -81,17 +84,50 @@ class TestBuildModel:
             assert default_cutoff(spec) == MAX_HILBERT_DIM
 
 
+def steady_state(n_spins, omega0, kappa):
+    """``collective_steady_state`` of the spec, with its sector's operators."""
+    spec = CollectiveSpec(n_spins=n_spins, omega0=omega0, kappa=kappa)
+    return collective_steady_state(spec, spin_ops(SpinSector(n_spins)))
+
+
 class TestCollectiveSteadyState:
     @pytest.mark.parametrize("n_spins,ratio", [(6, 2.0), (11, 0.5), (20, 2.0)])
     def test_valid_state(self, n_spins, ratio):
-        rho = collective_steady_state(n_spins, ratio * 1.0, 1.0)
+        rho = steady_state(n_spins, ratio * 1.0, 1.0)
         check_density_matrix(rho)
 
     def test_strong_drive_regime_points_down(self):
         # kappa/omega0 > 1: spins mostly aligned along -z
-        rho = collective_steady_state(20, 0.5, 1.0)
+        rho = steady_state(20, 0.5, 1.0)
         sz = spin_ops(SpinSector(20)).sz
         assert np.trace(sz @ rho).real < 0
+
+    def test_spin_operators_are_formed_once(self, monkeypatch):
+        calls = []
+
+        def counting_spin_ops(sector):
+            calls.append(sector)
+            return spin_ops(sector)
+
+        monkeypatch.setattr(models, "spin_ops", counting_spin_ops)
+        for basis in ("full3", "xy2"):
+            calls.clear()
+            build_model(CollectiveSpec(n_spins=12, omega0=2.0, kappa=1.0, basis=basis))
+            assert calls == [SpinSector(12)]
+
+    def test_operators_of_another_sector_rejected(self):
+        # eta built from another sector's S_- is that sector's exact steady
+        # state, so the residual check alone would pass it
+        spec = CollectiveSpec(n_spins=10, omega0=2.0, kappa=1.0)
+        for n_spins in (8, 12):
+            with pytest.raises(DimMismatchError):
+                collective_steady_state(spec, spin_ops(SpinSector(n_spins)))
+
+    def test_residual_check_rejects_operators_that_do_not_annihilate_the_state(self):
+        spec = CollectiveSpec(n_spins=10, omega0=2.0, kappa=1.0)
+        ops = spin_ops(SpinSector(10))
+        with pytest.raises(DegenerateParamsError, match="residual"):
+            collective_steady_state(spec, dataclasses.replace(ops, sx=ops.sz))
 
     def test_exact_steady_state_of_generator(self):
         for n_spins, ratio in ((10, 2.0), (16, 0.5)):
@@ -121,14 +157,15 @@ class TestCollectiveSteadyState:
             eta = eye + step @ eta
         reference = eta @ eta.conj().T
         reference /= np.trace(reference).real
-        rho = collective_steady_state(n_spins, ratio, 1.0)
+        rho = steady_state(n_spins, ratio, 1.0)
         np.testing.assert_allclose(rho, reference, rtol=1e-15, atol=0)
 
     def test_degenerate_parameters_rejected(self):
-        with pytest.raises(DegenerateParamsError):
-            collective_steady_state(10, 0.0, 1.0)
-        with pytest.raises(DegenerateParamsError):
-            collective_steady_state(10, 1.0, -1.0)
+        # the spec owns the parameter rules, so no degenerate spec reaches
+        # the state constructor
+        for omega0, kappa in ((0.0, 1.0), (1.0, -1.0), (1.0, 0.0)):
+            with pytest.raises(ValueError):
+                steady_state(10, omega0, kappa)
 
 
 class TestAnalyticKernelVectors:

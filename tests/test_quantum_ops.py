@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lindrec import quantum_ops
 from lindrec.errors import CutoffTooSmallError, EpsOutOfRangeError
 from lindrec.quantum_ops import (
     FockSpace,
@@ -104,6 +105,16 @@ class TestSqueezedVacuum:
     def test_cutoff_floor_enforced(self):
         with pytest.raises(CutoffTooSmallError):
             squeezed_vacuum(FockSpace(21), 1.0)
+
+    def test_self_check_rejects_an_operator_that_does_not_annihilate_the_state(
+        self, monkeypatch
+    ):
+        # ||a psi|| = sinh(r) for the squeezed vacuum
+        monkeypatch.setattr(
+            quantum_ops, "bogoliubov_op", lambda space, r, theta: boson_ops(space).a
+        )
+        with pytest.raises(CutoffTooSmallError, match="self-check"):
+            squeezed_vacuum(FockSpace(80), 0.5)
 
     def test_is_valid_density_matrix(self):
         check_density_matrix(squeezed_vacuum(FockSpace(90), 0.8, 1.0))
