@@ -18,6 +18,7 @@ post-processes solutions for complete positivity.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import DimMismatchError, NonPhysicalVectorError
 from .numerics import (
     DEFAULT_NULL_TOL,
     extract_kernel,
+    hermitian_coordinates,
     hermitian_from_coordinates,
     hermitian_part,
     is_psd,
@@ -37,9 +39,8 @@ from .numerics import (
 # coordinates when unpacking a parameter vector.
 UNPACK_TOL = 1e-8
 
-# Each QR step of the triangular factor of M takes the Hermitian coordinates
-# of FACTOR_BLOCK_ROWS // d rows of the images, at most 2 FACTOR_BLOCK_ROWS
-# real rows, which bounds the working copy of the term-image stack.
+# Each QR step of the triangular factor of M takes FACTOR_BLOCK_ROWS rows of
+# the coordinate matrix of the term images, which bounds its working copy.
 FACTOR_BLOCK_ROWS = 4096
 
 # An operator with n nonzero diagonals is multiplied by one shifted product
@@ -105,18 +106,19 @@ class _Operator:
             return
         dim = x.shape[0]
         block = np.empty((min(BANDED_BLOCK_ROWS, dim), dim), dtype=complex)
-        for lo in range(0, dim, len(block)):
-            hi = min(lo + len(block), dim)
-            out[lo:hi] = 0
-            for offset, values in self.diagonals:
-                # row r gains values[r] * x[r + offset]
-                start, stop = max(lo, -offset), min(hi, dim - offset)
-                if start < stop:
-                    part = block[:stop - start]
-                    np.multiply(
-                        values[start:stop, None], x[start + offset:stop + offset], out=part
-                    )
-                    out[start:stop] += part
+        diagonals = self.diagonals or [(0, np.zeros(dim, dtype=complex))]
+        shift = diagonals[0][0]
+        out[:max(0, -shift)], out[dim - max(0, shift):] = 0, 0
+        for index, (offset, values) in enumerate(diagonals):
+            # row r gains values[r] * x[r + offset], a block of rows at a
+            # time; the first diagonal is written into out directly
+            stop = dim - max(0, offset)
+            for lo in range(max(0, -offset), stop, len(block)):
+                hi = min(lo + len(block), stop)
+                part = out[lo:hi] if index == 0 else block[:hi - lo]
+                np.multiply(values[lo:hi, None], x[lo + offset:hi + offset], out=part)
+                if index:
+                    out[lo:hi] += part
 
 
 @dataclass(frozen=True)
@@ -226,38 +228,35 @@ class CorrelationMatrix:
     Rows/columns 0..J-1 of ``mat`` are the drive terms in ansatz order;
     J..J+K^2-1 are the dissipator terms (j, k) in row-major order.
     ``factor`` is the real upper-triangular R with M = P R^T R P^dag, P from
-    ``hermitian_parameter_basis``.  ``images`` is the (J + K^2, d, d) stack
-    both come from, kept to form the flow of any parameter vector.
+    ``hermitian_parameter_basis``.  ``coordinates`` is the matrix A of
+    ``term_images`` both come from, kept to form the flow of any parameters.
     """
 
     mat: np.ndarray
     n_drive: int
     n_jump: int
     factor: np.ndarray
-    images: np.ndarray
+    coordinates: np.ndarray
 
 
 def term_images(ansatz: LindbladAnsatz, rho: np.ndarray) -> np.ndarray:
-    """Stack of all J + K^2 term images of a Hermitian ``rho`` in index-map
-    order, shape (n, d, d).
+    """Real (d^2, J + K^2) matrix A whose column q is the
+    ``hermitian_coordinates`` of sum_mu P[mu, q] O_mu, O the term images of
+    a Hermitian ``rho`` and P from ``hermitian_parameter_basis``: the drive
+    images, O_kk, and for j < k (O_jk + O_jk^dag)/sqrt2 at column J + j + k K
+    and i (O_jk - O_jk^dag)/sqrt2 at J + k + j K.
 
-    Computed once per (ansatz, rho) pair; both the generator application and
-    the correlation matrix reuse this stack.  ``rho`` is taken as
-    ``hermitian_part(rho, "state")``, which rejects a non-finite or
-    non-Hermitian state.  Hermiticity makes rho h the adjoint of h rho
-    and D_{k,j}[rho] the adjoint of D_{j,k}[rho], so with A_j = l_j rho
+    ``rho`` is taken as ``hermitian_part(rho, "state")``, which rejects a
+    non-finite or non-Hermitian state.  Hermiticity makes rho h the adjoint
+    of h rho and O_kj the adjoint of O_jk, so with A_j = l_j rho
 
         D_{j,k}[rho] = A_j l_k^dag - (l_k^dag A_j)/2 - (l_j^dag A_k)^dag / 2
 
-    and the stack takes J + K + K(K+1)/2 + K^2 products of an operator with
-    a d x d matrix (drive images, A_j, the sandwiches for k >= j, the
-    anticommutator halves) instead of the 2J + 5K^2 of forming each term
-    from its definition, as the reference maps of the tests do.  A banded
-    operator (``BANDED_DIAGONAL_RATIO``) takes one shifted multiply per
-    nonzero diagonal, O(d^2) each; any other takes a dense O(d^3) product.
-    Every product is taken from the left.  Besides the stack and the
-    Hermitian part of ``rho``, two d x d work arrays and the
-    ``BANDED_BLOCK_ROWS`` x d block of a banded product are held.
+    and A takes J + K + K(K+1)/2 + K^2 left products with a d x d matrix
+    (drive images, A_j, the sandwiches for k >= j, the anticommutator
+    halves): O(d^2) per nonzero diagonal of a banded operator
+    (``BANDED_DIAGONAL_RATIO``), else O(d^3).  Each step adds its part of
+    D_{j,k} to the columns of its pair; three d x d arrays are held.
     """
     rho = np.asarray(rho, dtype=complex)
     dim, n_drive, n_jump = ansatz.dim, ansatz.n_drive, ansatz.n_jump
@@ -267,75 +266,88 @@ def term_images(ansatz: LindbladAnsatz, rho: np.ndarray) -> np.ndarray:
         )
     rho = hermitian_part(rho, "state")
     drives, jumps, jumps_t = ansatz._operators
-    # filled in place, so the stack is never held twice
-    images = np.empty((ansatz.n_params, dim, dim), dtype=complex)
-    work = np.empty((dim, dim), dtype=complex)
-    for image, h in zip(images, drives):
+    coordinates = np.zeros((dim * dim, ansatz.n_params), order="F")
+
+    def add_parts(z: np.ndarray, scratch: np.ndarray, herm, anti=None) -> None:
+        # column c += s * coordinates of z + z^dag for herm = (c, s), of i (z - z^dag) for anti
+        hermitian = np.add(z, np.conjugate(z.T, out=scratch), out=scratch)
+        z *= 2  # i (z - z^dag) = i (2 z - (z + z^dag))
+        z -= hermitian
+        z *= 1j
+        for target, part in ((herm, hermitian), (anti, z)):
+            if target is not None:
+                coords = hermitian_coordinates(part)
+                coordinates[:, target[0]] += np.multiply(coords, target[1], out=coords)
+
+    work, part, conj_a = np.empty((3, dim, dim), dtype=complex)
+    for column, h in enumerate(drives):
+        # -i (h rho - rho h) = -i (z - z^dag) with z = h rho
         h.left(rho, work)
-        np.conjugate(work.T, out=image)
-        np.subtract(work, image, out=image)
-        image *= -1j
-    # conj(A_j) is held instead of A_j: products with l_k^T then give the
-    # conjugates of the products with l_k^dag, with no adjoint copy
-    conj_a = np.empty((dim, dim), dtype=complex)
+        add_parts(work, part, None, (column, -1.0))
     for j, l_j in enumerate(jumps):
+        # conj(A_j) is held: products with l_k^T then give the conjugates of
+        # the products with l_k^dag, with no adjoint copy
         l_j.left(rho, conj_a)
         np.conjugate(conj_a, out=conj_a)
-        for k in range(j, n_jump):
-            # work = l_k A_j^dag, the adjoint of the sandwich A_j l_k^dag
-            jumps[k].left(conj_a.T, work)
-            np.conjugate(work.T, out=images[n_drive + j * n_jump + k])
-            if k != j:
-                images[n_drive + k * n_jump + j] = work
         for k, l_k_t in enumerate(jumps_t):
-            # work = conj(l_k^dag A_j) / 2, subtracted from (j, k) and its
-            # adjoint from (k, j)
+            # work = conj(l_k^dag A_j); part = Y^dag, Y what D_{j,k} gains here
             l_k_t.left(conj_a, work)
-            work *= 0.5
-            images[n_drive + k * n_jump + j] -= work.T
-            np.conjugate(work, out=work)
-            images[n_drive + j * n_jump + k] -= work
-    return images
+            if k < j:
+                np.multiply(work.T, -0.5, out=part)
+            else:
+                # l_k A_j^dag, the adjoint of the sandwich S = A_j l_k^dag
+                jumps[k].left(conj_a.T, part)
+                part -= work.T if k == j else np.multiply(work, 0.5, out=work).T
+            # the pair gains (Y + Y^dag)/sqrt2 and +-i (Y - Y^dag)/sqrt2; as S
+            # is Hermitian, O_jj = (Y + Y^dag)/2 for Y = S - l_j^dag A_j
+            lo, hi = sorted((j, k))
+            scale = 0.5 if k == j else 0.5**0.5
+            anti = None if k == j else (n_drive + hi + lo * n_jump, np.sign(j - k) * scale)
+            add_parts(part, work, (n_drive + lo + hi * n_jump, scale), anti)
+    return coordinates
+
+
+def _flow_parts(coordinates: np.ndarray, params: LindbladianParams, shape) -> np.ndarray:
+    """Columns A Re z, A Im z (z = P^H phi): the coordinates of the Hermitian H
+    and G with L[rho] = H + i G.  ``params`` must fit ``shape``'s J and K."""
+    if params.n_drive != shape.n_drive or params.n_jump != shape.n_jump:
+        raise DimMismatchError("parameter shapes do not match the ansatz")
+    z = hermitian_parameter_basis(params.n_drive, params.n_jump).conj().T @ params.to_vector()
+    return np.dot(coordinates, z.view(float).reshape(-1, 2))
 
 
 def apply_lindbladian(
     params: LindbladianParams, ansatz: LindbladAnsatz, rho: np.ndarray
 ) -> np.ndarray:
     """Full generator action sum_j c_j H-terms + sum_jk gamma_jk D-terms on a
-    Hermitian ``rho``, formed from ``term_images`` (J + K + K(K+1)/2 + K^2
-    operator products, banded ones at O(d^2)); a non-Hermitian ``rho``
-    raises ``NotHermitianError``."""
-    if params.n_drive != ansatz.n_drive or params.n_jump != ansatz.n_jump:
-        raise DimMismatchError("parameter shapes do not match the ansatz")
-    images = term_images(ansatz, rho)
-    return np.tensordot(params.to_vector(), images, axes=1)
+    Hermitian ``rho`` (a non-Hermitian one raises ``NotHermitianError``),
+    formed from the coordinates of ``term_images``."""
+    parts = _flow_parts(term_images(ansatz, rho), params, ansatz)
+    return hermitian_from_coordinates(parts.view(complex)[:, 0], ansatz.dim)
 
 
 def rapidity(
     params: LindbladianParams, ansatz: LindbladAnsatz, rho: np.ndarray
 ) -> float:
-    """Squared Frobenius norm of L[rho]; zero exactly at a steady state.
-
-    ``rho`` must be Hermitian, as for ``apply_lindbladian``, which forms
-    L[rho] from ``term_images``."""
-    return _squared_norm(apply_lindbladian(params, ansatz, rho))
-
-
-def _squared_norm(flow: np.ndarray) -> float:
-    return float(np.vdot(flow, flow).real)
+    """Squared Frobenius norm ||A Re z||^2 + ||A Im z||^2 of L[rho] for a
+    Hermitian ``rho``, A from ``term_images`` and z = P^H phi."""
+    parts = _flow_parts(term_images(ansatz, rho), params, ansatz)
+    return float(np.vdot(parts, parts))
 
 
+@functools.lru_cache(maxsize=None)
 def hermitian_parameter_basis(n_drive: int, n_jump: int) -> np.ndarray:
     """Orthonormal basis P of the physical parameter vectors, as columns: the
     couplings c_j, then the rate matrices of ``hermitian_coordinates``'s
     basis, flattened row-major.  P is unitary, and P^H maps a vector with
     real c and Hermitian gamma to its real coordinates (c, coordinates of
-    gamma), with the diagonal rate gamma_kk at J + k (K + 1).
+    gamma), with the diagonal rate gamma_kk at J + k (K + 1); read-only.
     """
     basis = np.zeros((n_drive + n_jump**2,) * 2, dtype=complex)
     basis[:n_drive, :n_drive] = np.eye(n_drive)
     rates = hermitian_from_coordinates(np.eye(n_jump**2), n_jump)
     basis[n_drive:, n_drive:] = rates.reshape(n_jump**2, n_jump**2).T
+    basis.flags.writeable = False
     return basis
 
 
@@ -343,47 +355,22 @@ def build_correlation_matrix(
     ansatz: LindbladAnsatz, rho: np.ndarray
 ) -> CorrelationMatrix:
     """Gram matrix M, entries Tr(O_mu^dag O_nu) of the term images O, and
-    its real square-root factor, which is built without forming M.
-
-    In the basis P of ``hermitian_parameter_basis`` the images of a
-    Hermitian ``rho`` are Hermitian, so their d^2 Hermitian coordinates
-    (``hermitian_coordinates``: the diagonal, and sqrt(2) times the real and
-    the imaginary part of each entry above it) form a real matrix A with
-    M = P A^T A P^dag.  QR folds A into R (A^T A = R^T R) a few rows of the
-    images at a time (``FACTOR_BLOCK_ROWS``), read from their diagonal and
-    upper triangle, so no copy of the stack is made.  ``term_images``
-    rejects a non-Hermitian ``rho``.
+    its real square-root factor R, built without forming M: M = P A^T A P^dag
+    for the real matrix A of ``term_images`` (which rejects a non-Hermitian
+    ``rho``), and QR folds A into R, ``FACTOR_BLOCK_ROWS`` rows at a time.
     """
-    images = term_images(ansatz, rho)
+    coordinates = term_images(ansatz, rho)
+    factor = np.empty((0, ansatz.n_params))
+    for lo in range(0, len(coordinates), FACTOR_BLOCK_ROWS):
+        block = np.hstack([factor.T, coordinates[lo:lo + FACTOR_BLOCK_ROWS].T])
+        factor = np.linalg.qr(block.T, mode="r")  # in the column order LAPACK reads
     basis = hermitian_parameter_basis(ansatz.n_drive, ansatz.n_jump)
-    dim, n_params = ansatz.dim, ansatz.n_params
-    scaled = basis * 2**0.5
-
-    def upper_rows(entries: np.ndarray) -> np.ndarray:
-        # the float view of sqrt(2) Y^T, Y the images in P at ``entries``,
-        # holds the rows sqrt(2) Re Y_e and sqrt(2) Im Y_e; returned as a
-        # view, so that Y^T is released once the caller has stacked it
-        return (scaled.T @ entries.reshape(n_params, -1)).view(float).T
-
-    # the images are cut into blocks of ``step`` rows; first the diagonal
-    # and the upper entries inside the diagonal squares of the blocks ...
-    step = max(1, min(dim, FACTOR_BLOCK_ROWS // dim))
-    row, col = np.triu_indices(step, 1)
-    starts = np.arange(0, dim, step)[:, None]
-    inside = (starts + col < dim).ravel()
-    row, col = (starts + row).ravel()[inside], (starts + col).ravel()[inside]
-    diag = (basis.T @ np.diagonal(images, axis1=1, axis2=2)).real.T
-    factor = np.linalg.qr(np.vstack([diag, upper_rows(images[:, row, col])]), mode="r")
-    # ... then, block by block, the entries right of its square
-    for hi in range(step, dim, step):
-        block = np.vstack([factor, upper_rows(images[:, hi - step:hi, hi:])])
-        factor = np.linalg.qr(block, mode="r")
     return CorrelationMatrix(
         mat=basis @ (factor.T @ factor) @ basis.conj().T,
         n_drive=ansatz.n_drive,
         n_jump=ansatz.n_jump,
         factor=factor,
-        images=images,
+        coordinates=coordinates,
     )
 
 
@@ -473,10 +460,9 @@ class ReconstructionResult:
 
     def rapidity(self, params: LindbladianParams) -> float:
         """``rapidity(params, ansatz, rho)`` for the reconstructed pair, formed
-        from the stored term images with the same arithmetic."""
-        if params.n_drive != self.corr.n_drive or params.n_jump != self.corr.n_jump:
-            raise DimMismatchError("parameter shapes do not match the ansatz")
-        return _squared_norm(np.tensordot(params.to_vector(), self.corr.images, axes=1))
+        from the stored coordinates with the same arithmetic."""
+        parts = _flow_parts(self.corr.coordinates, params, self.corr)
+        return float(np.vdot(parts, parts))
 
 
 def reverse_engineer(

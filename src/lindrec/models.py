@@ -80,11 +80,10 @@ class CollectiveSpec:
 ModelSpec = Union[CoherentSpec, SqueezedSpec, CollectiveSpec]
 
 # Largest Hilbert-space dimension d an experiment may build.  The term images
-# of an ansatz with J drives and K jumps are a (J + K^2) d^2 complex stack,
-# held whole while M is factored: for the collective full basis
-# (J + K^2 = 12) that is 31 MB at d = 401 and 0.8 GB at d = 2048, on top of
-# the dense d x d operators.  The default cutoffs of the Fock targets stay
-# below it up to |alpha| of about 14 and r of about 2.25.
+# of an ansatz with J drives and K jumps are held as a real d^2 x (J + K^2)
+# matrix: 15 MB at d = 401 and 0.4 GB at d = 2048 for the collective full
+# basis (J + K^2 = 12), on top of the dense d x d operators.  The default
+# Fock cutoffs stay below it up to |alpha| of about 14 and r of about 2.25.
 MAX_HILBERT_DIM = 2048
 
 
@@ -160,7 +159,8 @@ def build_model(spec: ModelSpec) -> Model:
             h_ops=(ops.x, ops.p), jump_ops=(ops.a, ops.a_dag)
         )
         return Model(spec=spec, ansatz=ansatz, rho_ss=coherent_state(space, spec.alpha))
-    a2, ad2 = ops.a @ ops.a, ops.a_dag @ ops.a_dag
+    s = np.diagonal(ops.a, 1)  # a^2 and a_dag^2 from the superdiagonal of a
+    a2, ad2 = np.diag(s[:-1] * s[1:], 2), np.diag(s[:-1] * s[1:], -2)
     drives = ((a2 + ad2) / np.sqrt(2), (a2 - ad2) / (1j * np.sqrt(2)))
     jumps = (ops.a, ops.a_dag) if spec.jumps == SINGLE_JUMPS else (a2, ad2)
     ansatz = LindbladAnsatz(h_ops=drives, jump_ops=jumps)
@@ -222,6 +222,7 @@ def collective_steady_state(spec: CollectiveSpec, ops: SpinOps) -> np.ndarray:
     factors = np.where(rows[:, None] > rows[None, :], sub[:, None], 1.0)
     eta = np.tril(np.cumprod(factors, axis=0))
     rho = eta @ eta.conj().T
+    del factors, eta  # released before the residual check forms its images
     rho /= np.trace(rho).real
     ansatz = LindbladAnsatz(h_ops=(ops.sx,), jump_ops=(ops.sm,))
     params = LindbladianParams(

@@ -9,6 +9,7 @@ inputs; the heavy lifting is delegated to LAPACK through numpy.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -65,9 +66,17 @@ def hermitian_part(
     return a if np.array_equal(a, a.conj().T) else (a + a.conj().T) / 2
 
 
+@functools.lru_cache(maxsize=None)
+def _above_diagonal(dim: int) -> np.ndarray:
+    mask = np.triu(np.ones((dim, dim), dtype=bool), 1)
+    mask.flags.writeable = False  # one array for every caller
+    return mask
+
+
 def hermitian_coordinates(rho: np.ndarray) -> np.ndarray:
     """Real coordinates U^H vec(rho) of a Hermitian matrix, or of each one in
-    a stack on leading axes; only the diagonal and upper triangle are read.
+    a stack on leading axes, read row by row: the real part on and below the
+    diagonal and the imaginary part above it, times sqrt(2) off the diagonal.
 
     U is the orthonormal basis of Hermitian d x d matrices, column-stacked:
     E_ii at the position i + i d of (i, i); for i < j, (E_ij + E_ji)/sqrt(2)
@@ -75,18 +84,24 @@ def hermitian_coordinates(rho: np.ndarray) -> np.ndarray:
     trace is the sum of the coordinates at arange(d) * (d + 1).
     """
     rho = np.asarray(rho, dtype=complex)
-    upper = np.triu(rho, 1) * 2**0.5
-    coords = upper.real + np.swapaxes(upper.imag, -1, -2) + rho.real * np.eye(rho.shape[-1])
-    return np.swapaxes(coords, -1, -2).reshape(rho.shape[:-2] + (rho.shape[-1] ** 2,))
+    coords = np.where(_above_diagonal(rho.shape[-1]), rho.imag, rho.real)
+    coords *= 2**0.5
+    diagonal = np.arange(rho.shape[-1])
+    coords[..., diagonal, diagonal] = rho.real[..., diagonal, diagonal]
+    return coords.reshape(rho.shape[:-2] + (-1,))
 
 
 def hermitian_from_coordinates(coords: np.ndarray, dim: int) -> np.ndarray:
     """Hermitian matrix with the real coordinates ``coords`` (or a stack);
-    inverse of ``hermitian_coordinates``."""
-    coords = np.asarray(coords, dtype=float)
-    grid = np.swapaxes(coords.reshape(coords.shape[:-1] + (dim, dim)), -1, -2)
-    upper = (np.triu(grid, 1) + 1j * np.swapaxes(np.tril(grid, -1), -1, -2)) / 2**0.5
-    return upper + np.swapaxes(upper, -1, -2).conj() + grid * np.eye(dim)
+    inverse of ``hermitian_coordinates``.  Complex coordinates g + i h give
+    the matrix of g plus i times the matrix of h."""
+    grid = np.asarray(coords).reshape(np.shape(coords)[:-1] + (dim, dim))
+    # X[a, a] on the diagonal, (X[a, b] - i X[b, a]) / sqrt2 below it, i times that above
+    out = (grid - 1j * np.swapaxes(grid, -1, -2)) / 2**0.5
+    np.multiply(out, 1j, out=out, where=_above_diagonal(dim))
+    diagonal = np.arange(dim)
+    out[..., diagonal, diagonal] = grid[..., diagonal, diagonal]
+    return out
 
 
 def is_psd(a: np.ndarray, tol: float = 1e-10) -> bool:

@@ -74,12 +74,6 @@ def coherent_state(space: FockSpace, alpha: complex) -> np.ndarray:
     return np.outer(amps, amps.conj())
 
 
-def bogoliubov_op(space: FockSpace, r: float, theta: float) -> np.ndarray:
-    """b = a cosh(r) + a^dag e^{i theta} sinh(r); annihilates the squeezed vacuum."""
-    ops = boson_ops(space)
-    return np.cosh(r) * ops.a + np.exp(1j * theta) * np.sinh(r) * ops.a_dag
-
-
 def squeezed_vacuum(space: FockSpace, r: float, theta: float = 0.0) -> np.ndarray:
     """Density matrix of the squeezed vacuum with parameter xi = r e^{i theta}.
 
@@ -106,7 +100,11 @@ def squeezed_vacuum(space: FockSpace, r: float, theta: float = 0.0) -> np.ndarra
     if deficit > NORM_DEFICIT_TOL:
         raise CutoffTooSmallError(f"even-Fock tail {deficit:.3e} > 1e-12")
     amps /= np.sqrt(captured)
-    self_check = float(np.linalg.norm(bogoliubov_op(space, r, theta) @ amps))
+    # (b psi)_n = cosh(r) sqrt(n + 1) psi_{n+1} + e^{i theta} sinh(r) sqrt(n) psi_{n-1}
+    root = np.sqrt(np.arange(1, space.dim))
+    b_psi = np.append(np.cosh(r) * root * amps[1:], 0.0)
+    b_psi[1:] += np.exp(1j * theta) * np.sinh(r) * root * amps[:-1]
+    self_check = float(np.linalg.norm(b_psi))
     if self_check > 1e-8:
         raise CutoffTooSmallError(f"||b psi|| = {self_check:.3e} fails the self-check")
     return np.outer(amps, amps.conj())

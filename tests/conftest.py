@@ -4,6 +4,7 @@ import pytest
 from lindrec.engine import LindbladAnsatz, LindbladianParams
 from lindrec.errors import DimMismatchError
 from lindrec.numerics import asymmetry
+from lindrec.quantum_ops import boson_ops
 
 
 def random_hermitian(rng, dim):
@@ -49,6 +50,13 @@ def apply_d_term(l_j, l_k, rho):
         raise DimMismatchError("jump operator and state dimensions differ")
     kd_j = l_k.conj().T @ l_j
     return l_j @ rho @ l_k.conj().T - 0.5 * (kd_j @ rho + rho @ kd_j)
+
+
+def bogoliubov_op(space, r, theta):
+    """b = a cosh(r) + a^dag e^{i theta} sinh(r), which annihilates the
+    squeezed vacuum, from the matrices of a and a^dag."""
+    ops = boson_ops(space)
+    return np.cosh(r) * ops.a + np.exp(1j * theta) * np.sinh(r) * ops.a_dag
 
 
 def random_ansatz(rng, dim, n_drive, n_jump):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from lindrec.models import (
     analytic_kernel_vectors,
     build_model,
 )
+from lindrec.numerics import hermitian_coordinates, hermitian_from_coordinates
 from lindrec.quantum_ops import FockSpace, SpinSector, boson_ops, mix_with_identity, spin_ops
 
 from conftest import (
@@ -93,6 +96,14 @@ def term_by_term_images(ansatz, rho):
     return np.array(drives + jumps).reshape(ansatz.n_params, ansatz.dim, ansatz.dim)
 
 
+def reference_coordinates(ansatz, rho):
+    """Columns: the Hermitian coordinates of the reference images combined
+    by the basis P, sum_mu P[mu, q] O_mu, each Hermitian up to roundoff."""
+    p = hermitian_parameter_basis(ansatz.n_drive, ansatz.n_jump)
+    combined = np.tensordot(p.T, term_by_term_images(ansatz, rho), axes=1)
+    return hermitian_coordinates((combined + combined.conj().transpose(0, 2, 1)) / 2).T
+
+
 # model ansaetze whose operators all lie above the banded-product crossover
 BANDED_SPECS = [
     CollectiveSpec(n_spins=100, omega0=1.5, kappa=1.0),
@@ -140,13 +151,16 @@ class TestBandedProducts:
 
 
 class TestTermImages:
-    @pytest.mark.parametrize("n_drive, n_jump", [(2, 0), (0, 2), (1, 1), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("n_drive, n_jump", [
+        (2, 0), *((j, k) for j in range(4) for k in range(1, 4)),
+    ])
     def test_matches_term_maps_on_random_ansatze(self, rng, n_drive, n_jump):
         for dim in (2, 5, 9):
             ansatz = random_ansatz(rng, dim, n_drive, n_jump)
             rho = random_density(rng, dim)
-            expected = term_by_term_images(ansatz, rho)
+            expected = reference_coordinates(ansatz, rho)
             got = term_images(ansatz, rho)
+            assert got.shape == (dim * dim, ansatz.n_params)
             assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("spec", [
@@ -156,10 +170,11 @@ class TestTermImages:
         CollectiveSpec(n_spins=12, omega0=2.0, kappa=1.0),
         CollectiveSpec(n_spins=12, omega0=0.5, kappa=1.0, basis="xy2"),
         *BANDED_SPECS,
+        CollectiveSpec(n_spins=40, omega0=1.5, kappa=1.0),
     ])
     def test_matches_term_maps_on_model_ansatze(self, spec):
         model = build_model(spec)
-        expected = term_by_term_images(model.ansatz, model.rho_ss)
+        expected = reference_coordinates(model.ansatz, model.rho_ss)
         got = term_images(model.ansatz, model.rho_ss)
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
@@ -337,8 +352,9 @@ class TestCorrelationMatrix:
         # reference: the pairwise traces Tr(O_mu^dag O_nu) written out
         for dim, n_drive, n_jump in ((5, 2, 2), (3, 0, 3), (4, 3, 1), (2, 1, 3)):
             ansatz = random_ansatz(rng, dim, n_drive, n_jump)
-            corr = build_correlation_matrix(ansatz, random_density(rng, dim))
-            images = corr.images
+            rho = random_density(rng, dim)
+            corr = build_correlation_matrix(ansatz, rho)
+            images = term_by_term_images(ansatz, rho)
             gram = np.array([[np.vdot(a, b) for b in images] for a in images])
             scale = np.linalg.norm(gram)
             assert np.linalg.norm(corr.mat - gram) <= 1e-13 * scale
@@ -355,7 +371,7 @@ class TestCorrelationMatrix:
     ])
     def test_factor_matches_the_re_im_fold(self, rng, case):
         # reference: the real and imaginary parts of all d^2 entries of the
-        # images in the basis P, 2 d^2 rows
+        # reference images in the basis P, 2 d^2 rows
         if isinstance(case, tuple):
             dim, n_drive, n_jump = case
             ansatz, rho = random_ansatz(rng, dim, n_drive, n_jump), random_density(rng, dim)
@@ -364,7 +380,7 @@ class TestCorrelationMatrix:
             ansatz, rho = model.ansatz, model.rho_ss
         corr = build_correlation_matrix(ansatz, rho)
         p = hermitian_parameter_basis(ansatz.n_drive, ansatz.n_jump)
-        entries = corr.images.reshape(ansatz.n_params, -1).T @ p
+        entries = term_by_term_images(ansatz, rho).reshape(ansatz.n_params, -1).T @ p
         re_im = np.vstack([entries.real, entries.imag])
         expected = re_im.T @ re_im
         got = corr.factor.T @ corr.factor
@@ -389,6 +405,20 @@ class TestCorrelationMatrix:
         with pytest.raises(NotHermitianError):
             build_correlation_matrix(ansatz, rho)
 
+    def test_peak_memory_below_the_complex_image_stack(self):
+        # a complex (J + K^2, d, d) stack of the images would take 16 P d^2
+        # bytes; the real coordinate matrix that is kept takes half of that
+        model = build_model(CollectiveSpec(n_spins=100, omega0=1.5, kappa=1.0))
+        stack_bytes = 16 * model.ansatz.n_params * model.ansatz.dim**2
+        tracemalloc.start()
+        try:
+            corr = build_correlation_matrix(model.ansatz, model.rho_ss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corr.coordinates.nbytes == stack_bytes // 2
+        assert peak < stack_bytes
+
     def test_gram_matrix_psd(self, rng):
         for _ in range(5):
             ansatz = random_ansatz(rng, 4, 2, 2)
@@ -398,12 +428,15 @@ class TestCorrelationMatrix:
 
     def test_dissipator_block_index_map(self):
         # dissipator (j, k) sits at J + j K + k, row-major after the drives
-        model = build_model(CoherentSpec(alpha=0.0))
+        model = build_model(CoherentSpec(alpha=1.0 + 0.5j))
         corr = build_correlation_matrix(model.ansatz, model.rho_ss)
         jumps = model.ansatz.jump_ops
+        images = [apply_h_term(h, model.rho_ss) for h in model.ansatz.h_ops]
+        images += [None] * 4
         for j, k, index in ((0, 0, 2), (0, 1, 3), (1, 0, 4), (1, 1, 5)):
-            expected = apply_d_term(jumps[j], jumps[k], model.rho_ss)
-            np.testing.assert_array_equal(corr.images[index], expected)
+            images[index] = apply_d_term(jumps[j], jumps[k], model.rho_ss)
+        gram = np.array([[np.vdot(a, b) for b in images] for a in images])
+        assert np.linalg.norm(corr.mat - gram) <= 1e-13 * np.linalg.norm(gram)
         assert corr.mat.shape == (6, 6)
 
 
@@ -418,10 +451,14 @@ class TestHermitianParameterBasis:
 
     def test_term_images_hermitian_in_the_basis(self, rng):
         ansatz = random_ansatz(rng, 5, 2, 3)
-        images = build_correlation_matrix(ansatz, random_density(rng, 5)).images
+        rho = random_density(rng, 5)
+        images = term_by_term_images(ansatz, rho)
         mapped = np.tensordot(hermitian_parameter_basis(2, 3).T, images, axes=1)
         scale = np.linalg.norm(images)
         assert np.linalg.norm(mapped - mapped.conj().transpose(0, 2, 1)) <= 1e-13 * scale
+        # the columns of term_images are their coordinates
+        rebuilt = hermitian_from_coordinates(term_images(ansatz, rho).T, 5)
+        assert np.linalg.norm(rebuilt - mapped) <= 1e-13 * scale
 
 
 class TestUnpack:

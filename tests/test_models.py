@@ -24,7 +24,7 @@ from lindrec.models import (
     collective_steady_state,
     default_cutoff,
 )
-from lindrec.quantum_ops import SpinSector, spin_ops
+from lindrec.quantum_ops import FockSpace, SpinSector, boson_ops, spin_ops
 
 from conftest import check_density_matrix
 
@@ -62,6 +62,15 @@ class TestBuildModel:
         a = np.diag(np.sqrt(np.arange(1, space_dim)), 1).astype(complex)
         np.testing.assert_allclose(model.ansatz.jump_ops[0], a @ a)
         np.testing.assert_allclose(model.ansatz.jump_ops[1], (a @ a).conj().T)
+
+    @pytest.mark.parametrize("n_max", [40, 164, 1212])
+    def test_squared_ladder_operators_from_the_superdiagonal(self, n_max):
+        # a^2 and a^dag^2 formed from one diagonal equal the dense products
+        ops = boson_ops(FockSpace(n_max))
+        model = build_model(SqueezedSpec(r=0.5, jumps="two", n_max=n_max))
+        a2, ad2 = model.ansatz.jump_ops
+        np.testing.assert_array_equal(a2, ops.a @ ops.a)
+        np.testing.assert_array_equal(ad2, ops.a_dag @ ops.a_dag)
 
     def test_reduced_basis_jump_normalization(self):
         spec = CollectiveSpec(n_spins=8, omega0=1.0, kappa=2.0, basis="xy2")
