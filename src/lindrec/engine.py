@@ -274,9 +274,9 @@ def term_images(ansatz: LindbladAnsatz, rho: np.ndarray) -> np.ndarray:
         z *= 2  # i (z - z^dag) = i (2 z - (z + z^dag))
         z -= hermitian
         z *= 1j
-        for target, part in ((herm, hermitian), (anti, z)):
+        for target, matrix in ((herm, hermitian), (anti, z)):
             if target is not None:
-                coords = hermitian_coordinates(part)
+                coords = hermitian_coordinates(matrix)
                 coordinates[:, target[0]] += np.multiply(coords, target[1], out=coords)
 
     work, part, conj_a = np.empty((3, dim, dim), dtype=complex)
