@@ -69,16 +69,17 @@ class _Operator:
     """A d x d operator whose products with a dense d x d matrix cost
     O(n d^2) when it has n <= d / BANDED_DIAGONAL_RATIO nonzero diagonals.
 
-    ``diagonals`` lists (offset o, values) with values[r] = mat[r, r + o],
-    zero where r + o lies outside the matrix; it is None for an operator
-    with more diagonals, whose products are ``np.matmul``.  ``out`` must not
-    overlap ``x`` and is best C-ordered; ``x`` may be a transposed view.
+    Such a banded operator keeps only ``dim`` and ``diagonals``, a list of
+    (offset o, values) with values[r] = mat[r, r + o], zero where r + o lies
+    outside the matrix, and ``mat`` is None; any other keeps ``mat`` for
+    ``np.matmul``, and ``diagonals`` is None.  ``out`` must not overlap ``x``
+    and is best C-ordered; ``x`` may be a transposed view.
     """
 
     def __init__(self, mat: np.ndarray):
         self.mat = mat
         self.diagonals = None
-        dim = mat.shape[0]
+        self.dim = dim = mat.shape[0]
         nonzero = mat != 0
         remaining = np.count_nonzero(nonzero)
         offsets = []
@@ -98,6 +99,17 @@ class _Operator:
             values = np.zeros(dim, dtype=complex)
             values[max(0, -offset):dim - max(0, offset)] = np.diagonal(mat, offset)
             self.diagonals.append((offset, values))
+        self.mat = None
+
+    def dense(self) -> np.ndarray:
+        """``mat``, or a new d x d array formed from the diagonals."""
+        if self.diagonals is None:
+            return self.mat
+        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        for offset, values in self.diagonals:
+            rows = np.arange(max(0, -offset), self.dim - max(0, offset))
+            mat[rows, rows + offset] = values[rows]
+        return mat
 
     def left(self, x: np.ndarray, out: np.ndarray) -> None:
         """out = mat @ x."""
@@ -121,7 +133,6 @@ class _Operator:
                     out[lo:hi] += part
 
 
-@dataclass(frozen=True)
 class LindbladAnsatz:
     """Ordered operator basis spanning the candidate generators.
 
@@ -129,14 +140,15 @@ class LindbladAnsatz:
     (``NonFiniteError`` otherwise); every drive generator must be Hermitian
     within 1e-10 (``NotHermitianError`` otherwise), and its Hermitian part
     is stored.  At least one generator (drive or jump) is required.
+
+    Each operator is stored once, as an ``_Operator`` (a banded one by its
+    diagonals alone); ``h_ops`` and ``jump_ops`` form the dense matrices on
+    every access.  Ansaetze compare equal only when they are the same object.
     """
 
-    h_ops: tuple[np.ndarray, ...]
-    jump_ops: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        h_ops = tuple(np.asarray(h, dtype=complex) for h in self.h_ops)
-        jump_ops = tuple(np.asarray(l, dtype=complex) for l in self.jump_ops)
+    def __init__(self, h_ops: tuple[np.ndarray, ...], jump_ops: tuple[np.ndarray, ...]):
+        h_ops = tuple(np.asarray(h, dtype=complex) for h in h_ops)
+        jump_ops = tuple(np.asarray(l, dtype=complex) for l in jump_ops)
         if not h_ops and not jump_ops:
             raise DimMismatchError("ansatz needs at least one generator")
         dims = {op.shape for op in h_ops + jump_ops}
@@ -150,28 +162,33 @@ class LindbladAnsatz:
         )
         for idx, l in enumerate(jump_ops):
             require_finite(l, f"jump operator {idx}")
-        object.__setattr__(self, "h_ops", h_ops)
-        object.__setattr__(self, "jump_ops", jump_ops)
         # the drives, the jumps and the transposed jumps with their nonzero
         # diagonals found, for the products of ``term_images``
-        object.__setattr__(self, "_operators", (
+        self._operators = (
             tuple(_Operator(h) for h in h_ops),
             tuple(_Operator(l) for l in jump_ops),
             tuple(_Operator(l.T) for l in jump_ops),
-        ))
+        )
+
+    @property
+    def h_ops(self) -> tuple[np.ndarray, ...]:
+        return tuple(op.dense() for op in self._operators[0])
+
+    @property
+    def jump_ops(self) -> tuple[np.ndarray, ...]:
+        return tuple(op.dense() for op in self._operators[1])
 
     @property
     def dim(self) -> int:
-        ops = self.h_ops or self.jump_ops
-        return ops[0].shape[0]
+        return (self._operators[0] or self._operators[1])[0].dim
 
     @property
     def n_drive(self) -> int:
-        return len(self.h_ops)
+        return len(self._operators[0])
 
     @property
     def n_jump(self) -> int:
-        return len(self.jump_ops)
+        return len(self._operators[1])
 
     @property
     def n_params(self) -> int:

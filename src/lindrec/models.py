@@ -9,7 +9,7 @@ validates the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -82,8 +82,8 @@ ModelSpec = Union[CoherentSpec, SqueezedSpec, CollectiveSpec]
 # Largest Hilbert-space dimension d an experiment may build.  The term images
 # of an ansatz with J drives and K jumps are held as a real d^2 x (J + K^2)
 # matrix: 15 MB at d = 401 and 0.4 GB at d = 2048 for the collective full
-# basis (J + K^2 = 12), on top of the dense d x d operators.  The default
-# Fock cutoffs stay below it up to |alpha| of about 14 and r of about 2.25.
+# basis (J + K^2 = 12), on top of the d x d state and non-banded operators.
+# The default Fock cutoffs stay below it up to |alpha| ~ 14 and r ~ 2.25.
 MAX_HILBERT_DIM = 2048
 
 
@@ -148,8 +148,11 @@ def build_model(spec: ModelSpec) -> Model:
             drives = (ops.sx, ops.sy)
             jumps = (ops.sx / scale, ops.sy / scale)
         ansatz = LindbladAnsatz(h_ops=drives, jump_ops=jumps)
-        rho = collective_steady_state(spec, ops)
-        return Model(spec=spec, ansatz=ansatz, rho_ss=rho)
+        # the ansatz holds banded operators by their diagonals, so the dense
+        # ones the state's residual check does not read are released first
+        del drives, jumps
+        ops = replace(ops, sy=None, sz=None, sp=None)
+        return Model(spec=spec, ansatz=ansatz, rho_ss=collective_steady_state(spec, ops))
     if not isinstance(spec, (CoherentSpec, SqueezedSpec)):
         raise UnsupportedVariantError(f"unknown spec type {type(spec)!r}")
     space = FockSpace(hilbert_dim(spec) - 1)

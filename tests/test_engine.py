@@ -25,6 +25,7 @@ from lindrec.errors import (
     NonPhysicalVectorError,
     NotHermitianError,
 )
+from lindrec import models
 from lindrec.models import (
     CoherentSpec,
     CollectiveSpec,
@@ -107,6 +108,15 @@ def reference_coordinates(ansatz, rho):
 # model ansaetze whose operators all lie above the banded-product crossover
 BANDED_SPECS = [
     CollectiveSpec(n_spins=100, omega0=1.5, kappa=1.0),
+    SqueezedSpec(r=1.0, n_max=164),
+    SqueezedSpec(r=1.0, jumps="two", n_max=164),
+]
+
+# every model ansatz, from all-dense (N = 2, 3 and d = 41) to all-banded
+MODEL_SPECS = [
+    *(CollectiveSpec(n_spins=n, omega0=1.5, kappa=1.0, basis=basis)
+      for n in (2, 3, 40, 400) for basis in ("full3", "xy2")),
+    CoherentSpec(alpha=1.5 - 0.5j),
     SqueezedSpec(r=1.0, n_max=164),
     SqueezedSpec(r=1.0, jumps="two", n_max=164),
 ]
@@ -240,6 +250,54 @@ class TestTermImages:
         # an exactly Hermitian drive is kept as given, not copied
         exact = random_hermitian(rng, 4)
         assert LindbladAnsatz(h_ops=(exact,), jump_ops=()).h_ops[0] is exact
+
+
+class TestAnsatzStorage:
+    @pytest.mark.parametrize("spec", MODEL_SPECS)
+    def test_dense_accessors_return_the_operators_passed_in(self, monkeypatch, spec):
+        built = []
+
+        def recording(h_ops, jump_ops):
+            built.append((LindbladAnsatz(h_ops=h_ops, jump_ops=jump_ops), h_ops, jump_ops))
+            return built[-1][0]
+
+        monkeypatch.setattr(models, "LindbladAnsatz", recording)
+        ansatz = build_model(spec).ansatz
+        h_ops, jump_ops = next(ops for a, *ops in built if a is ansatz)
+        for stored, given in ((ansatz.h_ops, h_ops), (ansatz.jump_ops, jump_ops)):
+            assert len(stored) == len(given)
+            for got, expected in zip(stored, given):
+                assert got.dtype == complex
+                np.testing.assert_array_equal(got, expected)
+
+    def test_banded_operator_holds_no_square_array(self):
+        op = _Operator(spin_ops(SpinSector(400)).sx)
+        assert op.mat is None and op.dim == 401
+        arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
+        arrays += [values for _, values in op.diagonals]
+        assert arrays and all(a.shape == (401,) for a in arrays)
+
+    def test_build_model_keeps_only_the_state_dense(self):
+        # the state takes 16 d^2 = 2.6 MB at d = 401, and a dense Sx, Sy or
+        # Sz as much again each; the residual check of the state peaks at
+        # 22 MB with Sx and S- dense, and at 30 MB with all five spin operators
+        tracemalloc.start()
+        try:
+            model = build_model(CollectiveSpec(n_spins=400, omega0=1.5, kappa=1.0))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(op.mat is None for group in model.ansatz._operators for op in group)
+        assert kept <= 4e6
+        assert peak <= 25e6
+
+    def test_identity_semantics(self):
+        drive = np.array([[1.0, 0.5], [0.5, -1.0]])
+        first, second = (LindbladAnsatz(h_ops=(drive,), jump_ops=()) for _ in range(2))
+        assert first == first and not first != first
+        assert first != second and not first == second
+        assert hash(first) == hash(first)
+        assert len({first, second}) == 2
 
 
 class TestLindbladianParams:

@@ -32,6 +32,7 @@ from lindrec.models import (
 from lindrec.numerics import asymmetry
 from lindrec.quantum_ops import mix_with_identity
 from lindrec.verification import (
+    MAX_SUPEROP_DIM,
     NULL_SV_TOL,
     _bordered,
     _one_inf,
@@ -171,6 +172,34 @@ class TestVectorize:
         params = LindbladianParams(c=np.ones(1), gamma=np.zeros((0, 0)))
         with pytest.raises(DimTooLargeError):
             vectorize_liouvillian(params, ansatz)
+
+
+class TestAllBandedAnsatz:
+    """Coherent n_max = 99: d^2 = MAX_SUPEROP_DIM, and every operator of the
+    ansatz is stored by its diagonals, so verification reads the dense
+    matrices that ``h_ops`` and ``jump_ops`` form on access."""
+
+    @pytest.fixture(scope="class")
+    def reconstructed(self):
+        model = build_model(CoherentSpec(alpha=1.0, n_max=99))
+        assert model.ansatz.dim**2 == MAX_SUPEROP_DIM
+        assert all(op.mat is None for group in model.ansatz._operators for op in group)
+        return model, reverse_engineer(model.ansatz, model.rho_ss).solutions[0]
+
+    def test_vectorized_generator_matches_the_master_equation(self, rng, reconstructed):
+        model, params = reconstructed
+        superop = vectorize_liouvillian(params, model.ansatz)
+        for _ in range(3):
+            rho = random_hermitian(rng, 100)
+            expected = master_equation(params, model.ansatz, rho)
+            got = unstack_state(superop @ stack_state(rho), 100)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_lu_steady_state_is_the_coherent_state(self, reconstructed):
+        model, params = reconstructed
+        out = steady_state_of(params, model.ansatz, method="lu")
+        assert out.method == "lu"
+        assert norm_difference(out.rho, model.rho_ss) <= 1e-10
 
 
 class TestHermitianBasis:
