@@ -446,6 +446,9 @@ def run_experiment(config: RunConfig) -> dict:
     """Execute one experiment and write its artifacts under ``config.out_dir``.
 
     Returns the full report dictionary (also written to ``report.json``).
+    Whichever of ``solutions.json`` and ``scaling.csv`` this run does not
+    write (a failed run writes neither) is removed, so no earlier run's copy
+    stays behind.
     """
     config.validate()
     experiment = EXPERIMENTS[config.experiment]
@@ -472,8 +475,12 @@ def run_experiment(config: RunConfig) -> dict:
     solutions = results.get("solutions")
     if solutions is not None:
         write_json(out / "solutions.json", {"solutions": solutions})
+    else:
+        (out / "solutions.json").unlink(missing_ok=True)
     if experiment.table is not None and error is None:
         write_csv(out / "scaling.csv", *experiment.table(config, results))
+    else:
+        (out / "scaling.csv").unlink(missing_ok=True)
     return report
 
 

@@ -46,7 +46,11 @@ def require_finite(a: np.ndarray, name: str) -> None:
 def asymmetry(a: np.ndarray) -> float:
     """Deviation of ``a`` from its conjugate transpose, relative to max(1, ||a||)."""
     a = _as_square(a)
-    return float(np.linalg.norm(a - a.conj().T) / max(1.0, np.linalg.norm(a)))
+    return _asymmetry(a, a.conj().T)
+
+
+def _asymmetry(a: np.ndarray, adjoint: np.ndarray) -> float:
+    return float(np.linalg.norm(a - adjoint) / max(1.0, np.linalg.norm(a)))
 
 
 def hermitian_part(
@@ -60,10 +64,11 @@ def hermitian_part(
     """
     a = _as_square(a)
     require_finite(a, name)
-    asym = asymmetry(a)
+    adjoint = a.conj().T  # one conjugate copy for the check, the test and the sum
+    asym = _asymmetry(a, adjoint)
     if asym > tol:
         raise NotHermitianError(f"{name} asymmetry {asym:.3e} exceeds {tol:g}")
-    return a if np.array_equal(a, a.conj().T) else (a + a.conj().T) / 2
+    return a if not (a - adjoint).any() else (a + adjoint) / 2
 
 
 @functools.lru_cache(maxsize=None)

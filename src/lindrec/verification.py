@@ -5,10 +5,10 @@ column-stacked states, a sum of Kronecker products of the operators.  With
 real couplings and a Hermitian rate matrix it maps Hermitian matrices to
 Hermitian matrices, so in an orthonormal basis of Hermitian operators that
 matrix is real.  Steady states and residuals are obtained from the sparse
-real matrix, without going through the correlation matrix: SuperLU
-factors it once, and the certified path inverts those factors densely in
-place with LAPACK.  scipy is imported inside the functions that use it, so
-importing lindrec does not load it.
+real matrix, without going through the correlation matrix, on one factored
+path: SuperLU factors it once, and an optional certificate inverts those
+factors densely in place with LAPACK.  scipy is imported inside the
+functions that use it, so importing lindrec does not load it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .numerics import (
 
 if TYPE_CHECKING:
     from scipy import sparse
-    from scipy.sparse.linalg import SuperLU
 
 # Largest supported superoperator dimension d^2.
 MAX_SUPEROP_DIM = 10_000
@@ -176,14 +175,15 @@ def steady_state_of(
     replaced by ``hermitian_part(gamma, "rate matrix gamma")``, which
     rejects a non-finite or non-Hermitian one.
 
-    Both methods work on the bordered matrix B: T with row 0 replaced by the
-    trace row, so that B x = e_0 picks the null direction of trace 1.  Both
-    factor the sparse B once with SuperLU and solve B x = e_0 for the
-    steady state.  ``method='lu'`` stops there, which verifies the residual
-    but not multiplicity.  ``method='svd'`` also inverts the factors into
-    one dense array in place (LAPACK getri), a permutation of B^-1, and the
-    1- and inf-norms of B^-1 and T bound s_{n-1}(T)/s_0(T) from below (B
-    differs from T in one row, so s_{n-1}(T) >= s_min(B) by interlacing).
+    Both methods take one factored path on the bordered matrix B: T with
+    row 0 replaced by the trace row, so that B x = e_0 picks the null
+    direction of trace 1.  SuperLU factors the sparse B once and solves
+    B x = e_0 for the steady state.  ``method='lu'`` stops there, which
+    verifies the residual but not multiplicity.  ``method='svd'`` adds the
+    certificate: it inverts the factors into one dense array in place
+    (LAPACK getri), a permutation of B^-1, and the 1- and inf-norms of B^-1
+    and T bound s_{n-1}(T)/s_0(T) from below (B differs from T in one row,
+    so s_{n-1}(T) >= s_min(B) by interlacing).
     When that bound exceeds ``NULL_SV_TOL`` and the state passes its
     residual gate, the SVD would report a one-dimensional null space, so
     uniqueness is certified without it (``method='inverse'`` in the
@@ -202,8 +202,7 @@ def steady_state_of(
     )
     dim = ansatz.dim
     gen = _real_generator(vectorize_liouvillian(hermitian, ansatz), dim)
-    fast = _steady_state_inverse if method == "svd" else _steady_state_lu
-    result = fast(gen, dim)
+    result = _steady_state_factored(gen, dim, certify=method == "svd")
     if isinstance(result, SteadyStateResult):
         return result
     robust = _steady_state_svd(gen, dim)
@@ -266,88 +265,72 @@ def _one_inf(magnitudes) -> float:
     return float(magnitudes.sum(axis=0).max() * magnitudes.sum(axis=1).max())
 
 
-def _factor_bordered(
-    gen: sparse.csr_array, dim: int
-) -> tuple[SuperLU, np.ndarray] | None:
-    """SuperLU factors of the sparse bordered matrix B and the solution of
-    B x = e_0, or None when B is singular."""
+def _steady_state_factored(
+    gen: sparse.csr_array, dim: int, certify: bool
+) -> SteadyStateResult | str:
+    """Steady state from the SuperLU factors of the bordered matrix B, or the
+    fallback reason when the path does not return one.
+
+    SuperLU factors Pr B Pc = LU once and solves B x = e_0.  With
+    ``certify``, U and the strict lower part of L are also packed into one
+    dense Fortran-ordered array, which LAPACK getri overwrites with
+    (LU)^-1 = Pc^T B^-1 Pr^T, so that array is the only d^2 x d^2 one.  The
+    1- and inf-norms of the uniqueness bound do not change under those
+    permutations.
+    """
+    from scipy.linalg.lapack import dgetri, dgetri_lwork
     from scipy.sparse.linalg import splu
 
-    rhs = np.zeros(dim * dim)
+    n = dim * dim
+    rhs = np.zeros(n)
     rhs[0] = 1.0
     try:
         lu = splu(_bordered(gen, dim))
     except RuntimeError:
-        return None
-    vec = lu.solve(rhs)
-    if not np.all(np.isfinite(vec)):
-        return None
-    return lu, vec
-
-
-def _steady_state_inverse(gen: sparse.csr_array, dim: int) -> SteadyStateResult | str:
-    """Certified steady state from the SuperLU factors of the bordered matrix.
-
-    SuperLU factors Pr B Pc = LU.  U and the strict lower part of L are
-    packed into one dense Fortran-ordered array, which LAPACK getri
-    overwrites with (LU)^-1 = Pc^T B^-1 Pr^T, so that array is the only
-    d^2 x d^2 one.  The 1- and inf-norms of the bound do not change under
-    those permutations.  Returns the fallback reason instead of a result
-    when the certificate is not issued.
-    """
-    from scipy.linalg.lapack import dgetri, dgetri_lwork
-
-    factored = _factor_bordered(gen, dim)
-    if factored is None:
         return "singular"
-    lu, coords = factored
-    n = dim * dim
-    packed = lu.U.toarray(order="F")
-    # getri takes the unit diagonal of L as implied; scattering the strict
-    # lower part in place adds no sparse temporaries to the dense peak
-    lower = lu.L.tocoo()
-    strict = lower.row > lower.col
-    packed[lower.row[strict], lower.col[strict]] = lower.data[strict]
-    # SuperLU already pivoted the rows, so getri sees identity pivots; its
-    # default workspace of 3n leaves it unblocked, 3.5 times slower at d = 41
-    inv, info = dgetri(
-        packed,
-        np.arange(n, dtype=np.int32),
-        lwork=int(dgetri_lwork(n)[0]),
-        overwrite_lu=True,
-    )
-    if info != 0 or not np.all(np.isfinite(inv)):
+    coords = lu.solve(rhs)
+    if not np.all(np.isfinite(coords)):
         return "singular"
-    # s_{n-1}(T) >= s_min(B) = 1 / ||B^-1||_2 by interlacing (B is T with one
-    # row replaced) and s_0(T) = ||T||_2; both 2-norms are bounded by _one_inf
-    bound = float(1.0 / np.sqrt(_one_inf(np.abs(inv, out=inv)) * _one_inf(abs(gen))))
-    if not bound > NULL_SV_TOL:
-        return "bound"
+    bound = None
+    if certify:
+        packed = lu.U.toarray(order="F")
+        # getri takes the unit diagonal of L as implied; scattering the strict
+        # lower part in place adds no sparse temporaries to the dense peak
+        lower = lu.L.tocoo()
+        strict = lower.row > lower.col
+        packed[lower.row[strict], lower.col[strict]] = lower.data[strict]
+        # SuperLU already pivoted the rows, so getri sees identity pivots; its
+        # default workspace of 3n leaves it unblocked, 3.5 times slower at d = 41
+        inv, info = dgetri(
+            packed,
+            np.arange(n, dtype=np.int32),
+            lwork=int(dgetri_lwork(n)[0]),
+            overwrite_lu=True,
+        )
+        if info != 0 or not np.all(np.isfinite(inv)):
+            return "singular"
+        # s_{n-1}(T) >= s_min(B) = 1 / ||B^-1||_2 by interlacing (B is T with one
+        # row replaced) and s_0(T) = ||T||_2; both 2-norms are bounded by _one_inf.
+        # abs() of a sparse array sorts its indices in place; taken of a sorted
+        # copy, it keeps T in the order in which both methods sum the residual
+        inv_norms = _one_inf(np.abs(inv, out=inv))
+        bound = float(1.0 / np.sqrt(inv_norms * _one_inf(abs(gen.sorted_indices()))))
+        if not bound > NULL_SV_TOL:
+            return "bound"
     rho, residual, scale = _null_residual(gen, dim, coords)
-    # ||T x|| / ||x|| <= NULL_SV_TOL * ||T||_F / d <= NULL_SV_TOL * s_0 puts a
-    # null singular value below the SVD threshold (||x|| = ||rho||_F); it also
-    # implies the absolute gate residual <= NULL_SV_TOL * max(1, ||T||_F / d)
-    if residual > NULL_SV_TOL * scale * np.linalg.norm(rho):
+    if certify:
+        # ||T x|| / ||x|| <= NULL_SV_TOL * ||T||_F / d <= NULL_SV_TOL * s_0 puts a
+        # null singular value below the SVD threshold (||x|| = ||rho||_F); it
+        # also implies the LU gate residual <= NULL_SV_TOL * max(1, ||T||_F / d)
+        limit = NULL_SV_TOL * scale * np.linalg.norm(rho)
+    else:
+        limit = NULL_SV_TOL * max(1.0, scale)
+    if residual > limit:
         return "residual"
     return SteadyStateResult(
-        rho=rho,
-        residual=residual,
-        null_space_dim=1,
-        method="inverse",
-        uniqueness_bound=bound,
+        rho=rho, residual=residual, null_space_dim=1 if certify else None,
+        method="inverse" if certify else "lu", uniqueness_bound=bound,
     )
-
-
-def _steady_state_lu(gen: sparse.csr_array, dim: int) -> SteadyStateResult | str:
-    """Trace-constrained sparse solve with SuperLU; returns the fallback
-    reason on failure."""
-    factored = _factor_bordered(gen, dim)
-    if factored is None:
-        return "singular"
-    rho, residual, scale = _null_residual(gen, dim, factored[1])
-    if residual > NULL_SV_TOL * max(1.0, scale):
-        return "residual"
-    return SteadyStateResult(rho=rho, residual=residual, null_space_dim=None, method="lu")
 
 
 def norm_difference(rho_a: np.ndarray, rho_b: np.ndarray) -> float:

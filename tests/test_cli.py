@@ -426,6 +426,19 @@ class TestRuns:
         report = load_report(tmp_path / "n")
         assert "error" in report
 
+    def test_failed_run_leaves_no_earlier_solutions_or_table(self, tmp_path):
+        out = str(tmp_path / "rob")
+        eps = ["--eps", "1e-3,3e-3,1e-2"]
+        assert main(["robustness", "--N", "4,5,6", *eps, "--out", out]) == 0
+        assert (tmp_path / "rob" / "solutions.json").exists()
+        assert (tmp_path / "rob" / "scaling.csv").exists()
+        # d = 101 passes the Hilbert-space bound but not the superoperator one
+        assert main(["robustness", "--N", "100,101,102", *eps, "--out", out]) == 3
+        assert sorted(path.name for path in (tmp_path / "rob").iterdir()) == ["report.json"]
+        report = load_report(tmp_path / "rob")
+        assert report["results"] == {}
+        assert report["error"].startswith("DimTooLargeError")
+
     def test_robustness_small_grid_csv(self, tmp_path):
         out = tmp_path / "rob"
         rc = main(

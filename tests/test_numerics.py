@@ -14,6 +14,7 @@ from lindrec.numerics import (
     extract_kernel,
     hermitian_coordinates,
     hermitian_from_coordinates,
+    hermitian_part,
     is_psd,
     loglog_fit,
     positive_part,
@@ -46,6 +47,18 @@ class TestHermitianCoordinates:
             np.testing.assert_array_equal(coords[index], hermitian_coordinates(stack[index]))
             np.testing.assert_array_equal(back[index], hermitian_from_coordinates(coords[index], 3))
         assert hermitian_from_coordinates(np.eye(0), 0).shape == (0, 0, 0)
+
+
+class TestHermitianPart:
+    def test_exactly_hermitian_input_is_returned_itself(self, rng):
+        a = random_hermitian(rng, 5)
+        assert hermitian_part(a, "a") is a
+
+    def test_near_hermitian_input_is_averaged_bitwise(self, rng):
+        a = random_hermitian(rng, 5) + 1e-12 * rng.standard_normal((5, 5))
+        expected = (a + a.conj().T) / 2
+        np.testing.assert_array_equal(hermitian_part(a, "a"), expected)
+        assert hermitian_part(expected, "a") is expected
 
 
 class TestEigh:

@@ -34,9 +34,11 @@ from lindrec.quantum_ops import mix_with_identity
 from lindrec.verification import (
     MAX_SUPEROP_DIM,
     NULL_SV_TOL,
+    SteadyStateResult,
     _bordered,
     _one_inf,
     _real_generator,
+    _steady_state_factored,
     _steady_state_svd,
     norm_difference,
     steady_state_of,
@@ -349,9 +351,55 @@ class TestSteadyState:
             ident = np.eye(dim * dim)
             ref_residual = np.linalg.norm(bordered @ reference - ident)
             assert np.linalg.norm(permuted @ inv - ident) <= 4 * ref_residual
+            # both methods take the same factorization and solve
             solved = steady_state_of(params, ansatz, method="lu")
-            assert norm_difference(out.rho, solved.rho) <= 1e-12
+            np.testing.assert_array_equal(out.rho, solved.rho)
+            assert out.residual == solved.residual
         assert certified[0] == 41 and len(certified) >= 10
+
+    @pytest.mark.parametrize(
+        "certify, case, outcome",
+        [
+            (True, "unique", "inverse"),
+            (True, "zero", "singular"),
+            (True, "tol_one", "bound"),
+            (True, "tol_tiny", "residual"),
+            (True, "tol_between", "residual"),
+            (False, "unique", "lu"),
+            (False, "zero", "singular"),
+            (False, "tol_tiny", "residual"),
+            (False, "tol_between", "lu"),
+        ],
+    )
+    def test_factored_solve_outcomes(self, monkeypatch, certify, case, outcome):
+        spec = CollectiveSpec(n_spins=6, omega0=2.0, kappa=1.0)
+        model = build_model(spec)
+        params = collective_generator_params(spec)
+        if case == "zero":
+            params = LindbladianParams(c=0 * params.c, gamma=0 * params.gamma)
+        dim = model.ansatz.dim
+        gen = _real_generator(vectorize_liouvillian(params, model.ansatz), dim)
+        # the uniqueness bound is below s_{n-1}/s_0 <= 1, and a residual of
+        # roundoff exceeds either gate scaled by 1e-300
+        tols = {"tol_one": 1.0, "tol_tiny": 1e-300}
+        if case == "tol_between":
+            # between the certified gate tol * scale * ||rho|| and the LU gate
+            # tol * max(1, scale), as ||rho|| < 1 < scale for this state
+            state = _steady_state_factored(gen, dim, False)
+            scale = np.linalg.norm(gen.data) / dim
+            assert np.linalg.norm(state.rho) < 1 < scale
+            tols[case] = state.residual / (scale * np.linalg.norm(state.rho) ** 0.5)
+        if case in tols:
+            monkeypatch.setattr("lindrec.verification.NULL_SV_TOL", tols[case])
+        out = _steady_state_factored(gen, dim, certify)
+        if outcome in ("singular", "bound", "residual"):
+            assert out == outcome
+            return
+        assert isinstance(out, SteadyStateResult)
+        assert out.method == outcome and out.fallback is None
+        assert out.null_space_dim == (1 if certify else None)
+        assert (out.uniqueness_bound is not None) == certify
+        assert norm_difference(out.rho, model.rho_ss) < 1e-8
 
     def test_non_hermitian_rate_matrix_rejected(self, rng):
         ansatz = random_ansatz(rng, 3, 1, 2)
