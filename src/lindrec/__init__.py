@@ -52,7 +52,6 @@ from .verification import (
     SteadyStateResult,
     norm_difference,
     steady_state_of,
-    vectorize_liouvillian,
 )
 
 __version__ = "0.1.0"
@@ -94,5 +93,4 @@ __all__ = [
     "squeezed_vacuum",
     "steady_state_of",
     "unpack_kernel_vector",
-    "vectorize_liouvillian",
 ]

@@ -49,7 +49,7 @@ from .quantum_ops import (
     coherent_state,  # noqa: F401 -- module attribute that perfbench/tracing.py wraps
     mix_with_identity,
 )
-from .verification import norm_difference, steady_state_of
+from .verification import MAX_SUPEROP_DIM, norm_difference, steady_state_of
 
 DEFAULT_EPS_GRID = tuple(float(x) for x in np.logspace(-4, -2, 9))
 DEFAULT_N_GRID = (10, 20, 40)
@@ -104,9 +104,15 @@ class RunConfig:
             raise ConfigInvalidError(f"unknown jumps {self.jumps!r}")
         if self.n_max is not None and self.n_max < 1:
             raise ConfigInvalidError("n_max must be at least 1")
-        if max(models.hilbert_dim(spec) for spec in self.specs()) > models.MAX_HILBERT_DIM:
+        dim = max(models.hilbert_dim(spec) for spec in self.specs())
+        if dim > models.MAX_HILBERT_DIM:
             raise ConfigInvalidError(
                 f"a model needs a Hilbert-space dimension above {models.MAX_HILBERT_DIM}"
+            )
+        # every robustness row certifies its steady state on the dense inverse
+        if self.experiment == "robustness" and dim * dim > MAX_SUPEROP_DIM:
+            raise ConfigInvalidError(
+                f"superoperator dimension {dim * dim} exceeds {MAX_SUPEROP_DIM}"
             )
 
     def specs(self) -> list[models.ModelSpec]:

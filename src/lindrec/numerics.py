@@ -114,12 +114,11 @@ def is_psd(a: np.ndarray, tol: float = 1e-10) -> bool:
 
     An empty (0 x 0) matrix, the rate matrix of a drive-only ansatz, is PSD.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    try:
+        a = hermitian_part(a, "matrix", tol=max(tol, HERMITICITY_REJECT_TOL))
+    except (NonSquareError, NonFiniteError, NotHermitianError):
         return False
-    if not asymmetry(a) <= max(tol, HERMITICITY_REJECT_TOL):  # NaN fails too
-        return False
-    w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    w = np.linalg.eigvalsh(a)
     if w.size == 0:
         return True
     scale = max(1.0, float(w[-1]))

@@ -3,12 +3,13 @@
 The generator is vectorized into a sparse d^2 x d^2 matrix acting on
 column-stacked states, a sum of Kronecker products of the operators.  With
 real couplings and a Hermitian rate matrix it maps Hermitian matrices to
-Hermitian matrices, so in an orthonormal basis of Hermitian operators that
-matrix is real.  Steady states and residuals are obtained from the sparse
-real matrix, without going through the correlation matrix, on one factored
-path: SuperLU factors it once, and an optional certificate inverts those
-factors densely in place with LAPACK.  scipy is imported inside the
-functions that use it, so importing lindrec does not load it.
+Hermitian matrices, so ``vectorize_liouvillian`` returns it in an
+orthonormal basis of Hermitian operators, where it is real.  Steady states
+and residuals are obtained from the sparse real matrix, without going
+through the correlation matrix, on one factored path: SuperLU factors it
+once, and an optional certificate inverts those factors densely in place
+with LAPACK.  scipy is imported inside the functions that use it, so
+importing lindrec does not load it.
 """
 
 from __future__ import annotations
@@ -40,22 +41,30 @@ NULL_SV_TOL = 1e-8
 def vectorize_liouvillian(
     params: LindbladianParams, ansatz: LindbladAnsatz
 ) -> sparse.csr_array:
-    """Build the sparse d^2 x d^2 matrix (a ``scipy.sparse`` CSR array) whose
-    action equals the generator.
+    """The generator as the real d^2 x d^2 matrix T = Re(U^H S U), a float64
+    ``scipy.sparse`` CSR array without duplicate or explicit zero entries.
 
-    Column stacking turns A rho B into (B^T kron A) vec(rho), so the matrix
-    is a sum of at most K + 2 Kronecker products.  With gamma = W diag(s) V^H
-    the jump terms sum_jk gamma_jk L_j rho L_k^dag are sum_m s_m A_m rho
-    B_m^dag over the channels A_m = sum_j W_jm L_j and B_m = sum_k V_km L_k,
-    one product conj(B_m) kron A_m each; for a Hermitian gamma these are its
-    eigen-channels up to sign, and a non-Hermitian gamma takes the same path.
-    The drive and anticommutator terms fold into one left and one right
-    d x d matrix, I kron left and right^T kron I.  Trace preservation
-    appears as the vectorized identity being a left null vector of the
-    result.
+    S is the generator on column-stacked states.  Column stacking turns
+    A rho B into (B^T kron A) vec(rho), so S is a sum of at most K + 2
+    Kronecker products.  With gamma = W diag(s) V^H the jump terms
+    sum_jk gamma_jk L_j rho L_k^dag are sum_m s_m A_m rho B_m^dag over the
+    channels A_m = sum_j W_jm L_j and B_m = sum_k V_km L_k, one product
+    conj(B_m) kron A_m each; for a Hermitian gamma these are its
+    eigen-channels up to sign.  The drive and anticommutator terms fold
+    into one left and one right d x d matrix, I kron left and
+    right^T kron I.  U is the unitary of ``numerics.hermitian_coordinates``,
+    sparse with two entries in each column off the diagonal positions.  S
+    maps Hermitian matrices to Hermitian matrices, so the imaginary part
+    dropped is roundoff, and T has the singular values of S.  Trace
+    preservation makes the rows of T at arange(d) * (d + 1) sum to zero.
+    Non-finite couplings raise ``NonFiniteError``; the rate matrix is
+    replaced by ``hermitian_part(gamma, "rate matrix gamma")``, which
+    rejects a non-finite or non-Hermitian one.
     """
     from scipy import sparse
 
+    require_finite(params.c, "coupling vector c")
+    gamma = hermitian_part(params.gamma, "rate matrix gamma")
     d = ansatz.dim
     if d * d > MAX_SUPEROP_DIM:
         raise DimTooLargeError(f"superoperator dimension {d * d} exceeds {MAX_SUPEROP_DIM}")
@@ -69,7 +78,7 @@ def vectorize_liouvillian(
     terms = []
     if params.n_jump:
         jumps = np.array(ansatz.jump_ops)
-        w, s, vh = np.linalg.svd(params.gamma)
+        w, s, vh = np.linalg.svd(gamma)
         for s_m, a_m, b_m in zip(
             s, np.tensordot(w.T, jumps, axes=1), np.tensordot(vh.conj(), jumps, axes=1)
         ):
@@ -81,33 +90,17 @@ def vectorize_liouvillian(
     ident = sparse.eye_array(d, dtype=complex, format="csr")
     terms.append(sparse.kron(ident, sparse.csr_array(left)))
     terms.append(sparse.kron(sparse.csr_array(right.T), ident))
-    return sum(terms[1:], terms[0]).tocsr()
-
-
-def _hermitian_basis(dim: int) -> sparse.csc_array:
-    """The unitary U of ``numerics.hermitian_coordinates`` as a sparse CSC
-    array, with two entries in each column off the diagonal positions."""
-    from scipy import sparse
-
-    i, j = np.triu_indices(dim, 1)
-    upper, lower = i + j * dim, j + i * dim  # positions (i, j) and (j, i), i < j
-    diag = np.arange(dim) * (dim + 1)
+    superop = sum(terms[1:], terms[0]).tocsr()
+    del terms  # the Kronecker products are not held through the change of basis
+    i, j = np.triu_indices(d, 1)
+    upper, lower = i + j * d, j + i * d  # positions (i, j) and (j, i), i < j
+    diag = np.arange(d) * (d + 1)
     half = np.full(upper.size, 2**-0.5)
     # column (i, j): (E_ij + E_ji)/sqrt(2); column (j, i): i(E_ij - E_ji)/sqrt(2)
     rows = np.concatenate([diag, upper, lower, upper, lower])
     cols = np.concatenate([diag, upper, upper, lower, lower])
-    vals = np.concatenate([np.ones(dim), half, half, 1j * half, -1j * half])
-    return sparse.csc_array((vals, (rows, cols)), shape=(dim * dim, dim * dim))
-
-
-def _real_generator(superop: sparse.csr_array, dim: int) -> sparse.csr_array:
-    """The real matrix T = Re(U^H S U) of the sparse superoperator S, as a
-    CSR array without duplicate or explicit zero entries.
-
-    For a Hermiticity-preserving S the imaginary part dropped is roundoff,
-    and T has the singular values of S.
-    """
-    basis = _hermitian_basis(dim)
+    vals = np.concatenate([np.ones(d), half, half, 1j * half, -1j * half])
+    basis = sparse.csc_array((vals, (rows, cols)), shape=(d * d, d * d))
     gen = (basis.conj().T @ superop @ basis).real
     gen.eliminate_zeros()
     return gen
@@ -165,15 +158,10 @@ def steady_state_of(
 ) -> SteadyStateResult:
     """Steady state of the parameterized generator.
 
-    Every path works in real arithmetic on T = Re(U^H S U), the vectorized
-    generator S in the Hermitian operator basis U, which has the singular
-    values of S; ||T x|| equals ||S vec(rho)|| for the state rho with
-    coordinates x.  S, U and T are sparse: T is built from the operators'
-    Kronecker products and U has at most two entries per column, so only
-    the certified path and the SVD fallback hold a dense d^2 x d^2 matrix.
-    Non-finite couplings raise ``NonFiniteError``; the rate matrix is
-    replaced by ``hermitian_part(gamma, "rate matrix gamma")``, which
-    rejects a non-finite or non-Hermitian one.
+    Every path works in real arithmetic on the sparse T of
+    ``vectorize_liouvillian``, which applies the input rules; ||T x||
+    equals ||S vec(rho)|| for the state rho with coordinates x.  Only the
+    certified path and the SVD fallback hold a dense d^2 x d^2 matrix.
 
     Both methods take one factored path on the bordered matrix B: T with
     row 0 replaced by the trace row, so that B x = e_0 picks the null
@@ -196,12 +184,8 @@ def steady_state_of(
     """
     if method not in ("svd", "lu"):
         raise ValueError(f"unknown method {method!r}")
-    require_finite(params.c, "coupling vector c")
-    hermitian = LindbladianParams(
-        c=params.c, gamma=hermitian_part(params.gamma, "rate matrix gamma")
-    )
     dim = ansatz.dim
-    gen = _real_generator(vectorize_liouvillian(hermitian, ansatz), dim)
+    gen = vectorize_liouvillian(params, ansatz)
     result = _steady_state_factored(gen, dim, certify=method == "svd")
     if isinstance(result, SteadyStateResult):
         return result

@@ -194,6 +194,8 @@ class TestParsing:
         ["robustness", "--N", "10,20,4000"],
         ["feasibility", "--n-max", str(models.MAX_HILBERT_DIM)],
         ["feasibility", "--alpha", "30"],
+        # d^2 = 10201 to 10609, above the superoperator bound of the certified rows
+        ["robustness", "--N", "100,101,102", "--eps", "1e-3,3e-3,1e-2"],
     ])
     def test_dimension_above_the_bound_is_a_config_error(self, tmp_path, monkeypatch, argv):
         def no_model(spec):
@@ -432,8 +434,8 @@ class TestRuns:
         assert main(["robustness", "--N", "4,5,6", *eps, "--out", out]) == 0
         assert (tmp_path / "rob" / "solutions.json").exists()
         assert (tmp_path / "rob" / "scaling.csv").exists()
-        # d = 101 passes the Hilbert-space bound but not the superoperator one
-        assert main(["robustness", "--N", "100,101,102", *eps, "--out", out]) == 3
+        # d = 161 passes the Hilbert-space bound but not the superoperator one
+        assert main(["coherent", "--alpha", "4", "--out", out]) == 3
         assert sorted(path.name for path in (tmp_path / "rob").iterdir()) == ["report.json"]
         report = load_report(tmp_path / "rob")
         assert report["results"] == {}

@@ -225,6 +225,9 @@ class TestPredicates:
         assert not is_psd(np.array([[0, 1], [0, 0]], dtype=complex))
         assert not is_psd(np.zeros((2, 3)))
         assert not is_psd(np.diag([1.0, np.nan]))
+        assert not is_psd(np.diag([1.0, np.inf]))
+        # the rate matrix of a drive-only ansatz
+        assert is_psd(np.zeros((0, 0)))
 
 
 class TestLogLogFit:

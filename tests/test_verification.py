@@ -29,7 +29,7 @@ from lindrec.models import (
     build_model,
     collective_generator_params,
 )
-from lindrec.numerics import asymmetry
+from lindrec.numerics import asymmetry, hermitian_coordinates
 from lindrec.quantum_ops import mix_with_identity
 from lindrec.verification import (
     MAX_SUPEROP_DIM,
@@ -37,7 +37,6 @@ from lindrec.verification import (
     SteadyStateResult,
     _bordered,
     _one_inf,
-    _real_generator,
     _steady_state_factored,
     _steady_state_svd,
     norm_difference,
@@ -63,16 +62,6 @@ def random_generators(rng, trials):
         ansatz = random_ansatz(rng, dim, n_drive, n_jump)
         params = repair_markovianity(random_params(rng, n_drive, n_jump, hermitian_gamma=True))
         yield dim, ansatz, params
-
-
-def stack_state(rho):
-    """Column-stack a d x d matrix into a d^2 vector."""
-    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
-
-
-def unstack_state(vec, dim):
-    """Inverse of ``stack_state``."""
-    return np.asarray(vec, dtype=complex).reshape(dim, dim, order="F")
 
 
 def master_equation(params, ansatz, rho):
@@ -120,51 +109,60 @@ def gamma_with_zero_rate(rng, n_jump):
 
 class TestVectorize:
     def test_matches_direct_application(self, rng):
-        for hermitian_gamma in (True, False):
-            ansatz = random_ansatz(rng, 4, 2, 2)
-            params = random_params(rng, 2, 2, hermitian_gamma=hermitian_gamma)
-            rho = random_density(rng, 4)
-            superop = vectorize_liouvillian(params, ansatz)
-            via_matrix = unstack_state(superop @ stack_state(rho), 4)
-            direct = apply_lindbladian(params, ansatz, rho)
-            assert np.linalg.norm(via_matrix - direct) <= 1e-10 * max(
-                1.0, np.linalg.norm(direct)
-            )
+        ansatz = random_ansatz(rng, 4, 2, 2)
+        params = random_params(rng, 2, 2, hermitian_gamma=True)
+        rho = random_density(rng, 4)
+        gen = vectorize_liouvillian(params, ansatz)
+        direct = hermitian_coordinates(apply_lindbladian(params, ansatz, rho))
+        got = gen @ hermitian_coordinates(rho)
+        assert np.linalg.norm(got - direct) <= 1e-10 * max(1.0, np.linalg.norm(direct))
 
-    @pytest.mark.parametrize(
-        "case", ["hermitian", "non_hermitian", "no_drive", "no_jump", "zero_rate"]
-    )
+    @pytest.mark.parametrize("case", ["hermitian", "no_drive", "no_jump", "zero_rate"])
     def test_definition_on_random_states(self, rng, case):
         n_drive = 0 if case == "no_drive" else 2
         n_jump = 0 if case == "no_jump" else 3
         for dim in (2, 3, 5):
             ansatz = random_ansatz(rng, dim, n_drive, n_jump)
-            params = random_params(
-                rng, n_drive, n_jump, hermitian_gamma=case != "non_hermitian"
-            )
+            params = random_params(rng, n_drive, n_jump, hermitian_gamma=True)
             if case == "zero_rate":
                 params = LindbladianParams(
                     c=params.c, gamma=gamma_with_zero_rate(rng, n_jump)
                 )
-            superop = vectorize_liouvillian(params, ansatz)
-            rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            expected = master_equation(params, ansatz, rho)
-            got = unstack_state(superop @ stack_state(rho), dim)
+            gen = vectorize_liouvillian(params, ansatz)
+            assert gen.dtype == np.float64 and gen.format == "csr"
+            rho = random_hermitian(rng, dim)
+            expected = hermitian_coordinates(master_equation(params, ansatz, rho))
+            got = gen @ hermitian_coordinates(rho)
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_zero_params_zero_matrix(self, rng):
         ansatz = random_ansatz(rng, 3, 1, 1)
         params = LindbladianParams(c=np.zeros(1), gamma=np.zeros((1, 1)))
-        superop = vectorize_liouvillian(params, ansatz)
-        assert np.all(superop.toarray() == 0)
+        assert vectorize_liouvillian(params, ansatz).nnz == 0
 
     def test_vectorized_identity_is_left_null(self, rng):
+        # the identity's coordinates are 1 at the diagonal positions, 0 elsewhere
         ansatz = random_ansatz(rng, 4, 2, 2)
         params = random_params(rng, 2, 2, hermitian_gamma=True)
-        superop = vectorize_liouvillian(params, ansatz)
-        ident = stack_state(np.eye(4, dtype=complex))
-        residual = ident.conj() @ superop
-        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(superop.toarray())
+        gen = vectorize_liouvillian(params, ansatz)
+        residual = gen[np.arange(4) * 5].sum(axis=0)
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(gen.toarray())
+
+    def test_non_hermitian_rate_matrix_rejected(self, rng):
+        ansatz = random_ansatz(rng, 3, 2, 3)
+        params = random_params(rng, 2, 3)
+        with pytest.raises(NotHermitianError, match="rate matrix gamma"):
+            vectorize_liouvillian(params, ansatz)
+
+    def test_non_finite_parameters_rejected(self, rng):
+        ansatz = random_ansatz(rng, 3, 1, 2)
+        params = random_params(rng, 1, 2, hermitian_gamma=True)
+        gamma = params.gamma.copy()
+        gamma[1, 1] = np.inf
+        with pytest.raises(NonFiniteError, match="rate matrix gamma"):
+            vectorize_liouvillian(LindbladianParams(c=params.c, gamma=gamma), ansatz)
+        with pytest.raises(NonFiniteError, match="coupling"):
+            vectorize_liouvillian(LindbladianParams(c=[np.nan], gamma=params.gamma), ansatz)
 
     def test_dimension_guard(self):
         dim = 101
@@ -190,11 +188,11 @@ class TestAllBandedAnsatz:
 
     def test_vectorized_generator_matches_the_master_equation(self, rng, reconstructed):
         model, params = reconstructed
-        superop = vectorize_liouvillian(params, model.ansatz)
+        gen = vectorize_liouvillian(params, model.ansatz)
         for _ in range(3):
             rho = random_hermitian(rng, 100)
-            expected = master_equation(params, model.ansatz, rho)
-            got = unstack_state(superop @ stack_state(rho), 100)
+            expected = hermitian_coordinates(master_equation(params, model.ansatz, rho))
+            got = gen @ hermitian_coordinates(rho)
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_lu_steady_state_is_the_coherent_state(self, reconstructed):
@@ -222,7 +220,7 @@ class TestHermitianBasis:
             dense = basis.conj().T @ superop @ basis
             scale = np.abs(dense).max()
             assert np.abs(dense.imag).max() <= 1e-14 * scale, case
-            real = _real_generator(vectorize_liouvillian(params, ansatz), dim)
+            real = vectorize_liouvillian(params, ansatz)
             assert real.dtype == np.float64
             assert np.abs(real.toarray() - dense.real).max() <= 1e-14 * scale, case
             s_real = np.linalg.svd(real.toarray(), compute_uv=False)
@@ -251,7 +249,7 @@ class TestHermitianBasis:
         scale = np.abs(dense).max()
         # the largest column norm is a lower bound on s_0
         lower = np.linalg.norm(dense, axis=0).max()
-        real = _real_generator(vectorize_liouvillian(params, ansatz), ansatz.dim)
+        real = vectorize_liouvillian(params, ansatz)
         assert real.dtype == np.float64
         # T has at most d nonzeros per row on average, not d^2
         assert real.nnz <= ansatz.dim * real.shape[0]
@@ -336,10 +334,7 @@ class TestSteadyState:
             if out.method != "inverse":
                 continue
             certified.append(dim)
-            hermitian = LindbladianParams(
-                c=params.c, gamma=(params.gamma + params.gamma.conj().T) / 2
-            )
-            gen = _real_generator(vectorize_liouvillian(hermitian, ansatz), dim)
+            gen = vectorize_liouvillian(params, ansatz)
             bordered = _bordered(gen, dim).toarray()
             reference = np.linalg.inv(bordered)
             ref_bound = 1.0 / np.sqrt(_one_inf(np.abs(reference)) * _one_inf(abs(gen)))
@@ -378,7 +373,7 @@ class TestSteadyState:
         if case == "zero":
             params = LindbladianParams(c=0 * params.c, gamma=0 * params.gamma)
         dim = model.ansatz.dim
-        gen = _real_generator(vectorize_liouvillian(params, model.ansatz), dim)
+        gen = vectorize_liouvillian(params, model.ansatz)
         # the uniqueness bound is below s_{n-1}/s_0 <= 1, and a residual of
         # roundoff exceeds either gate scaled by 1e-300
         tols = {"tol_one": 1.0, "tol_tiny": 1e-300}
@@ -469,14 +464,14 @@ class TestSteadyState:
             certified += 1
             assert out.unique and out.fallback is None
             assert out.uniqueness_bound > NULL_SV_TOL
-            superop = vectorize_liouvillian(params, ansatz)
-            robust = _steady_state_svd(_real_generator(superop, dim), dim)
+            gen = vectorize_liouvillian(params, ansatz)
+            robust = _steady_state_svd(gen, dim)
             assert robust.null_space_dim == 1
             assert norm_difference(out.rho, robust.rho) <= 1e-10
             # the certificate is a lower bound on the true singular-value ratio
-            s = np.linalg.svd(superop.toarray(), compute_uv=False)
+            s = np.linalg.svd(dense_superop(params, ansatz), compute_uv=False)
             assert out.uniqueness_bound <= s[-2] / s[0]
-            limit = NULL_SV_TOL * max(1.0, np.linalg.norm(superop.toarray()) / dim)
+            limit = NULL_SV_TOL * max(1.0, np.linalg.norm(gen.toarray()) / dim)
             assert out.residual <= limit
         assert certified >= 30
 
@@ -556,21 +551,19 @@ class TestDiagnostics:
 
 
 class TestConsistency:
-    def test_hermiticity_preserved_under_euler_steps(self, rng):
+    def test_trace_preserved_under_euler_steps(self, rng):
         ansatz = random_ansatz(rng, 3, 1, 2)
-        params = random_params(rng, 1, 2, hermitian_gamma=True)
         # positive rates only: clamp to the PSD part
-        from lindrec.engine import repair_markovianity
-
-        params = repair_markovianity(params)
-        superop = vectorize_liouvillian(params, ansatz)
-        vec = stack_state(random_density(rng, 3))
+        params = repair_markovianity(random_params(rng, 1, 2, hermitian_gamma=True))
+        gen = vectorize_liouvillian(params, ansatz)
+        coords = hermitian_coordinates(random_density(rng, 3))
+        start = coords.copy()
         dt = 1e-3
         for _ in range(1000):
-            vec = vec + dt * (superop @ vec)
-        rho = unstack_state(vec, 3)
-        drift = np.linalg.norm(rho - rho.conj().T) / np.linalg.norm(rho)
-        assert drift < 1e-6
+            coords = coords + dt * (gen @ coords)
+        # the state has moved, but its trace has not
+        assert np.linalg.norm(coords - start) > 1e-3
+        assert abs(coords[np.arange(3) * 4].sum() - 1.0) < 1e-12
 
     def test_three_way_steady_state_agreement(self):
         # kernel nonempty <=> unpacked rapidity vanishes <=> the stacked
@@ -580,8 +573,8 @@ class TestConsistency:
         assert res.feasible
         sol = res.solutions[0]
         assert rapidity(sol, model.ansatz, model.rho_ss) < 1e-16
-        superop = vectorize_liouvillian(sol, model.ansatz)
-        residual = np.linalg.norm(superop @ stack_state(model.rho_ss))
+        gen = vectorize_liouvillian(sol, model.ansatz)
+        residual = np.linalg.norm(gen @ hermitian_coordinates(model.rho_ss))
         assert residual < 1e-8
 
     def test_three_way_negative_case(self):
@@ -595,8 +588,8 @@ class TestConsistency:
         vec = res.eigenvectors[:, 0]
         params = unpack_kernel_vector(vec, 2, 2)
         assert rapidity(params, model.ansatz, rho_eps) > 1e-10
-        superop = vectorize_liouvillian(params, model.ansatz)
-        assert np.linalg.norm(superop @ stack_state(rho_eps)) > 1e-6
+        gen = vectorize_liouvillian(params, model.ansatz)
+        assert np.linalg.norm(gen @ hermitian_coordinates(rho_eps)) > 1e-6
 
     def test_round_trip_collective(self):
         spec = CollectiveSpec(n_spins=10, omega0=2.0, kappa=1.0)
