@@ -40,8 +40,6 @@ from .numerics import (
     positive_part,
 )
 from .quantum_ops import (
-    FockSpace,
-    SpinSector,
     boson_ops,
     coherent_state,
     mix_with_identity,
@@ -60,12 +58,10 @@ __all__ = [
     "CoherentSpec",
     "CollectiveSpec",
     "CorrelationMatrix",
-    "FockSpace",
     "LindbladAnsatz",
     "LindbladianParams",
     "Model",
     "ReconstructionResult",
-    "SpinSector",
     "SqueezedSpec",
     "SteadyStateResult",
     "analytic_corr_matrix",

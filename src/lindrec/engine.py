@@ -549,7 +549,6 @@ class SuperpositionSearchResult:
     """
 
     solutions: list[LindbladianParams]
-    coefficients: list[np.ndarray]
     direction_supported: list[bool]
     max_min_rate: float | None
 
@@ -617,13 +616,13 @@ def markovian_superposition_search(
     deterministic ascent from the slice's minimum-norm point reaches its
     maximum, ``max_min_rate``, and the unit-normalized maximizer is
     reported when it is PSD within ``MARKOV_TOL``.  Nothing is sampled.
-    Each solution comes with its coefficients in the basis as given, and
-    every given direction is flagged according to whether some solution has
-    support on it.
+    Every given direction is flagged according to whether some solution has
+    support on it, read from the solution's coefficients in the basis as
+    given.
     """
     vectors = [np.asarray(v, dtype=complex).reshape(-1) for v in kernel_basis]
     if not vectors:
-        return SuperpositionSearchResult([], [], [], None)
+        return SuperpositionSearchResult([], [], None)
     gauge = physical_gauge_basis(vectors, n_drive, n_jump)
     rates = gauge[n_drive:].T
     # left singular vectors of the rate-matrix coordinates split the
@@ -662,4 +661,4 @@ def markovian_superposition_search(
         any(abs(a[j]) > 1e-8 * np.linalg.norm(a) for a in coefficients)
         for j in range(len(vectors))
     ]
-    return SuperpositionSearchResult(solutions, coefficients, supported, max_min_rate)
+    return SuperpositionSearchResult(solutions, supported, max_min_rate)

@@ -17,12 +17,12 @@ import numpy as np
 from .engine import LindbladAnsatz, LindbladianParams, apply_lindbladian
 from .errors import DegenerateParamsError, DimMismatchError, UnsupportedVariantError
 from .quantum_ops import (
-    FockSpace,
     SpinOps,
-    SpinSector,
     boson_ops,
+    coherent_cutoff,
     coherent_state,
     spin_ops,
+    squeezed_cutoff,
     squeezed_vacuum,
 )
 
@@ -90,16 +90,15 @@ MAX_HILBERT_DIM = 2048
 def default_cutoff(spec: CoherentSpec | SqueezedSpec) -> int:
     """Fock cutoff large enough for a truncation tail below ~1e-18.
 
-    The rule grows without limit in |alpha| and r, so the result is clipped
-    to ``MAX_HILBERT_DIM``: a clipped cutoff gives a dimension (cutoff + 1)
+    It starts from the floor the state's constructor enforces.  The rule
+    grows without limit in |alpha| and r, so the result is clipped to
+    ``MAX_HILBERT_DIM``: a clipped cutoff gives a dimension (cutoff + 1)
     above the bound, as the unclipped one would.
     """
     if isinstance(spec, CoherentSpec):
-        alpha = abs(spec.alpha)
-        need = 10 * max(4.0, alpha * alpha)  # a float product saturates at inf
+        need = coherent_cutoff(spec.alpha)
     else:
-        with np.errstate(over="ignore"):
-            need = 20 + 20 * np.sinh(spec.r) ** 2
+        need = squeezed_cutoff(spec.r)
         t2 = np.tanh(spec.r) ** 2
         if t2 == 1:  # the even-Fock tail no longer decays in double precision
             need = np.inf
@@ -134,8 +133,7 @@ def build_model(spec: ModelSpec) -> Model:
     {Sx, Sy} (reduced).
     """
     if isinstance(spec, CollectiveSpec):
-        sector = SpinSector(spec.n_spins)
-        ops = spin_ops(sector)
+        ops = spin_ops(spec.n_spins)
         if spec.basis == FULL_BASIS:
             drives = (ops.sx, ops.sy, ops.sz)
             jumps = drives
@@ -144,7 +142,7 @@ def build_model(spec: ModelSpec) -> Model:
             # intensive 1/sqrt(S) normalization so the recovered rate matrix
             # is size-independent and the smallest correlation-matrix
             # eigenvalue follows its 1/N decay
-            scale = np.sqrt(sector.total_spin)
+            scale = np.sqrt(spec.n_spins / 2.0)
             drives = (ops.sx, ops.sy)
             jumps = (ops.sx / scale, ops.sy / scale)
         ansatz = LindbladAnsatz(h_ops=drives, jump_ops=jumps)
@@ -155,13 +153,13 @@ def build_model(spec: ModelSpec) -> Model:
         return Model(spec=spec, ansatz=ansatz, rho_ss=collective_steady_state(spec, ops))
     if not isinstance(spec, (CoherentSpec, SqueezedSpec)):
         raise UnsupportedVariantError(f"unknown spec type {type(spec)!r}")
-    space = FockSpace(hilbert_dim(spec) - 1)
-    ops = boson_ops(space)
+    n_max = hilbert_dim(spec) - 1
+    ops = boson_ops(n_max)
     if isinstance(spec, CoherentSpec):
         ansatz = LindbladAnsatz(
             h_ops=(ops.x, ops.p), jump_ops=(ops.a, ops.a_dag)
         )
-        return Model(spec=spec, ansatz=ansatz, rho_ss=coherent_state(space, spec.alpha))
+        return Model(spec=spec, ansatz=ansatz, rho_ss=coherent_state(n_max, spec.alpha))
     s = np.diagonal(ops.a, 1)  # a^2 and a_dag^2 from the superdiagonal of a
     a2, ad2 = np.diag(s[:-1] * s[1:], 2), np.diag(s[:-1] * s[1:], -2)
     drives = ((a2 + ad2) / np.sqrt(2), (a2 - ad2) / (1j * np.sqrt(2)))
@@ -170,7 +168,7 @@ def build_model(spec: ModelSpec) -> Model:
     return Model(
         spec=spec,
         ansatz=ansatz,
-        rho_ss=squeezed_vacuum(space, spec.r, spec.theta),
+        rho_ss=squeezed_vacuum(n_max, spec.r, spec.theta),
     )
 
 
@@ -204,12 +202,12 @@ def collective_steady_state(spec: CollectiveSpec, ops: SpinOps) -> np.ndarray:
     powers beyond j = N vanish by ladder nilpotency.  S_- has a single
     nonzero subdiagonal, so eta is lower triangular with
     eta[c + j, c] = prod_{t=c+1..c+j} S_-[t, t-1] / beta, built in O(d^2) as a
-    column-wise cumulative product.  The density matrix is eta eta^dag
-    normalized (this product ordering is the one annihilated by the
-    generator; the construction is verified against it to 1e-10 before
-    returning).  Operators of another sector raise ``DimMismatchError``: the
-    residual cannot catch them, since the same eta is the steady state of
-    that sector too.
+    column-wise cumulative product.  The density matrix is eta eta^dag,
+    normalized and made exactly Hermitian (this product ordering is the one
+    annihilated by the generator; the construction is verified against it
+    to 1e-10 before returning).  Operators of another sector raise
+    ``DimMismatchError``: the residual cannot catch them, since the same eta
+    is the steady state of that sector too.
     """
     n_spins, omega0, kappa = spec.n_spins, spec.omega0, spec.kappa
     dim = n_spins + 1
@@ -227,6 +225,7 @@ def collective_steady_state(spec: CollectiveSpec, ops: SpinOps) -> np.ndarray:
     rho = eta @ eta.conj().T
     del factors, eta  # released before the residual check forms its images
     rho /= np.trace(rho).real
+    rho = (rho + rho.conj().T) / 2  # exactly Hermitian, so hermitian_part keeps it
     ansatz = LindbladAnsatz(h_ops=(ops.sx,), jump_ops=(ops.sm,))
     params = LindbladianParams(
         c=np.array([omega0]),

@@ -19,21 +19,6 @@ NORM_DEFICIT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class FockSpace:
-    """Bosonic mode truncated to the Fock states |0> .. |n_max>."""
-
-    n_max: int
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-
-    @property
-    def dim(self) -> int:
-        return self.n_max + 1
-
-
-@dataclass(frozen=True)
 class BosonOps:
     a: np.ndarray
     a_dag: np.ndarray
@@ -41,9 +26,12 @@ class BosonOps:
     p: np.ndarray
 
 
-def boson_ops(space: FockSpace) -> BosonOps:
-    """Ladder operators and quadratures x = (a + a^dag)/sqrt2, p = i(a^dag - a)/sqrt2."""
-    n = np.arange(1, space.dim)
+def boson_ops(n_max: int) -> BosonOps:
+    """Ladder operators on the Fock states |0> .. |n_max> and the quadratures
+    x = (a + a^dag)/sqrt2, p = i(a^dag - a)/sqrt2."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    n = np.arange(1, n_max + 1)
     a = np.diag(np.sqrt(n), 1).astype(complex)
     a_dag = a.conj().T
     x = (a + a_dag) / np.sqrt(2)
@@ -51,21 +39,30 @@ def boson_ops(space: FockSpace) -> BosonOps:
     return BosonOps(a=a, a_dag=a_dag, x=x, p=p)
 
 
-def coherent_state(space: FockSpace, alpha: complex) -> np.ndarray:
-    """Density matrix of the coherent state |alpha><alpha|.
+def coherent_cutoff(alpha: complex) -> float:
+    """Smallest Fock cutoff n_max that ``coherent_state`` accepts for ``alpha``."""
+    size = abs(alpha)
+    return 10 * max(4.0, size * size)  # a float product saturates at inf
+
+
+def coherent_state(n_max: int, alpha: complex) -> np.ndarray:
+    """Density matrix of the coherent state |alpha><alpha| on the Fock states
+    |0> .. |n_max>.
 
     Built from the Fock amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!) and
-    renormalized after truncation.  Raises if the cutoff is too small for
-    |alpha|^2 or the truncated norm deficit exceeds ``NORM_DEFICIT_TOL``.
+    renormalized after truncation.  Raises if ``n_max`` is below
+    ``coherent_cutoff(alpha)`` or the truncated norm deficit exceeds
+    ``NORM_DEFICIT_TOL``.
     """
     alpha = complex(alpha)
-    if space.n_max < 10 * max(4.0, abs(alpha) ** 2):
+    if n_max < coherent_cutoff(alpha):
+        size = abs(alpha)
         raise CutoffTooSmallError(
-            f"n_max={space.n_max} too small for |alpha|^2={abs(alpha)**2:.3g}"
+            f"n_max={n_max} too small for |alpha|^2={size * size:.3g}"
         )
-    amps = np.zeros(space.dim, dtype=complex)
+    amps = np.zeros(n_max + 1, dtype=complex)
     amps[0] = np.exp(-abs(alpha) ** 2 / 2.0)
-    for n in range(space.n_max):
+    for n in range(n_max):
         amps[n + 1] = amps[n] * alpha / np.sqrt(n + 1)
     deficit = 1.0 - float(np.sum(np.abs(amps) ** 2))
     if deficit > NORM_DEFICIT_TOL:
@@ -74,8 +71,15 @@ def coherent_state(space: FockSpace, alpha: complex) -> np.ndarray:
     return np.outer(amps, amps.conj())
 
 
-def squeezed_vacuum(space: FockSpace, r: float, theta: float = 0.0) -> np.ndarray:
-    """Density matrix of the squeezed vacuum with parameter xi = r e^{i theta}.
+def squeezed_cutoff(r: float) -> float:
+    """Smallest Fock cutoff n_max that ``squeezed_vacuum`` accepts for ``r``."""
+    with np.errstate(over="ignore"):  # sinh saturates at inf
+        return 20 + 20 * np.sinh(r) ** 2
+
+
+def squeezed_vacuum(n_max: int, r: float, theta: float = 0.0) -> np.ndarray:
+    """Density matrix of the squeezed vacuum with parameter xi = r e^{i theta}
+    on the Fock states |0> .. |n_max>.
 
     Even-Fock amplitudes follow the two-step recursion fixed by b|xi> = 0;
     the analytic norm sum_m |c_2m|^2 = cosh(r) (with c_0 = 1) gives an exact
@@ -84,15 +88,15 @@ def squeezed_vacuum(space: FockSpace, r: float, theta: float = 0.0) -> np.ndarra
     """
     if r < 0:
         raise ValueError("squeeze parameter r must be >= 0")
-    if space.n_max < 20 + 20 * np.sinh(r) ** 2:
+    if n_max < squeezed_cutoff(r):
         raise CutoffTooSmallError(
-            f"n_max={space.n_max} below the floor 20 + 20 sinh(r)^2 for r={r}"
+            f"n_max={n_max} below the floor 20 + 20 sinh(r)^2 for r={r}"
         )
-    amps = np.zeros(space.dim, dtype=complex)
+    amps = np.zeros(n_max + 1, dtype=complex)
     amps[0] = 1.0
     factor = -np.exp(1j * theta) * np.tanh(r)
     n = 0
-    while n + 2 <= space.n_max:
+    while n + 2 <= n_max:
         amps[n + 2] = factor * np.sqrt((n + 1) / (n + 2)) * amps[n]
         n += 2
     captured = float(np.sum(np.abs(amps) ** 2))
@@ -101,32 +105,13 @@ def squeezed_vacuum(space: FockSpace, r: float, theta: float = 0.0) -> np.ndarra
         raise CutoffTooSmallError(f"even-Fock tail {deficit:.3e} > 1e-12")
     amps /= np.sqrt(captured)
     # (b psi)_n = cosh(r) sqrt(n + 1) psi_{n+1} + e^{i theta} sinh(r) sqrt(n) psi_{n-1}
-    root = np.sqrt(np.arange(1, space.dim))
+    root = np.sqrt(np.arange(1, n_max + 1))
     b_psi = np.append(np.cosh(r) * root * amps[1:], 0.0)
     b_psi[1:] += np.exp(1j * theta) * np.sinh(r) * root * amps[:-1]
     self_check = float(np.linalg.norm(b_psi))
     if self_check > 1e-8:
         raise CutoffTooSmallError(f"||b psi|| = {self_check:.3e} fails the self-check")
     return np.outer(amps, amps.conj())
-
-
-@dataclass(frozen=True)
-class SpinSector:
-    """Maximal angular momentum sector of N spin-1/2 particles (dim N + 1)."""
-
-    n_spins: int
-
-    def __post_init__(self):
-        if self.n_spins < 1:
-            raise ValueError("n_spins must be >= 1")
-
-    @property
-    def total_spin(self) -> float:
-        return self.n_spins / 2.0
-
-    @property
-    def dim(self) -> int:
-        return self.n_spins + 1
 
 
 @dataclass(frozen=True)
@@ -138,10 +123,13 @@ class SpinOps:
     sm: np.ndarray
 
 
-def spin_ops(sector: SpinSector) -> SpinOps:
-    """Collective spin operators on the maximal sector, Sz diagonal S .. -S."""
-    s = sector.total_spin
-    m = s - np.arange(sector.dim)
+def spin_ops(n_spins: int) -> SpinOps:
+    """Collective spin operators on the maximal angular momentum sector of
+    ``n_spins`` spin-1/2 particles (dim n_spins + 1), Sz diagonal S .. -S."""
+    if n_spins < 1:
+        raise ValueError("n_spins must be >= 1")
+    s = n_spins / 2.0
+    m = s - np.arange(n_spins + 1)
     sz = np.diag(m).astype(complex)
     sp = np.diag(np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
     sm = sp.conj().T

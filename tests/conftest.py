@@ -52,10 +52,10 @@ def apply_d_term(l_j, l_k, rho):
     return l_j @ rho @ l_k.conj().T - 0.5 * (kd_j @ rho + rho @ kd_j)
 
 
-def bogoliubov_op(space, r, theta):
+def bogoliubov_op(n_max, r, theta):
     """b = a cosh(r) + a^dag e^{i theta} sinh(r), which annihilates the
     squeezed vacuum, from the matrices of a and a^dag."""
-    ops = boson_ops(space)
+    ops = boson_ops(n_max)
     return np.cosh(r) * ops.a + np.exp(1j * theta) * np.sinh(r) * ops.a_dag
 
 

@@ -18,7 +18,7 @@ from lindrec.cli import (
 )
 from lindrec.engine import LindbladAnsatz, LindbladianParams, rapidity
 from lindrec.errors import ConfigInvalidError
-from lindrec.quantum_ops import FockSpace, boson_ops, coherent_state, mix_with_identity
+from lindrec.quantum_ops import boson_ops, coherent_state, mix_with_identity
 
 
 def load_report(out_dir):
@@ -428,6 +428,18 @@ class TestRuns:
         report = load_report(tmp_path / "n")
         assert "error" in report
 
+    @pytest.mark.parametrize("argv", [
+        ["coherent", "--alpha", "1e200", "--n-max", "50"],
+        ["feasibility", "--alpha", "1e200", "--n-max", "50"],
+        ["squeezed", "--r", "400", "--n-max", "50"],
+    ])
+    def test_cutoff_floor_beyond_double_range_is_a_numerical_failure(self, tmp_path, argv):
+        # the floors saturate at inf: no OverflowError and no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out", str(tmp_path)]) == 3
+        assert load_report(tmp_path)["error"].startswith("CutoffTooSmallError")
+
     def test_failed_run_leaves_no_earlier_solutions_or_table(self, tmp_path):
         out = str(tmp_path / "rob")
         eps = ["--eps", "1e-3,3e-3,1e-2"]
@@ -551,9 +563,9 @@ class TestReportedRapidity:
         alpha = 1.0 + 1.0j
         config = RunConfig(experiment="feasibility", alpha=alpha, out_dir=str(tmp_path))
         results = run_experiment(config)["results"]
-        space = FockSpace(models.default_cutoff(models.CoherentSpec(alpha=alpha)))
-        ansatz = LindbladAnsatz(h_ops=(), jump_ops=(boson_ops(space).a,))
-        rho = coherent_state(space, alpha)
+        n_max = models.default_cutoff(models.CoherentSpec(alpha=alpha))
+        ansatz = LindbladAnsatz(h_ops=(), jump_ops=(boson_ops(n_max).a,))
+        rho = coherent_state(n_max, alpha)
         for payload in results["solutions"]:
             self.assert_residual(payload, ansatz, rho)
         scan = [

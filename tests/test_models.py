@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from lindrec.models import (
     collective_steady_state,
     default_cutoff,
 )
-from lindrec.quantum_ops import FockSpace, SpinSector, boson_ops, spin_ops
+from lindrec.numerics import hermitian_part
+from lindrec.quantum_ops import boson_ops, spin_ops
 
 from conftest import check_density_matrix
 
@@ -66,7 +68,7 @@ class TestBuildModel:
     @pytest.mark.parametrize("n_max", [40, 164, 1212])
     def test_squared_ladder_operators_from_the_superdiagonal(self, n_max):
         # a^2 and a^dag^2 formed from one diagonal equal the dense products
-        ops = boson_ops(FockSpace(n_max))
+        ops = boson_ops(n_max)
         model = build_model(SqueezedSpec(r=0.5, jumps="two", n_max=n_max))
         a2, ad2 = model.ansatz.jump_ops
         np.testing.assert_array_equal(a2, ops.a @ ops.a)
@@ -75,7 +77,7 @@ class TestBuildModel:
     def test_reduced_basis_jump_normalization(self):
         spec = CollectiveSpec(n_spins=8, omega0=1.0, kappa=2.0, basis="xy2")
         model = build_model(spec)
-        ops = spin_ops(SpinSector(8))
+        ops = spin_ops(8)
         scale = np.sqrt(4.0)
         np.testing.assert_allclose(model.ansatz.h_ops[0], ops.sx)
         np.testing.assert_allclose(model.ansatz.jump_ops[0], ops.sx / scale)
@@ -92,11 +94,37 @@ class TestBuildModel:
         with np.errstate(all="raise"):
             assert default_cutoff(spec) == MAX_HILBERT_DIM
 
+    @pytest.mark.parametrize("spec", [
+        *(CoherentSpec(alpha=a) for a in
+          (0.0, 0.5, 1 + 1j, 2j, 3.0, 6.3, 14.0, 14.3, 30.0, 1e154, 1e200, 1e200j, 1e308)),
+        *(SqueezedSpec(r=r) for r in
+          (0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 2.25, 2.3, 3.0, 20.0, 400.0, 710.0, 1e3)),
+    ])
+    def test_default_cutoff_keeps_its_floors(self, spec):
+        # the rule as written before the floors moved next to the state
+        # constructors, the reference for the shared ones
+        if isinstance(spec, CoherentSpec):
+            alpha = abs(spec.alpha)
+            need = 10 * max(4.0, alpha * alpha)
+        else:
+            with np.errstate(over="ignore"):
+                need = 20 + 20 * np.sinh(spec.r) ** 2
+            t2 = np.tanh(spec.r) ** 2
+            if t2 == 1:
+                need = np.inf
+            elif t2 > 0:
+                pairs = np.ceil(np.log(1e-18 * (1 - t2)) / np.log(t2))
+                need = max(need, 2 * pairs + 8)
+        expected = int(min(max(40.0, np.ceil(need)), MAX_HILBERT_DIM))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert default_cutoff(spec) == expected
+
 
 def steady_state(n_spins, omega0, kappa):
     """``collective_steady_state`` of the spec, with its sector's operators."""
     spec = CollectiveSpec(n_spins=n_spins, omega0=omega0, kappa=kappa)
-    return collective_steady_state(spec, spin_ops(SpinSector(n_spins)))
+    return collective_steady_state(spec, spin_ops(n_spins))
 
 
 class TestCollectiveSteadyState:
@@ -108,21 +136,27 @@ class TestCollectiveSteadyState:
     def test_strong_drive_regime_points_down(self):
         # kappa/omega0 > 1: spins mostly aligned along -z
         rho = steady_state(20, 0.5, 1.0)
-        sz = spin_ops(SpinSector(20)).sz
+        sz = spin_ops(20).sz
         assert np.trace(sz @ rho).real < 0
+
+    @pytest.mark.parametrize("basis", ["full3", "xy2"])
+    def test_state_is_exactly_hermitian(self, basis):
+        # so hermitian_part hands it on without averaging a copy
+        model = build_model(CollectiveSpec(n_spins=40, omega0=0.7, kappa=1.0, basis=basis))
+        assert hermitian_part(model.rho_ss, "state") is model.rho_ss
 
     def test_spin_operators_are_formed_once(self, monkeypatch):
         calls = []
 
-        def counting_spin_ops(sector):
-            calls.append(sector)
-            return spin_ops(sector)
+        def counting_spin_ops(n_spins):
+            calls.append(n_spins)
+            return spin_ops(n_spins)
 
         monkeypatch.setattr(models, "spin_ops", counting_spin_ops)
         for basis in ("full3", "xy2"):
             calls.clear()
             build_model(CollectiveSpec(n_spins=12, omega0=2.0, kappa=1.0, basis=basis))
-            assert calls == [SpinSector(12)]
+            assert calls == [12]
 
     def test_operators_of_another_sector_rejected(self):
         # eta built from another sector's S_- is that sector's exact steady
@@ -130,11 +164,11 @@ class TestCollectiveSteadyState:
         spec = CollectiveSpec(n_spins=10, omega0=2.0, kappa=1.0)
         for n_spins in (8, 12):
             with pytest.raises(DimMismatchError):
-                collective_steady_state(spec, spin_ops(SpinSector(n_spins)))
+                collective_steady_state(spec, spin_ops(n_spins))
 
     def test_residual_check_rejects_operators_that_do_not_annihilate_the_state(self):
         spec = CollectiveSpec(n_spins=10, omega0=2.0, kappa=1.0)
-        ops = spin_ops(SpinSector(10))
+        ops = spin_ops(10)
         with pytest.raises(DegenerateParamsError, match="residual"):
             collective_steady_state(spec, dataclasses.replace(ops, sx=ops.sz))
 
@@ -158,7 +192,7 @@ class TestCollectiveSteadyState:
     @pytest.mark.parametrize("ratio", [0.5, 2.0])
     def test_matches_dense_horner_reference(self, n_spins, ratio):
         # eta = sum_j (S_- / beta)^j accumulated with one dense product per step
-        ops = spin_ops(SpinSector(n_spins))
+        ops = spin_ops(n_spins)
         step = ops.sm / (-1j * ratio * n_spins / 2.0)
         eye = np.eye(n_spins + 1, dtype=complex)
         eta = eye.copy()

@@ -1,10 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from lindrec.errors import CutoffTooSmallError, EpsOutOfRangeError
 from lindrec.quantum_ops import (
-    FockSpace,
-    SpinSector,
     boson_ops,
     coherent_state,
     mix_with_identity,
@@ -21,48 +21,50 @@ def variance(op, rho):
 
 
 class TestBosonOps:
+    def test_empty_truncation_rejected(self):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            boson_ops(0)
+
     def test_two_level_ladder(self):
-        ops = boson_ops(FockSpace(1))
+        ops = boson_ops(1)
         np.testing.assert_allclose(ops.a, [[0, 1], [0, 0]])
         np.testing.assert_allclose(ops.a_dag, [[0, 0], [1, 0]])
 
     def test_quadratures_hermitian(self):
-        ops = boson_ops(FockSpace(12))
+        ops = boson_ops(12)
         assert np.allclose(ops.x, ops.x.conj().T)
         assert np.allclose(ops.p, ops.p.conj().T)
 
     def test_canonical_commutator_up_to_truncation_corner(self):
         n_max = 9
-        ops = boson_ops(FockSpace(n_max))
+        ops = boson_ops(n_max)
         comm = ops.x @ ops.p - ops.p @ ops.x
         expected = 1j * np.eye(n_max + 1, dtype=complex)
         expected[n_max, n_max] = -1j * n_max  # the truncated corner
         np.testing.assert_allclose(comm, expected, atol=1e-13)
 
     def test_coherent_state_is_ladder_eigenstate(self):
-        space = FockSpace(40)
-        ops = boson_ops(space)
-        rho = coherent_state(space, 1.0)
+        ops = boson_ops(40)
+        rho = coherent_state(40, 1.0)
         assert abs(np.trace(ops.a @ rho) - 1.0) < 1e-10
 
 
 class TestCoherentState:
     def test_vacuum(self):
-        rho = coherent_state(FockSpace(40), 0.0)
+        rho = coherent_state(40, 0.0)
         expected = np.zeros_like(rho)
         expected[0, 0] = 1.0
         np.testing.assert_allclose(rho, expected, atol=1e-15)
 
     def test_purity(self):
-        rho = coherent_state(FockSpace(60), 1 + 1j)
+        rho = coherent_state(60, 1 + 1j)
         assert abs(np.trace(rho @ rho).real - 1.0) < 1e-10
 
     def test_minimum_uncertainty(self):
         # the quoted numbers dX = dP = 1/2 and dX dP = 1/4 are stated for
         # quadratures (a + a^dag)/2 and i(a^dag - a)/2
-        space = FockSpace(60)
-        ops = boson_ops(space)
-        rho = coherent_state(space, 1 + 1j)
+        ops = boson_ops(60)
+        rho = coherent_state(60, 1 + 1j)
         dx = np.sqrt(variance(ops.x / np.sqrt(2), rho))
         dp = np.sqrt(variance(ops.p / np.sqrt(2), rho))
         assert abs(dx - 0.5) < 1e-10
@@ -71,30 +73,32 @@ class TestCoherentState:
 
     def test_cutoff_floor_enforced(self):
         with pytest.raises(CutoffTooSmallError):
-            coherent_state(FockSpace(30), 2.0)
+            coherent_state(30, 2.0)
+
+    def test_cutoff_floor_saturates_instead_of_overflowing(self):
+        with pytest.raises(CutoffTooSmallError, match=r"\|alpha\|\^2=inf"):
+            coherent_state(50, 1e200)
 
     def test_is_valid_density_matrix(self):
-        check_density_matrix(coherent_state(FockSpace(50), 2j))
+        check_density_matrix(coherent_state(50, 2j))
 
 
 class TestSqueezedVacuum:
     def test_zero_squeezing_is_vacuum(self):
-        rho = squeezed_vacuum(FockSpace(40), 0.0)
+        rho = squeezed_vacuum(40, 0.0)
         assert abs(rho[0, 0] - 1.0) < 1e-14
 
     def test_annihilated_by_bogoliubov_operator(self):
-        space = FockSpace(80)
-        rho = squeezed_vacuum(space, 0.5, np.pi / 3)
-        b = bogoliubov_op(space, 0.5, np.pi / 3)
+        rho = squeezed_vacuum(80, 0.5, np.pi / 3)
+        b = bogoliubov_op(80, 0.5, np.pi / 3)
         assert np.linalg.norm(b @ rho @ b.conj().T) < 1e-10
         assert np.linalg.norm(b @ rho) < 1e-10
 
     def test_quadrature_squeezing(self):
         # dX = e^{-r}/2 and dP = e^{r}/2 in the (a + a^dag)/2 convention
-        space = FockSpace(80)
-        ops = boson_ops(space)
+        ops = boson_ops(80)
         r = 0.5
-        rho = squeezed_vacuum(space, r, 0.0)
+        rho = squeezed_vacuum(80, r, 0.0)
         dx = np.sqrt(variance(ops.x / np.sqrt(2), rho))
         dp = np.sqrt(variance(ops.p / np.sqrt(2), rho))
         assert abs(dx - 0.5 * np.exp(-r)) < 1e-10
@@ -102,27 +106,32 @@ class TestSqueezedVacuum:
 
     def test_cutoff_floor_enforced(self):
         with pytest.raises(CutoffTooSmallError):
-            squeezed_vacuum(FockSpace(21), 1.0)
+            squeezed_vacuum(21, 1.0)
+
+    def test_cutoff_floor_saturates_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CutoffTooSmallError, match="below the floor"):
+                squeezed_vacuum(50, 400.0)
 
     def test_self_check_rejects_an_operator_that_does_not_annihilate_the_state(self):
         # at an odd cutoff the truncated b does not annihilate the state: its
         # a^dag part maps the last even amplitude out of the space.  The
         # even-Fock tail of r = 0.5 is below 1e-12 from n_max = 32 on
-        squeezed_vacuum(FockSpace(32), 0.5)
+        squeezed_vacuum(32, 0.5)
         with pytest.raises(CutoffTooSmallError, match="self-check"):
-            squeezed_vacuum(FockSpace(33), 0.5)
+            squeezed_vacuum(33, 0.5)
 
     def test_is_valid_density_matrix(self):
-        check_density_matrix(squeezed_vacuum(FockSpace(90), 0.8, 1.0))
+        check_density_matrix(squeezed_vacuum(90, 0.8, 1.0))
 
     def test_cutoff_stability(self):
         # doubling the cutoff moves observables by less than 1e-8
         r, th = 0.5, np.pi / 3
         moments = []
         for n_max in (80, 160):
-            space = FockSpace(n_max)
-            ops = boson_ops(space)
-            rho = squeezed_vacuum(space, r, th)
+            ops = boson_ops(n_max)
+            rho = squeezed_vacuum(n_max, r, th)
             moments.append(
                 [
                     np.trace(ops.a_dag @ ops.a @ rho).real,
@@ -134,15 +143,19 @@ class TestSqueezedVacuum:
 
 
 class TestSpinOps:
+    def test_empty_sector_rejected(self):
+        with pytest.raises(ValueError, match="n_spins must be >= 1"):
+            spin_ops(0)
+
     def test_single_spin_is_half_pauli(self):
-        ops = spin_ops(SpinSector(1))
+        ops = spin_ops(1)
         np.testing.assert_allclose(ops.sx, [[0, 0.5], [0.5, 0]])
         np.testing.assert_allclose(ops.sy, [[0, -0.5j], [0.5j, 0]])
         np.testing.assert_allclose(ops.sz, [[0.5, 0], [0, -0.5]])
 
     @pytest.mark.parametrize("n_spins", [1, 4, 17])
     def test_su2_algebra(self, n_spins):
-        ops = spin_ops(SpinSector(n_spins))
+        ops = spin_ops(n_spins)
         pairs = [
             (ops.sx, ops.sy, ops.sz),
             (ops.sy, ops.sz, ops.sx),
@@ -154,38 +167,37 @@ class TestSpinOps:
 
     @pytest.mark.parametrize("n_spins", [2, 9])
     def test_total_spin_casimir(self, n_spins):
-        sector = SpinSector(n_spins)
-        ops = spin_ops(sector)
+        ops = spin_ops(n_spins)
         s2 = ops.sx @ ops.sx + ops.sy @ ops.sy + ops.sz @ ops.sz
-        s = sector.total_spin
+        s = n_spins / 2
         np.testing.assert_allclose(
-            s2, s * (s + 1) * np.eye(sector.dim), atol=1e-10
+            s2, s * (s + 1) * np.eye(n_spins + 1), atol=1e-10
         )
 
     @pytest.mark.parametrize("n_spins", [1, 2, 7, 40])
     def test_raising_matches_elementwise_ladder(self, n_spins):
         # reference: sqrt(s(s+1) - m(m+1)) entry by entry above the diagonal
-        sector = SpinSector(n_spins)
-        s, m = sector.total_spin, sector.total_spin - np.arange(sector.dim)
-        expected = np.zeros((sector.dim, sector.dim), dtype=complex)
-        for i in range(1, sector.dim):
+        dim, s = n_spins + 1, n_spins / 2
+        m = s - np.arange(dim)
+        expected = np.zeros((dim, dim), dtype=complex)
+        for i in range(1, dim):
             expected[i - 1, i] = np.sqrt(s * (s + 1) - m[i] * (m[i] + 1))
-        np.testing.assert_array_equal(spin_ops(sector).sp, expected)
+        np.testing.assert_array_equal(spin_ops(n_spins).sp, expected)
 
     def test_lowering_nilpotent_on_sector(self):
         n_spins = 6
-        ops = spin_ops(SpinSector(n_spins))
+        ops = spin_ops(n_spins)
         power = np.linalg.matrix_power(ops.sm, n_spins + 1)
         assert np.all(power == 0)
 
 
 class TestMixWithIdentity:
     def test_zero_strength_is_identity_map(self):
-        rho = coherent_state(FockSpace(40), 1.0)
+        rho = coherent_state(40, 1.0)
         np.testing.assert_allclose(mix_with_identity(rho, 0.0), rho)
 
     def test_full_strength_is_maximally_mixed(self):
-        rho = coherent_state(FockSpace(40), 1.0)
+        rho = coherent_state(40, 1.0)
         out = mix_with_identity(rho, 1.0)
         np.testing.assert_allclose(out, np.eye(41) / 41, atol=1e-14)
 
