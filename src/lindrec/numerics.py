@@ -69,7 +69,9 @@ def hermitian_part(
     asym = _asymmetry(a, diff)
     if asym > tol:
         raise NotHermitianError(f"{name} asymmetry {asym:.3e} exceeds {tol:g}")
-    return a if not diff.any() else (a + adjoint) / 2
+    if not diff.any():
+        return a
+    return np.divide(np.add(a, adjoint, out=diff), 2, out=diff)  # (A + A^dag)/2 in diff
 
 
 @functools.lru_cache(maxsize=None)
