@@ -56,9 +56,8 @@ def coherent_state(n_max: int, alpha: complex) -> np.ndarray:
     """
     alpha = complex(alpha)
     if n_max < coherent_cutoff(alpha):
-        size = abs(alpha)
         raise CutoffTooSmallError(
-            f"n_max={n_max} too small for |alpha|^2={size * size:.3g}"
+            f"n_max={n_max} too small for |alpha|^2={abs(alpha) * abs(alpha):.3g}"
         )
     amps = np.zeros(n_max + 1, dtype=complex)
     amps[0] = np.exp(-abs(alpha) ** 2 / 2.0)
@@ -73,7 +72,7 @@ def coherent_state(n_max: int, alpha: complex) -> np.ndarray:
 
 def squeezed_cutoff(r: float) -> float:
     """Smallest Fock cutoff n_max that ``squeezed_vacuum`` accepts for ``r``."""
-    with np.errstate(over="ignore"):  # sinh saturates at inf
+    with np.errstate(over="ignore"):  # sinh(r)^2 saturates at inf
         return 20 + 20 * np.sinh(r) ** 2
 
 
