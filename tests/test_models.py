@@ -100,9 +100,9 @@ class TestBuildModel:
         *(SqueezedSpec(r=r) for r in
           (0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 2.25, 2.3, 3.0, 20.0, 400.0, 710.0, 1e3)),
     ])
-    def test_default_cutoff_keeps_its_floors(self, spec):
-        # the rule as written before the floors moved next to the state
-        # constructors, the reference for the shared ones
+    def test_default_cutoff_matches_the_reference_rule(self, spec):
+        # the whole cutoff rule written out, independent of the floors that
+        # default_cutoff shares with the state constructors
         if isinstance(spec, CoherentSpec):
             alpha = abs(spec.alpha)
             need = 10 * max(4.0, alpha * alpha)
