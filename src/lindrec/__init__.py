@@ -40,6 +40,7 @@ from .numerics import (
     positive_part,
 )
 from .quantum_ops import (
+    Operator,
     boson_ops,
     coherent_state,
     mix_with_identity,
@@ -61,6 +62,7 @@ __all__ = [
     "LindbladAnsatz",
     "LindbladianParams",
     "Model",
+    "Operator",
     "ReconstructionResult",
     "SqueezedSpec",
     "SteadyStateResult",

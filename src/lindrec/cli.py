@@ -88,6 +88,8 @@ class RunConfig:
                 raise ConfigInvalidError("empty N grid")
             if min(self.n_list) < 2:
                 raise ConfigInvalidError("N values must be at least 2")
+            if len(set(self.n_list)) != len(self.n_list):
+                raise ConfigInvalidError("N values must not repeat")
             if self.resolved_ratio() * self.kappa == 0:  # omega0 of specs()
                 raise ConfigInvalidError("omega_over_kappa * kappa must be nonzero")
         if self.experiment == "robustness":
@@ -271,7 +273,11 @@ def _collective_row(spec: models.CollectiveSpec, tol_null: float) -> dict:
 
 def _run_collective(config: RunConfig) -> dict:
     rows = [_collective_row(spec, config.tol_null) for spec in config.specs()]
-    second_eigs = [float(row["two_lowest_eigenvalues"][1]) for row in rows]
+    # the flag reads the rows in ascending N, whatever order the grid gives
+    second_eigs = [
+        float(row["two_lowest_eigenvalues"][1])
+        for row in sorted(rows, key=lambda row: row["n_spins"])
+    ]
     return {
         "rows": rows,
         "solutions": [row["solution"] for row in rows if "solution" in row],
@@ -423,7 +429,7 @@ def _run_feasibility(config: RunConfig) -> dict:
     """Deliberately impoverished ansatz: a lone decay jump, no drives."""
     (spec,) = config.specs()
     model = models.build_model(spec)
-    ansatz = LindbladAnsatz(h_ops=(), jump_ops=(model.ansatz.jump_ops[0],))
+    ansatz = LindbladAnsatz(h_ops=(), jump_ops=model.ansatz.jump_operators[:1])
     result = reverse_engineer(ansatz, model.rho_ss, config.tol_null)
     # independent check: scan the one-parameter family directly
     grid = np.linspace(-2.0, 2.0, 401)

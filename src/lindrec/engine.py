@@ -32,8 +32,8 @@ from .numerics import (
     hermitian_part,
     is_psd,
     positive_part,
-    require_finite,
 )
+from .quantum_ops import Operator
 
 # Relative tolerance for the sign rule and for the imaginary part of the
 # coordinates when unpacking a parameter vector.
@@ -43,20 +43,6 @@ UNPACK_TOL = 1e-8
 # the coordinate matrix of the term images, which bounds its working copy.
 FACTOR_BLOCK_ROWS = 4096
 
-# An operator with n nonzero diagonals is multiplied by one shifted product
-# per diagonal when BANDED_DIAGONAL_RATIO * n <= d, and by np.matmul
-# otherwise.  Measured against np.matmul with d x d complex operands (2 vCPU,
-# OpenBLAS with 2 threads): the banded product of a C-ordered operand wins
-# up to about d / 30 diagonals from d = 41 to 401; at d <= 21 np.matmul wins
-# even for one diagonal.  On the model ansaetze this ratio makes
-# ``term_images`` as fast as all-dense products at d = 41 and 1.6-2x faster
-# from d = 81 on.
-BANDED_DIAGONAL_RATIO = 40
-
-# Rows of a banded product formed per shifted multiply, which bounds its
-# block buffer.
-BANDED_BLOCK_ROWS = 32
-
 # PSD tolerance defining the Markovianity flag.
 MARKOV_TOL = 1e-10
 
@@ -65,110 +51,53 @@ MARKOV_TOL = 1e-10
 GAUGE_TOL = 1e-12
 
 
-class _Operator:
-    """A d x d operator whose products with a dense d x d matrix cost
-    O(n d^2) when it has n <= d / BANDED_DIAGONAL_RATIO nonzero diagonals.
-
-    Such a banded operator keeps only ``dim`` and ``diagonals``, a list of
-    (offset o, values) with values[r] = mat[r, r + o], zero where r + o lies
-    outside the matrix, and ``mat`` is None; any other keeps ``mat`` for
-    ``np.matmul``, and ``diagonals`` is None.  ``out`` must not overlap ``x``
-    and is best C-ordered; ``x`` may be a transposed view.
-    """
-
-    def __init__(self, mat: np.ndarray):
-        self.mat = mat
-        self.diagonals = None
-        self.dim = dim = mat.shape[0]
-        nonzero = mat != 0
-        remaining = np.count_nonzero(nonzero)
-        offsets = []
-        # nearest diagonals first, until every nonzero entry is on a listed
-        # diagonal or there are too many of them
-        for offset in sorted(range(1 - dim, dim), key=abs):
-            if not remaining:
-                break
-            count = np.count_nonzero(np.diagonal(nonzero, offset))
-            if count:
-                if BANDED_DIAGONAL_RATIO * (len(offsets) + 1) > dim:
-                    return
-                offsets.append(offset)
-                remaining -= count
-        self.diagonals = []
-        for offset in sorted(offsets):
-            values = np.zeros(dim, dtype=complex)
-            values[max(0, -offset):dim - max(0, offset)] = np.diagonal(mat, offset)
-            self.diagonals.append((offset, values))
-        self.mat = None
-
-    def dense(self) -> np.ndarray:
-        """``mat``, or a new d x d array formed from the diagonals."""
-        if self.diagonals is None:
-            return self.mat
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
-        for offset, values in self.diagonals:
-            rows = np.arange(max(0, -offset), self.dim - max(0, offset))
-            mat[rows, rows + offset] = values[rows]
-        return mat
-
-    def left(self, x: np.ndarray, out: np.ndarray) -> None:
-        """out = mat @ x."""
-        if self.diagonals is None:
-            np.matmul(self.mat, x, out=out)
-            return
-        dim = x.shape[0]
-        block = np.empty((min(BANDED_BLOCK_ROWS, dim), dim), dtype=complex)
-        diagonals = self.diagonals or [(0, np.zeros(dim, dtype=complex))]
-        shift = diagonals[0][0]
-        out[:max(0, -shift)], out[dim - max(0, shift):] = 0, 0
-        for index, (offset, values) in enumerate(diagonals):
-            # row r gains values[r] * x[r + offset], a block of rows at a
-            # time; the first diagonal is written into out directly
-            stop = dim - max(0, offset)
-            for lo in range(max(0, -offset), stop, len(block)):
-                hi = min(lo + len(block), stop)
-                part = out[lo:hi] if index == 0 else block[:hi - lo]
-                np.multiply(values[lo:hi, None], x[lo + offset:hi + offset], out=part)
-                if index:
-                    out[lo:hi] += part
-
-
 class LindbladAnsatz:
     """Ordered operator basis spanning the candidate generators.
 
-    All operators share one dimension and have finite entries
-    (``NonFiniteError`` otherwise); every drive generator must be Hermitian
-    within 1e-10 (``NotHermitianError`` otherwise), and its Hermitian part
-    is stored.  At least one generator (drive or jump) is required.
+    Each operator is a ``quantum_ops.Operator`` or a square matrix.  All
+    share one dimension and have finite entries (``NonFiniteError``
+    otherwise); every drive generator must be Hermitian within 1e-10
+    (``NotHermitianError`` otherwise), and its Hermitian part is stored.  At
+    least one generator (drive or jump) is required.
 
-    Each operator is stored once, as an ``_Operator`` (a banded one by its
-    diagonals alone); ``h_ops`` and ``jump_ops`` form the dense matrices on
-    every access.  Ansaetze compare equal only when they are the same object.
+    Each operator is stored once, as an ``Operator``: one given as an
+    ``Operator`` is kept as it is (a banded one is checked on its diagonals),
+    and a matrix is scanned for its nonzero diagonals.  ``jump_operators``
+    are the stored jumps; ``h_ops`` and ``jump_ops`` form the dense matrices
+    on every access.  Ansaetze compare equal only when they are the same
+    object.
     """
 
-    def __init__(self, h_ops: tuple[np.ndarray, ...], jump_ops: tuple[np.ndarray, ...]):
-        h_ops = tuple(np.asarray(h, dtype=complex) for h in h_ops)
-        jump_ops = tuple(np.asarray(l, dtype=complex) for l in jump_ops)
+    def __init__(
+        self,
+        h_ops: tuple[Operator | np.ndarray, ...],
+        jump_ops: tuple[Operator | np.ndarray, ...],
+    ):
+        def operand(op):
+            return op if isinstance(op, Operator) else np.asarray(op, dtype=complex)
+
+        h_ops = tuple(operand(h) for h in h_ops)
+        jump_ops = tuple(operand(l) for l in jump_ops)
         if not h_ops and not jump_ops:
             raise DimMismatchError("ansatz needs at least one generator")
         dims = {op.shape for op in h_ops + jump_ops}
-        if len(dims) != 1 or any(s[0] != s[1] for s in dims):
+        if len(dims) != 1 or any(len(s) != 2 or s[0] != s[1] for s in dims):
             raise DimMismatchError(f"inconsistent operator shapes: {dims}")
+        h_ops, jump_ops = (
+            tuple(op if isinstance(op, Operator) else Operator.from_dense(op) for op in ops)
+            for ops in (h_ops, jump_ops)
+        )
         # the Hermitian parts, so that rho h is exactly the adjoint of h rho
         # in ``term_images``; an exactly Hermitian drive is kept, not copied
         h_ops = tuple(
-            hermitian_part(h, f"drive operator {idx}", tol=1e-10)
+            h.hermitian_part(f"drive operator {idx}", tol=1e-10)
             for idx, h in enumerate(h_ops)
         )
         for idx, l in enumerate(jump_ops):
-            require_finite(l, f"jump operator {idx}")
-        # the drives, the jumps and the transposed jumps with their nonzero
-        # diagonals found, for the products of ``term_images``
-        self._operators = (
-            tuple(_Operator(h) for h in h_ops),
-            tuple(_Operator(l) for l in jump_ops),
-            tuple(_Operator(l.T) for l in jump_ops),
-        )
+            l.require_finite(f"jump operator {idx}")
+        # the drives, the jumps and the transposed jumps, for the products
+        # of ``term_images``
+        self._operators = (h_ops, jump_ops, tuple(l.T for l in jump_ops))
 
     @property
     def h_ops(self) -> tuple[np.ndarray, ...]:
@@ -177,6 +106,10 @@ class LindbladAnsatz:
     @property
     def jump_ops(self) -> tuple[np.ndarray, ...]:
         return tuple(op.dense() for op in self._operators[1])
+
+    @property
+    def jump_operators(self) -> tuple[Operator, ...]:
+        return self._operators[1]
 
     @property
     def dim(self) -> int:
@@ -272,8 +205,9 @@ def term_images(ansatz: LindbladAnsatz, rho: np.ndarray) -> np.ndarray:
     and A takes J + K + K(K+1)/2 + K^2 left products with a d x d matrix
     (drive images, A_j, the sandwiches for k >= j, the anticommutator
     halves): O(d^2) per nonzero diagonal of a banded operator
-    (``BANDED_DIAGONAL_RATIO``), else O(d^3).  Each step adds its part of
-    D_{j,k} to the columns of its pair; three d x d arrays are held.
+    (``quantum_ops.BANDED_DIAGONAL_RATIO``), else O(d^3).  Each step adds
+    its part of D_{j,k} to the columns of its pair; three d x d arrays are
+    held.
     """
     rho = np.asarray(rho, dtype=complex)
     dim, n_drive, n_jump = ansatz.dim, ansatz.n_drive, ansatz.n_jump

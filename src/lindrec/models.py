@@ -9,7 +9,7 @@ validates the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -17,6 +17,7 @@ import numpy as np
 from .engine import LindbladAnsatz, LindbladianParams, apply_lindbladian
 from .errors import DegenerateParamsError, DimMismatchError, UnsupportedVariantError
 from .quantum_ops import (
+    Operator,
     SpinOps,
     boson_ops,
     coherent_cutoff,
@@ -82,7 +83,8 @@ ModelSpec = Union[CoherentSpec, SqueezedSpec, CollectiveSpec]
 # Largest Hilbert-space dimension d an experiment may build.  The term images
 # of an ansatz with J drives and K jumps are held as a real d^2 x (J + K^2)
 # matrix: 15 MB at d = 401 and 0.4 GB at d = 2048 for the collective full
-# basis (J + K^2 = 12), on top of the d x d state and non-banded operators.
+# basis (J + K^2 = 12), on top of the d x d state; the model operators are
+# held by their diagonals from d = 80 on.
 # The default Fock cutoffs stay below it up to |alpha| ~ 14 and r ~ 2.25.
 MAX_HILBERT_DIM = 2048
 
@@ -146,10 +148,6 @@ def build_model(spec: ModelSpec) -> Model:
             drives = (ops.sx, ops.sy)
             jumps = (ops.sx / scale, ops.sy / scale)
         ansatz = LindbladAnsatz(h_ops=drives, jump_ops=jumps)
-        # the ansatz holds banded operators by their diagonals, so the dense
-        # ones the state's residual check does not read are released first
-        del drives, jumps
-        ops = replace(ops, sy=None, sz=None, sp=None)
         return Model(spec=spec, ansatz=ansatz, rho_ss=collective_steady_state(spec, ops))
     if not isinstance(spec, (CoherentSpec, SqueezedSpec)):
         raise UnsupportedVariantError(f"unknown spec type {type(spec)!r}")
@@ -160,8 +158,8 @@ def build_model(spec: ModelSpec) -> Model:
             h_ops=(ops.x, ops.p), jump_ops=(ops.a, ops.a_dag)
         )
         return Model(spec=spec, ansatz=ansatz, rho_ss=coherent_state(n_max, spec.alpha))
-    s = np.diagonal(ops.a, 1)  # a^2 and a_dag^2 from the superdiagonal of a
-    a2, ad2 = np.diag(s[:-1] * s[1:], 2), np.diag(s[:-1] * s[1:], -2)
+    s = ops.a.diagonal(1)  # a^2 and a_dag^2 from the superdiagonal of a
+    a2, ad2 = (Operator(n_max + 1, [(offset, s[:-1] * s[1:])]) for offset in (2, -2))
     drives = ((a2 + ad2) / np.sqrt(2), (a2 - ad2) / (1j * np.sqrt(2)))
     jumps = (ops.a, ops.a_dag) if spec.jumps == SINGLE_JUMPS else (a2, ad2)
     ansatz = LindbladAnsatz(h_ops=drives, jump_ops=jumps)
@@ -214,7 +212,7 @@ def collective_steady_state(spec: CollectiveSpec, ops: SpinOps) -> np.ndarray:
     if ops.sm.shape != (dim, dim):
         raise DimMismatchError(f"spin operators of shape {ops.sm.shape} for N = {n_spins}")
     beta = -1j * omega0 * n_spins / (2.0 * kappa)
-    step = np.diagonal(ops.sm, -1) / beta
+    step = ops.sm.diagonal(-1) / beta
     # factors[i, c] is S_-[i, i-1] / beta below the diagonal and 1
     # elsewhere, so the cumulative product down column c is 1 up to row c
     # and then the ladder product; the upper triangle is dropped afterwards

@@ -53,6 +53,16 @@ def _asymmetry(a: np.ndarray, diff: np.ndarray) -> float:
     return float(np.linalg.norm(diff) / max(1.0, np.linalg.norm(a)))
 
 
+def require_near_hermitian(a: np.ndarray, diff: np.ndarray, name: str, tol: float) -> None:
+    """Raise ``NotHermitianError`` naming ``name`` when the asymmetry
+    ||diff|| / max(1, ||a||) of a matrix A exceeds ``tol``, for ``a`` and
+    ``diff`` holding the entries of A and A - A^dag in one layout: the
+    matrices, or the diagonals of a banded A."""
+    asym = _asymmetry(a, diff)
+    if asym > tol:
+        raise NotHermitianError(f"{name} asymmetry {asym:.3e} exceeds {tol:g}")
+
+
 def hermitian_part(
     a: np.ndarray, name: str, tol: float = HERMITICITY_REJECT_TOL
 ) -> np.ndarray:
@@ -66,9 +76,7 @@ def hermitian_part(
     require_finite(a, name)
     adjoint = a.conj().T  # one conjugate copy for the check, the test and the sum
     diff = a - adjoint
-    asym = _asymmetry(a, diff)
-    if asym > tol:
-        raise NotHermitianError(f"{name} asymmetry {asym:.3e} exceeds {tol:g}")
+    require_near_hermitian(a, diff, name, tol)
     if not diff.any():
         return a
     return np.divide(np.add(a, adjoint, out=diff), 2, out=diff)  # (A + A^dag)/2 in diff

@@ -1,3 +1,6 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -52,10 +55,18 @@ def apply_d_term(l_j, l_k, rho):
     return l_j @ rho @ l_k.conj().T - 0.5 * (kd_j @ rho + rho @ kd_j)
 
 
+def dense_ops(ops):
+    """The dense matrices of the operators of a ``SpinOps`` or ``BosonOps``,
+    under the same field names."""
+    return SimpleNamespace(
+        **{f.name: getattr(ops, f.name).dense() for f in dataclasses.fields(ops)}
+    )
+
+
 def bogoliubov_op(n_max, r, theta):
     """b = a cosh(r) + a^dag e^{i theta} sinh(r), which annihilates the
     squeezed vacuum, from the matrices of a and a^dag."""
-    ops = boson_ops(n_max)
+    ops = dense_ops(boson_ops(n_max))
     return np.cosh(r) * ops.a + np.exp(1j * theta) * np.sinh(r) * ops.a_dag
 
 

@@ -187,8 +187,8 @@ def test_criterion_04_squeezed_two_particle_jumps():
                 assert vector_angle(analytic, res.kernel_vectors[0]) < 1e-8
                 sol = res.solutions[0]
                 # the recovered Hamiltonian matches i sinh(4r) (e^{-it}a^2 - h.c.)
-                ops = boson_ops(model.ansatz.dim - 1)
-                a2 = ops.a @ ops.a
+                a = boson_ops(model.ansatz.dim - 1).a.dense()
+                a2 = a @ a
                 h_expected = (
                     1j
                     * np.sinh(4 * r)

@@ -106,6 +106,13 @@ class TestParsing:
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("experiment", ["collective", "robustness"])
+    def test_repeated_n_is_a_config_error(self, tmp_path, experiment):
+        # a repeated size has no place in the ascending order the rows are read in
+        argv = [experiment, "--N", "10,10,20", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_validate_rejects_zero_drive_in_robustness(self):
         # robustness has no --omega-over-kappa flag; a config file can set it
         with pytest.raises(ConfigInvalidError):
@@ -381,6 +388,21 @@ class TestRuns:
             assert row["kernel_dim"] == 1
             assert row["solution"]["rapidity_residual"] <= 1e-10
         assert load_report(out)["results"]["second_eigenvalue_decreasing"]
+
+    def test_second_eigenvalue_flag_reads_the_rows_in_ascending_n(self, tmp_path):
+        # lambda_2 falls from N = 10 to N = 20, whatever order --N lists them in
+        reports = []
+        for grid in ("10,20", "20,10"):
+            out = tmp_path / grid.replace(",", "-")
+            assert main(["collective", "--N", grid, "--out", str(out)]) == 0
+            reports.append(load_report(out)["results"])
+        ascending, descending = reports
+        assert [r["n_spins"] for r in descending["rows"]] == [20, 10]
+        assert descending["rows"] == ascending["rows"][::-1]
+        lam2 = {r["n_spins"]: r["two_lowest_eigenvalues"][1] for r in ascending["rows"]}
+        assert lam2[20] < lam2[10]
+        assert ascending["second_eigenvalue_decreasing"] is True
+        assert descending["second_eigenvalue_decreasing"] is True
 
     def test_weak_drive_collective_rows_report_the_closed_form_generator(self, tmp_path):
         # below omega/kappa = 1 the kernel holds more than the true null at

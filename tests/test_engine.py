@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lindrec.engine import (
-    BANDED_DIAGONAL_RATIO,
     LindbladAnsatz,
     LindbladianParams,
     apply_lindbladian,
@@ -17,7 +16,6 @@ from lindrec.engine import (
     reverse_engineer,
     term_images,
     unpack_kernel_vector,
-    _Operator,
 )
 from lindrec.errors import (
     DimMismatchError,
@@ -35,7 +33,13 @@ from lindrec.models import (
     build_model,
 )
 from lindrec.numerics import hermitian_coordinates, hermitian_from_coordinates
-from lindrec.quantum_ops import boson_ops, mix_with_identity, spin_ops
+from lindrec.quantum_ops import (
+    BANDED_DIAGONAL_RATIO,
+    Operator,
+    boson_ops,
+    mix_with_identity,
+    spin_ops,
+)
 
 from conftest import (
     apply_d_term,
@@ -63,7 +67,8 @@ class TestTermMaps:
         ops = boson_ops(10)
         vac = np.zeros((11, 11), dtype=complex)
         vac[0, 0] = 1.0
-        assert np.linalg.norm(apply_d_term(ops.a, ops.a, vac)) < 1e-14
+        a = ops.a.dense()
+        assert np.linalg.norm(apply_d_term(a, a, vac)) < 1e-14
 
     def test_d_term_traceless(self, rng):
         dim = 5
@@ -124,18 +129,19 @@ MODEL_SPECS = [
 class TestBandedProducts:
     @staticmethod
     def products(mat, rng):
-        """The products of ``_Operator(mat)`` with a random dense matrix and
-        with its transposed view, with their ``np.matmul`` references."""
+        """The products of ``Operator.from_dense(mat)`` with a random dense
+        matrix and with its transposed view, with their ``np.matmul``
+        references."""
         dim = mat.shape[0]
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        op = _Operator(mat)
+        op = Operator.from_dense(mat)
         left, left_t = np.full((2, dim, dim), np.nan, dtype=complex)
         op.left(x, left)
         op.left(x.T, left_t)
         return op, (left, mat @ x), (left_t, mat @ x.T)
 
     def test_single_off_diagonal(self, rng):
-        sp = spin_ops(60).sp
+        sp = spin_ops(60).sp.dense()
         op, *pairs = self.products(sp, rng)
         assert [offset for offset, _ in op.diagonals] == [1]
         for got, expected in pairs:
@@ -156,7 +162,7 @@ class TestBandedProducts:
         for got, expected in pairs:
             np.testing.assert_array_equal(got, expected)
         # one diagonal fewer takes the banded path
-        assert _Operator(sum(diagonals[:-1])).diagonals is not None
+        assert Operator.from_dense(sum(diagonals[:-1])).diagonals is not None
 
 
 class TestTermImages:
@@ -267,28 +273,34 @@ class TestAnsatzStorage:
             assert len(stored) == len(given)
             for got, expected in zip(stored, given):
                 assert got.dtype == complex
-                np.testing.assert_array_equal(got, expected)
+                np.testing.assert_array_equal(got, expected.dense())
 
     def test_banded_operator_holds_no_square_array(self):
-        op = _Operator(spin_ops(400).sx)
-        assert op.mat is None and op.dim == 401
-        arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
-        arrays += [values for _, values in op.diagonals]
-        assert arrays and all(a.shape == (401,) for a in arrays)
+        # every spin and boson operator is built from its diagonals
+        for ops, dim in ((spin_ops(400), 401), (boson_ops(164), 165)):
+            for name in vars(ops):
+                op = getattr(ops, name)
+                assert op.mat is None and op.dim == dim, name
+                arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
+                arrays += [values for _, values in op.diagonals]
+                assert arrays and all(a.shape == (dim,) for a in arrays), name
 
     def test_build_model_keeps_only_the_state_dense(self):
         # the state takes 16 d^2 = 2.6 MB at d = 401, and a dense Sx, Sy or
-        # Sz as much again each; the residual check of the state peaks at
-        # 22 MB with Sx and S- dense, and at 30 MB with all five spin operators
-        tracemalloc.start()
-        try:
-            model = build_model(CollectiveSpec(n_spins=400, omega0=1.5, kappa=1.0))
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert all(op.mat is None for group in model.ansatz._operators for op in group)
-        assert kept <= 4e6
-        assert peak <= 25e6
+        # Sz would take as much again each.  The operators are built from
+        # their diagonals, so the residual check of the state sets the peak:
+        # the state, its two-column coordinate matrix and three d x d work
+        # arrays, 13.6 MiB (18.6 MiB with dense Sx and S-)
+        for omega0 in (0.7, 1.5):
+            tracemalloc.start()
+            try:
+                model = build_model(CollectiveSpec(n_spins=400, omega0=omega0, kappa=1.0))
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert all(op.mat is None for group in model.ansatz._operators for op in group)
+            assert kept <= 4e6
+            assert peak < 15 * 2**20
 
     def test_identity_semantics(self):
         drive = np.array([[1.0, 0.5], [0.5, -1.0]])
@@ -738,7 +750,7 @@ class TestSuperpositionSearch:
         ops = boson_ops(6)
         rho = np.diag(q ** np.arange(7)).astype(complex)
         rho /= np.trace(rho)
-        n_op = ops.a_dag @ ops.a
+        n_op = ops.a_dag.dense() @ ops.a.dense()
         drive_only = LindbladAnsatz(h_ops=(n_op,), jump_ops=())
         jump_only = LindbladAnsatz(h_ops=(), jump_ops=(ops.a, ops.a_dag))
         for ansatz in (drive_only, jump_only):

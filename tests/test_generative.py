@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lindrec.engine import (
-    BANDED_DIAGONAL_RATIO,
     FEASIBLE,
     MARKOV_TOL,
     LindbladAnsatz,
@@ -18,9 +17,9 @@ from lindrec.engine import (
     build_correlation_matrix,
     markovian_superposition_search,
     reverse_engineer,
-    _Operator,
 )
 from lindrec.models import SqueezedSpec, analytic_kernel_vectors
+from lindrec.quantum_ops import BANDED_DIAGONAL_RATIO, Operator
 from lindrec.verification import steady_state_of
 
 from conftest import random_ansatz, random_density
@@ -199,8 +198,13 @@ def test_banded_products_match_matmul(seed, dim, corners):
         size = dim - abs(o)
         mat += np.diag(rng.standard_normal(size) + 1j * rng.standard_normal(size), o)
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    op = _Operator(mat)
+    op = Operator.from_dense(mat)
     assert sorted(o for o, _ in op.diagonals) == sorted(set(offsets.tolist()))
+    # the same operator given by its diagonals holds the same values
+    given = Operator(dim, [(o, np.diagonal(mat, o)) for o in set(offsets.tolist())])
+    for (o, values), (o_given, values_given) in zip(op.diagonals, given.diagonals):
+        assert o == o_given
+        np.testing.assert_array_equal(values, values_given)
     out = np.full((dim, dim), np.nan, dtype=complex)
     op.left(x, out)
     scale = np.abs(mat).max() * np.abs(x).max()

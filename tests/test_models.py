@@ -28,7 +28,7 @@ from lindrec.models import (
 from lindrec.numerics import hermitian_part
 from lindrec.quantum_ops import boson_ops, spin_ops
 
-from conftest import check_density_matrix
+from conftest import check_density_matrix, dense_ops
 
 R_GRID = [0.0, 0.25, 0.5, 1.0]
 THETA_GRID = [0.0, np.pi / 3, np.pi]
@@ -68,7 +68,7 @@ class TestBuildModel:
     @pytest.mark.parametrize("n_max", [40, 164, 1212])
     def test_squared_ladder_operators_from_the_superdiagonal(self, n_max):
         # a^2 and a^dag^2 formed from one diagonal equal the dense products
-        ops = boson_ops(n_max)
+        ops = dense_ops(boson_ops(n_max))
         model = build_model(SqueezedSpec(r=0.5, jumps="two", n_max=n_max))
         a2, ad2 = model.ansatz.jump_ops
         np.testing.assert_array_equal(a2, ops.a @ ops.a)
@@ -77,7 +77,7 @@ class TestBuildModel:
     def test_reduced_basis_jump_normalization(self):
         spec = CollectiveSpec(n_spins=8, omega0=1.0, kappa=2.0, basis="xy2")
         model = build_model(spec)
-        ops = spin_ops(8)
+        ops = dense_ops(spin_ops(8))
         scale = np.sqrt(4.0)
         np.testing.assert_allclose(model.ansatz.h_ops[0], ops.sx)
         np.testing.assert_allclose(model.ansatz.jump_ops[0], ops.sx / scale)
@@ -136,7 +136,7 @@ class TestCollectiveSteadyState:
     def test_strong_drive_regime_points_down(self):
         # kappa/omega0 > 1: spins mostly aligned along -z
         rho = steady_state(20, 0.5, 1.0)
-        sz = spin_ops(20).sz
+        sz = spin_ops(20).sz.dense()
         assert np.trace(sz @ rho).real < 0
 
     @pytest.mark.parametrize("basis", ["full3", "xy2"])
@@ -192,8 +192,7 @@ class TestCollectiveSteadyState:
     @pytest.mark.parametrize("ratio", [0.5, 2.0])
     def test_matches_dense_horner_reference(self, n_spins, ratio):
         # eta = sum_j (S_- / beta)^j accumulated with one dense product per step
-        ops = spin_ops(n_spins)
-        step = ops.sm / (-1j * ratio * n_spins / 2.0)
+        step = spin_ops(n_spins).sm.dense() / (-1j * ratio * n_spins / 2.0)
         eye = np.eye(n_spins + 1, dtype=complex)
         eta = eye.copy()
         for _ in range(n_spins + 1):

@@ -1,0 +1,199 @@
+"""Operators built from their diagonals against the same operators given as
+dense matrices."""
+
+import numpy as np
+import pytest
+
+from lindrec import models
+from lindrec.engine import LindbladAnsatz, term_images
+from lindrec.errors import DimMismatchError, NonFiniteError, NotHermitianError
+from lindrec.models import CoherentSpec, CollectiveSpec, SqueezedSpec, build_model
+from lindrec.numerics import hermitian_part
+from lindrec.quantum_ops import (
+    BosonOps,
+    Operator,
+    SpinOps,
+    boson_ops,
+    spin_ops,
+)
+
+from conftest import random_density
+
+
+def dense_spin_ops(n_spins):
+    """The spin operators as dense matrices, by the dense arithmetic of the
+    definitions."""
+    s = n_spins / 2.0
+    m = s - np.arange(n_spins + 1)
+    sz = np.diag(m).astype(complex)
+    sp = np.diag(np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
+    sm = sp.conj().T
+    return SpinOps(sx=(sp + sm) / 2.0, sy=(sp - sm) / 2.0j, sz=sz, sp=sp, sm=sm)
+
+
+def dense_boson_ops(n_max):
+    a = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1).astype(complex)
+    a_dag = a.conj().T
+    return BosonOps(
+        a=a, a_dag=a_dag, x=(a + a_dag) / np.sqrt(2), p=1j * (a_dag - a) / np.sqrt(2)
+    )
+
+
+def dense_operators(spec):
+    """Drives and jumps of ``build_model(spec)`` as dense matrices."""
+    if isinstance(spec, CollectiveSpec):
+        ops = dense_spin_ops(spec.n_spins)
+        if spec.basis == models.FULL_BASIS:
+            return (ops.sx, ops.sy, ops.sz), (ops.sx, ops.sy, ops.sz)
+        scale = np.sqrt(spec.n_spins / 2.0)
+        return (ops.sx, ops.sy), (ops.sx / scale, ops.sy / scale)
+    ops = dense_boson_ops(spec.n_max)
+    if isinstance(spec, CoherentSpec):
+        return (ops.x, ops.p), (ops.a, ops.a_dag)
+    a2 = ops.a @ ops.a
+    ad2 = ops.a_dag @ ops.a_dag
+    drives = ((a2 + ad2) / np.sqrt(2), (a2 - ad2) / (1j * np.sqrt(2)))
+    return drives, ((ops.a, ops.a_dag) if spec.jumps == models.SINGLE_JUMPS else (a2, ad2))
+
+
+def assert_bitwise_equal(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+# both sides of the dense/banded storage switch: one diagonal is banded from
+# d = 40 on, two from d = 80 on
+SPECS = [
+    *(CollectiveSpec(n_spins=n, omega0=0.7, kappa=1.0, basis=basis)
+      for n in (2, 39, 78, 79, 400) for basis in (models.FULL_BASIS, models.XY_BASIS)),
+    *(spec for n_max in (40, 78, 79, 164) for spec in (
+        CoherentSpec(alpha=1.5 * np.exp(0.7j), n_max=n_max),
+        SqueezedSpec(r=0.25, theta=0.3, n_max=n_max),
+        SqueezedSpec(r=0.25, theta=0.3, jumps=models.TWO_JUMPS, n_max=n_max),
+    )),
+]
+
+
+class TestDiagonalConstruction:
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_model_matches_the_dense_operators(self, monkeypatch, spec):
+        model = build_model(spec)
+        drives, jumps = dense_operators(spec)
+        # the same operators given as dense matrices
+        dense = LindbladAnsatz(h_ops=drives, jump_ops=jumps)
+        again = LindbladAnsatz(
+            h_ops=model.ansatz.h_ops, jump_ops=model.ansatz.jump_ops
+        )
+        for stored, given, reference in (
+            (model.ansatz.h_ops, again.h_ops, dense.h_ops),
+            (model.ansatz.jump_ops, again.jump_ops, dense.jump_ops),
+        ):
+            for got, expected, matrix in zip(stored, given, reference, strict=True):
+                assert_bitwise_equal(got, expected)
+                # equal entries; a zero may carry the other sign where the
+                # dense arithmetic met the conjugated zero of an adjoint
+                np.testing.assert_array_equal(got, matrix)
+        images = term_images(model.ansatz, model.rho_ss)
+        assert_bitwise_equal(images, term_images(again, model.rho_ss))
+        assert_bitwise_equal(images, term_images(dense, model.rho_ss))
+        if isinstance(spec, CollectiveSpec):
+            # the state and its residual check from the dense sector operators
+            ops = dense_spin_ops(spec.n_spins)
+            scanned = SpinOps(**{
+                name: Operator.from_dense(getattr(ops, name))
+                for name in ("sx", "sy", "sz", "sp", "sm")
+            })
+            monkeypatch.setattr(models, "spin_ops", lambda n_spins: scanned)
+            assert_bitwise_equal(model.rho_ss, build_model(spec).rho_ss)
+
+    @pytest.mark.parametrize("n", [1, 2, 39, 40, 79, 80, 400])
+    def test_operators_equal_their_dense_definitions(self, n):
+        for built, dense in ((spin_ops(n), dense_spin_ops(n)),
+                             (boson_ops(n), dense_boson_ops(n))):
+            for name in vars(dense):
+                op, matrix = getattr(built, name), getattr(dense, name)
+                np.testing.assert_array_equal(op.dense(), matrix)
+                scanned = Operator.from_dense(matrix)
+                assert (op.mat is None) == (scanned.mat is None)
+                if op.mat is None:
+                    assert [o for o, _ in op.diagonals] == [o for o, _ in scanned.diagonals]
+
+
+class TestEdgeCases:
+    @staticmethod
+    def assert_same_images(operators, rng):
+        """An ansatz of ``operators`` as drives' Hermitian parts and as jumps
+        gives the same term images as one of their dense matrices."""
+        dim = operators[0].dim
+        rho = random_density(rng, dim)
+        drives = [op + op.adjoint() for op in operators]
+        given = LindbladAnsatz(h_ops=drives, jump_ops=operators)
+        dense = LindbladAnsatz(
+            h_ops=[op.dense() for op in drives], jump_ops=[op.dense() for op in operators]
+        )
+        assert_bitwise_equal(term_images(given, rho), term_images(dense, rho))
+
+    @pytest.mark.parametrize("dim", [1, 2, 45])
+    def test_zero_operator(self, rng, dim):
+        for zero in (Operator(dim), Operator(dim, [(0, np.zeros(dim))])):
+            assert zero.diagonals == [] and zero.mat is None
+            np.testing.assert_array_equal(zero.dense(), np.zeros((dim, dim)))
+            np.testing.assert_array_equal(zero.diagonal(min(1, dim - 1)), 0)
+            ansatz = LindbladAnsatz(h_ops=(zero,), jump_ops=(zero,))
+            assert ansatz._operators[0][0] is zero
+            assert not term_images(ansatz, random_density(rng, dim)).any()
+
+    @pytest.mark.parametrize("dim", [81, 120])
+    def test_outermost_offsets(self, rng, dim):
+        corners = Operator(dim, [(dim - 1, [2.0 - 1j]), (1 - dim, [0.5j])])
+        assert [o for o, _ in corners.diagonals] == [1 - dim, dim - 1]
+        expected = np.zeros((dim, dim), dtype=complex)
+        expected[0, -1], expected[-1, 0] = 2.0 - 1j, 0.5j
+        np.testing.assert_array_equal(corners.dense(), expected)
+        np.testing.assert_array_equal(corners.T.dense(), expected.T)
+        np.testing.assert_array_equal(corners.adjoint().dense(), expected.conj().T)
+        self.assert_same_images([corners], rng)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_smallest_dimensions(self, rng, dim):
+        ops = [Operator(dim, [(0, np.arange(1, dim + 1) * (1 + 1j))])]
+        if dim == 2:
+            ops.append(Operator(dim, [(1, [3.0]), (-1, [1j])]))
+        assert all(op.mat is not None for op in ops)  # below the banded crossover
+        self.assert_same_images(ops, rng)
+
+    def test_non_finite_diagonal_rejected(self):
+        values = np.ones(99)
+        values[7] = np.nan
+        bad = Operator(100, [(1, values), (-1, values)])
+        assert bad.mat is None
+        with pytest.raises(NonFiniteError, match="drive operator 0"):
+            LindbladAnsatz(h_ops=(bad,), jump_ops=())
+        with pytest.raises(NonFiniteError, match="jump operator 1"):
+            LindbladAnsatz(h_ops=(), jump_ops=(boson_ops(99).a, bad))
+
+    def test_hermiticity_checked_on_the_diagonals(self):
+        dim = 100
+        upper = Operator(dim, [(1, np.ones(dim - 1))])
+        with pytest.raises(NotHermitianError, match="drive operator 0"):
+            LindbladAnsatz(h_ops=(upper,), jump_ops=())
+        # within 1e-10 the stored drive is the Hermitian part, as the dense rule gives it
+        near = upper + (upper.adjoint() + Operator(dim, [(-1, np.full(dim - 1, 1e-12j))]))
+        assert near.mat is None
+        stored = LindbladAnsatz(h_ops=(near,), jump_ops=()).h_ops[0]
+        assert_bitwise_equal(stored, hermitian_part(near.dense(), "drive", tol=1e-10))
+        exact = spin_ops(dim - 1).sx
+        assert LindbladAnsatz(h_ops=(exact,), jump_ops=())._operators[0][0] is exact
+
+    def test_dimensions_must_agree(self):
+        with pytest.raises(DimMismatchError):
+            LindbladAnsatz(h_ops=(spin_ops(99).sx,), jump_ops=(boson_ops(100).a,))
+        with pytest.raises(DimMismatchError):
+            LindbladAnsatz(h_ops=(spin_ops(99).sx,), jump_ops=(np.eye(99),))
+        with pytest.raises(DimMismatchError):
+            spin_ops(99).sx + boson_ops(100).x
+        # a diagonal of the wrong length, one outside the matrix, a repeated one
+        for diagonals in ([(1, np.ones(5))], [(7, np.ones(1))], [(0, np.ones(7))] * 2):
+            with pytest.raises(DimMismatchError):
+                Operator(7, diagonals)
+

@@ -12,7 +12,7 @@ from lindrec.quantum_ops import (
     squeezed_vacuum,
 )
 
-from conftest import bogoliubov_op, check_density_matrix
+from conftest import bogoliubov_op, check_density_matrix, dense_ops
 
 
 def variance(op, rho):
@@ -26,25 +26,25 @@ class TestBosonOps:
             boson_ops(0)
 
     def test_two_level_ladder(self):
-        ops = boson_ops(1)
+        ops = dense_ops(boson_ops(1))
         np.testing.assert_allclose(ops.a, [[0, 1], [0, 0]])
         np.testing.assert_allclose(ops.a_dag, [[0, 0], [1, 0]])
 
     def test_quadratures_hermitian(self):
-        ops = boson_ops(12)
+        ops = dense_ops(boson_ops(12))
         assert np.allclose(ops.x, ops.x.conj().T)
         assert np.allclose(ops.p, ops.p.conj().T)
 
     def test_canonical_commutator_up_to_truncation_corner(self):
         n_max = 9
-        ops = boson_ops(n_max)
+        ops = dense_ops(boson_ops(n_max))
         comm = ops.x @ ops.p - ops.p @ ops.x
         expected = 1j * np.eye(n_max + 1, dtype=complex)
         expected[n_max, n_max] = -1j * n_max  # the truncated corner
         np.testing.assert_allclose(comm, expected, atol=1e-13)
 
     def test_coherent_state_is_ladder_eigenstate(self):
-        ops = boson_ops(40)
+        ops = dense_ops(boson_ops(40))
         rho = coherent_state(40, 1.0)
         assert abs(np.trace(ops.a @ rho) - 1.0) < 1e-10
 
@@ -63,7 +63,7 @@ class TestCoherentState:
     def test_minimum_uncertainty(self):
         # the quoted numbers dX = dP = 1/2 and dX dP = 1/4 are stated for
         # quadratures (a + a^dag)/2 and i(a^dag - a)/2
-        ops = boson_ops(60)
+        ops = dense_ops(boson_ops(60))
         rho = coherent_state(60, 1 + 1j)
         dx = np.sqrt(variance(ops.x / np.sqrt(2), rho))
         dp = np.sqrt(variance(ops.p / np.sqrt(2), rho))
@@ -96,7 +96,7 @@ class TestSqueezedVacuum:
 
     def test_quadrature_squeezing(self):
         # dX = e^{-r}/2 and dP = e^{r}/2 in the (a + a^dag)/2 convention
-        ops = boson_ops(80)
+        ops = dense_ops(boson_ops(80))
         r = 0.5
         rho = squeezed_vacuum(80, r, 0.0)
         dx = np.sqrt(variance(ops.x / np.sqrt(2), rho))
@@ -130,7 +130,7 @@ class TestSqueezedVacuum:
         r, th = 0.5, np.pi / 3
         moments = []
         for n_max in (80, 160):
-            ops = boson_ops(n_max)
+            ops = dense_ops(boson_ops(n_max))
             rho = squeezed_vacuum(n_max, r, th)
             moments.append(
                 [
@@ -148,14 +148,14 @@ class TestSpinOps:
             spin_ops(0)
 
     def test_single_spin_is_half_pauli(self):
-        ops = spin_ops(1)
+        ops = dense_ops(spin_ops(1))
         np.testing.assert_allclose(ops.sx, [[0, 0.5], [0.5, 0]])
         np.testing.assert_allclose(ops.sy, [[0, -0.5j], [0.5j, 0]])
         np.testing.assert_allclose(ops.sz, [[0.5, 0], [0, -0.5]])
 
     @pytest.mark.parametrize("n_spins", [1, 4, 17])
     def test_su2_algebra(self, n_spins):
-        ops = spin_ops(n_spins)
+        ops = dense_ops(spin_ops(n_spins))
         pairs = [
             (ops.sx, ops.sy, ops.sz),
             (ops.sy, ops.sz, ops.sx),
@@ -167,7 +167,7 @@ class TestSpinOps:
 
     @pytest.mark.parametrize("n_spins", [2, 9])
     def test_total_spin_casimir(self, n_spins):
-        ops = spin_ops(n_spins)
+        ops = dense_ops(spin_ops(n_spins))
         s2 = ops.sx @ ops.sx + ops.sy @ ops.sy + ops.sz @ ops.sz
         s = n_spins / 2
         np.testing.assert_allclose(
@@ -182,11 +182,11 @@ class TestSpinOps:
         expected = np.zeros((dim, dim), dtype=complex)
         for i in range(1, dim):
             expected[i - 1, i] = np.sqrt(s * (s + 1) - m[i] * (m[i] + 1))
-        np.testing.assert_array_equal(spin_ops(n_spins).sp, expected)
+        np.testing.assert_array_equal(spin_ops(n_spins).sp.dense(), expected)
 
     def test_lowering_nilpotent_on_sector(self):
         n_spins = 6
-        ops = spin_ops(n_spins)
+        ops = dense_ops(spin_ops(n_spins))
         power = np.linalg.matrix_power(ops.sm, n_spins + 1)
         assert np.all(power == 0)
 
