@@ -19,6 +19,7 @@ post-processes solutions for complete positivity.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from .numerics import (
     hermitian_part,
     is_psd,
     positive_part,
+    require_finite,
 )
 from .quantum_ops import Operator
 
@@ -45,6 +47,16 @@ FACTOR_BLOCK_ROWS = 4096
 
 # PSD tolerance defining the Markovianity flag.
 MARKOV_TOL = 1e-10
+
+# ``LindbladAnsatz`` stores an operator with n nonzero diagonals as an
+# ``Operator``, multiplied by one shifted product per diagonal, when
+# BANDED_DIAGONAL_RATIO * n <= d, and as a matrix for np.matmul otherwise.
+# Measured against np.matmul with d x d complex operands (2 vCPU, OpenBLAS
+# with 2 threads): the banded product of a C-ordered operand wins up to
+# about d / 30 diagonals from d = 41 to 401; at d <= 21 np.matmul wins even
+# for one diagonal.  On the model ansaetze this ratio makes ``term_images``
+# as fast as all-dense products at d = 41 and 1.6-2x faster from d = 81 on.
+BANDED_DIAGONAL_RATIO = 40
 
 # Relative floor of the squared singular values below which a direction is
 # dropped when the physical gauge basis is formed.
@@ -60,12 +72,14 @@ class LindbladAnsatz:
     (``NotHermitianError`` otherwise), and its Hermitian part is stored.  At
     least one generator (drive or jump) is required.
 
-    Each operator is stored once, as an ``Operator``: one given as an
-    ``Operator`` is kept as it is (a banded one is checked on its diagonals),
-    and a matrix is scanned for its nonzero diagonals.  ``jump_operators``
-    are the stored jumps; ``h_ops`` and ``jump_ops`` form the dense matrices
-    on every access.  Ansaetze compare equal only when they are the same
-    object.
+    Each operator is stored once, by the rule of ``BANDED_DIAGONAL_RATIO``:
+    as an ``Operator`` when it has few enough nonzero diagonals, else as a
+    matrix.  A matrix is kept as given, not copied (an ``Operator`` of it is
+    formed when it is banded), and an ``Operator`` too dense for its
+    products is formed once with ``dense()``.  ``jump_operators`` are the
+    stored jumps; ``h_ops`` and ``jump_ops`` give the matrices, forming
+    those of stored ``Operator``s on every access.  Ansaetze compare equal
+    only when they are the same object.
     """
 
     def __init__(
@@ -73,47 +87,36 @@ class LindbladAnsatz:
         h_ops: tuple[Operator | np.ndarray, ...],
         jump_ops: tuple[Operator | np.ndarray, ...],
     ):
-        def operand(op):
-            return op if isinstance(op, Operator) else np.asarray(op, dtype=complex)
-
-        h_ops = tuple(operand(h) for h in h_ops)
-        jump_ops = tuple(operand(l) for l in jump_ops)
+        h_ops, jump_ops = (
+            tuple(op if isinstance(op, Operator) else np.asarray(op, dtype=complex) for op in ops)
+            for ops in (h_ops, jump_ops)
+        )
         if not h_ops and not jump_ops:
             raise DimMismatchError("ansatz needs at least one generator")
         dims = {op.shape for op in h_ops + jump_ops}
         if len(dims) != 1 or any(len(s) != 2 or s[0] != s[1] for s in dims):
             raise DimMismatchError(f"inconsistent operator shapes: {dims}")
-        h_ops, jump_ops = (
-            tuple(op if isinstance(op, Operator) else Operator.from_dense(op) for op in ops)
-            for ops in (h_ops, jump_ops)
-        )
-        # the Hermitian parts, so that rho h is exactly the adjoint of h rho
-        # in ``term_images``; an exactly Hermitian drive is kept, not copied
-        h_ops = tuple(
-            h.hermitian_part(f"drive operator {idx}", tol=1e-10)
-            for idx, h in enumerate(h_ops)
-        )
-        for idx, l in enumerate(jump_ops):
-            l.require_finite(f"jump operator {idx}")
+        h_ops = tuple(_stored(h, "drive", idx) for idx, h in enumerate(h_ops))
+        jump_ops = tuple(_stored(l, "jump", idx) for idx, l in enumerate(jump_ops))
         # the drives, the jumps and the transposed jumps, for the products
         # of ``term_images``
         self._operators = (h_ops, jump_ops, tuple(l.T for l in jump_ops))
 
     @property
     def h_ops(self) -> tuple[np.ndarray, ...]:
-        return tuple(op.dense() for op in self._operators[0])
+        return tuple(_matrix(op) for op in self._operators[0])
 
     @property
     def jump_ops(self) -> tuple[np.ndarray, ...]:
-        return tuple(op.dense() for op in self._operators[1])
+        return tuple(_matrix(op) for op in self._operators[1])
 
     @property
-    def jump_operators(self) -> tuple[Operator, ...]:
+    def jump_operators(self) -> tuple[Operator | np.ndarray, ...]:
         return self._operators[1]
 
     @property
     def dim(self) -> int:
-        return (self._operators[0] or self._operators[1])[0].dim
+        return (self._operators[0] or self._operators[1])[0].shape[0]
 
     @property
     def n_drive(self) -> int:
@@ -126,6 +129,45 @@ class LindbladAnsatz:
     @property
     def n_params(self) -> int:
         return self.n_drive + self.n_jump**2
+
+
+def _stored(op: Operator | np.ndarray, kind: str, index: int) -> Operator | np.ndarray:
+    """``op``, operator ``index`` of ``kind`` "drive" or "jump", as the ansatz
+    stores it: an ``Operator`` when it has at most d / BANDED_DIAGONAL_RATIO
+    nonzero diagonals, else a matrix.  A drive is replaced by its Hermitian
+    part, so that rho h is exactly the adjoint of h rho in ``term_images``
+    (an exactly Hermitian one is kept, not copied); a jump is checked for
+    finite entries."""
+    name, drive = f"{kind} operator {index}", kind == "drive"
+    if isinstance(op, Operator):
+        if drive:
+            op = op.hermitian_part(name, tol=1e-10)
+        else:
+            op.require_finite(name)
+        return op if BANDED_DIAGONAL_RATIO * len(op.diagonals) <= op.dim else op.dense()
+    if drive:
+        op = hermitian_part(op, name, tol=1e-10)
+    else:
+        require_finite(op, name)
+    # nonzero diagonals counted nearest first, so a dense matrix stops early
+    nonzero = op != 0
+    offsets = sorted(range(1 - len(op), len(op)), key=abs)
+    counts = itertools.accumulate(bool(np.diagonal(nonzero, o).any()) for o in offsets)
+    if any(BANDED_DIAGONAL_RATIO * count > len(op) for count in counts):
+        return op
+    return Operator.from_dense(op)
+
+
+def _matrix(op: Operator | np.ndarray) -> np.ndarray:
+    return op.dense() if isinstance(op, Operator) else op
+
+
+def _left(op: Operator | np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """out = op @ x: the shifted multiplies of an ``Operator``, else np.matmul."""
+    if isinstance(op, Operator):
+        op.left(x, out)
+    else:
+        np.matmul(op, x, out=out)
 
 
 @dataclass
@@ -204,8 +246,8 @@ def term_images(ansatz: LindbladAnsatz, rho: np.ndarray) -> np.ndarray:
 
     and A takes J + K + K(K+1)/2 + K^2 left products with a d x d matrix
     (drive images, A_j, the sandwiches for k >= j, the anticommutator
-    halves): O(d^2) per nonzero diagonal of a banded operator
-    (``quantum_ops.BANDED_DIAGONAL_RATIO``), else O(d^3).  Each step adds
+    halves): O(d^2) per nonzero diagonal of an ``Operator`` the ansatz
+    stores (``BANDED_DIAGONAL_RATIO``), O(d^3) for a matrix.  Each step adds
     its part of D_{j,k} to the columns of its pair; three d x d arrays are
     held.
     """
@@ -233,21 +275,21 @@ def term_images(ansatz: LindbladAnsatz, rho: np.ndarray) -> np.ndarray:
     work, part, conj_a = np.empty((3, dim, dim), dtype=complex)
     for column, h in enumerate(drives):
         # -i (h rho - rho h) = -i (z - z^dag) with z = h rho
-        h.left(rho, work)
+        _left(h, rho, work)
         add_parts(work, part, None, (column, -1.0))
     for j, l_j in enumerate(jumps):
         # conj(A_j) is held: products with l_k^T then give the conjugates of
         # the products with l_k^dag, with no adjoint copy
-        l_j.left(rho, conj_a)
+        _left(l_j, rho, conj_a)
         np.conjugate(conj_a, out=conj_a)
         for k, l_k_t in enumerate(jumps_t):
             # work = conj(l_k^dag A_j); part = Y^dag, Y what D_{j,k} gains here
-            l_k_t.left(conj_a, work)
+            _left(l_k_t, conj_a, work)
             if k < j:
                 np.multiply(work.T, -0.5, out=part)
             else:
                 # l_k A_j^dag, the adjoint of the sandwich S = A_j l_k^dag
-                jumps[k].left(conj_a.T, part)
+                _left(jumps[k], conj_a.T, part)
                 part -= work.T if k == j else np.multiply(work, 0.5, out=work).T
             # the pair gains (Y + Y^dag)/sqrt2 and +-i (Y - Y^dag)/sqrt2; as S
             # is Hermitian, O_jj = (Y + Y^dag)/2 for Y = S - l_j^dag A_j

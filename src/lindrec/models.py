@@ -83,8 +83,8 @@ ModelSpec = Union[CoherentSpec, SqueezedSpec, CollectiveSpec]
 # Largest Hilbert-space dimension d an experiment may build.  The term images
 # of an ansatz with J drives and K jumps are held as a real d^2 x (J + K^2)
 # matrix: 15 MB at d = 401 and 0.4 GB at d = 2048 for the collective full
-# basis (J + K^2 = 12), on top of the d x d state; the model operators are
-# held by their diagonals from d = 80 on.
+# basis (J + K^2 = 12), on top of the d x d state; the ansatz holds the
+# model operators by their diagonals from d = 80 on, as matrices below.
 # The default Fock cutoffs stay below it up to |alpha| ~ 14 and r ~ 2.25.
 MAX_HILBERT_DIM = 2048
 

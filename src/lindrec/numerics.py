@@ -56,8 +56,8 @@ def _asymmetry(a: np.ndarray, diff: np.ndarray) -> float:
 def require_near_hermitian(a: np.ndarray, diff: np.ndarray, name: str, tol: float) -> None:
     """Raise ``NotHermitianError`` naming ``name`` when the asymmetry
     ||diff|| / max(1, ||a||) of a matrix A exceeds ``tol``, for ``a`` and
-    ``diff`` holding the entries of A and A - A^dag in one layout: the
-    matrices, or the diagonals of a banded A."""
+    ``diff`` holding every nonzero entry of A and of A - A^dag: the
+    matrices, or the diagonals of ``quantum_ops.Operator``s."""
     asym = _asymmetry(a, diff)
     if asym > tol:
         raise NotHermitianError(f"{name} asymmetry {asym:.3e} exceeds {tol:g}")

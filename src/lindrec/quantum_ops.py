@@ -1,12 +1,12 @@
-"""Operators and states: banded operators held by their diagonals, the
-truncated bosonic Fock space, the maximal collective spin sector, and the
-white-noise mixing map.
+"""Operators and states: operators held by their diagonals, the truncated
+bosonic Fock space, the maximal collective spin sector, and the white-noise
+mixing map.
 
 The ladder, quadrature and spin operators are built from their diagonals,
-so none of them is formed as a dense d x d matrix above the banded
-crossover.  States are built from explicit basis amplitudes rather than by
-exponentiating displacement or squeeze operators, so truncation errors stay
-controlled and each constructor can verify its own defining relation.
+so none of them is formed as a dense d x d matrix.  States are built from
+explicit basis amplitudes rather than by exponentiating displacement or
+squeeze operators, so truncation errors stay controlled and each
+constructor can verify its own defining relation.
 """
 
 from __future__ import annotations
@@ -18,21 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffTooSmallError, DimMismatchError, EpsOutOfRangeError
-from .numerics import hermitian_part, require_finite, require_near_hermitian
+from .numerics import _as_square, hermitian_part, require_finite, require_near_hermitian
 
 # Acceptable norm lost to the Fock truncation.
 NORM_DEFICIT_TOL = 1e-12
-
-# An operator with n nonzero diagonals is held by its diagonals, and
-# multiplied by one shifted product per diagonal, when
-# BANDED_DIAGONAL_RATIO * n <= d, and held as a dense matrix for np.matmul
-# otherwise.  Measured against np.matmul with d x d complex operands (2 vCPU,
-# OpenBLAS with 2 threads): the banded product of a C-ordered operand wins
-# up to about d / 30 diagonals from d = 41 to 401; at d <= 21 np.matmul wins
-# even for one diagonal.  On the model ansaetze this ratio makes
-# ``engine.term_images`` as fast as all-dense products at d = 41 and 1.6-2x
-# faster from d = 81 on.
-BANDED_DIAGONAL_RATIO = 40
 
 # Rows of a banded product formed per shifted multiply, which bounds its
 # block buffer.
@@ -40,114 +29,74 @@ BANDED_BLOCK_ROWS = 32
 
 
 class Operator:
-    """A d x d operator, held by its diagonals when it has at most
-    d / BANDED_DIAGONAL_RATIO nonzero ones and as a dense matrix otherwise.
+    """A d x d operator held by its nonzero diagonals.
 
     ``Operator(dim, diagonals)`` builds it from (offset o, values) pairs,
     values listing diagonal o as ``np.diagonal`` does; all-zero diagonals
     are dropped.  ``Operator.from_dense(mat)`` finds the nonzero diagonals
-    of a square matrix.  A banded operator keeps ``dim`` and ``diagonals``,
-    a list of (offset o, values) in ascending offset with values[r] =
-    mat[r, r + o], zero where r + o lies outside the matrix, and ``mat`` is
-    None; any other keeps ``mat``, and ``diagonals`` is None.  ``dense()``
-    forms the matrix.  Sums, differences, scalar multiples, the transpose
-    ``T`` and ``adjoint()`` are new operators, formed entry by entry as on
-    the dense matrices: on the diagonals when the operands are banded.  No
-    operation changes an operator in place.
+    of a square matrix.  ``diagonals`` lists the (offset o, values) pairs
+    held, in ascending offset, each values array of length d - |o|, and
+    ``dense()`` forms the matrix.  Sums, differences, scalar multiples, the
+    transpose ``T`` and ``adjoint()`` are new operators, formed entry by
+    entry on the diagonals as on the dense matrices.  No operation changes
+    an operator in place.
     """
 
     __array_ufunc__ = None  # numpy scalars and arrays defer to the operators below
 
     def __init__(self, dim: int, diagonals: Iterable[tuple[int, np.ndarray]] = ()):
-        self.dim, self.mat, self.diagonals = dim, None, []
+        self.dim, self.diagonals = dim, []
         diagonals = sorted(diagonals, key=lambda pair: pair[0])
         offsets = [offset for offset, _ in diagonals]
         if len(set(offsets)) != len(offsets):
             raise DimMismatchError(f"repeated diagonal offset in {offsets}")
         for offset, values in diagonals:
-            values = np.asarray(values, dtype=complex)
-            lo, hi = max(0, -offset), dim - max(0, offset)
-            if values.shape != (hi - lo,):
+            values = np.array(values, dtype=complex)  # a copy, never the caller's array
+            if values.shape != (dim - abs(offset),):
                 raise DimMismatchError(
                     f"diagonal {offset} of shape {values.shape} in dimension {dim}"
                 )
             if values.any():
-                padded = np.zeros(dim, dtype=complex)
-                padded[lo:hi] = values
-                self.diagonals.append((offset, padded))
-        if BANDED_DIAGONAL_RATIO * len(self.diagonals) > dim:
-            self.mat, self.diagonals = self.dense(), None
+                self.diagonals.append((offset, values))
 
     @classmethod
     def from_dense(cls, mat: np.ndarray) -> Operator:
-        """The operator of the square matrix ``mat``: banded when it has few
-        enough nonzero diagonals, else holding ``mat`` itself."""
-        mat = np.asarray(mat, dtype=complex)
-        dim = mat.shape[0]
+        """The operator of the square matrix ``mat`` (``NonSquareError``
+        otherwise), from its nonzero diagonals."""
+        mat = _as_square(mat)
         nonzero = mat != 0
-        remaining = np.count_nonzero(nonzero)
-        offsets = []
-        # nearest diagonals first, until every nonzero entry is on a listed
-        # diagonal or there are too many of them
-        for offset in sorted(range(1 - dim, dim), key=abs):
-            if not remaining:
-                break
-            count = np.count_nonzero(np.diagonal(nonzero, offset))
-            if count:
-                if BANDED_DIAGONAL_RATIO * (len(offsets) + 1) > dim:
-                    return cls._holding(mat)
-                offsets.append(offset)
-                remaining -= count
-        return cls(dim, [(offset, np.diagonal(mat, offset)) for offset in offsets])
-
-    @classmethod
-    def _holding(cls, mat: np.ndarray) -> Operator:
-        op = cls(mat.shape[0])
-        op.mat, op.diagonals = mat, None
-        return op
+        offsets = range(1 - len(mat), len(mat))
+        return cls(
+            len(mat), [(o, np.diagonal(mat, o)) for o in offsets if np.diagonal(nonzero, o).any()]
+        )
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.dim, self.dim)
 
     def dense(self) -> np.ndarray:
-        """``mat``, or a new d x d array formed from the diagonals."""
-        if self.diagonals is None:
-            return self.mat
+        """A new d x d array formed from the diagonals."""
         mat = np.zeros((self.dim, self.dim), dtype=complex)
         for offset, values in self.diagonals:
-            rows = np.arange(max(0, -offset), self.dim - max(0, offset))
-            mat[rows, rows + offset] = values[rows]
+            rows = np.arange(len(values)) + max(0, -offset)
+            mat[rows, rows + offset] = values
         return mat
 
     def diagonal(self, offset: int) -> np.ndarray:
-        """Diagonal ``offset`` as ``np.diagonal`` lists it; zeros for one a
-        banded operator does not hold.  Not to be written to."""
-        if self.diagonals is None:
-            return np.diagonal(self.mat, offset)
-        lo, hi = max(0, -offset), self.dim - max(0, offset)
-        for held, values in self.diagonals:
-            if held == offset:
-                return values[lo:hi]
-        return np.zeros(max(0, hi - lo), dtype=complex)
-
-    def _offsets(self) -> list[int]:
-        return [offset for offset, _ in self.diagonals]
+        """Diagonal ``offset`` as ``np.diagonal`` lists it; zeros for one the
+        operator does not hold.  Not to be written to."""
+        return dict(self.diagonals).get(offset, np.zeros(max(0, self.dim - abs(offset)), complex))
 
     def _map(self, func) -> Operator:
         # func maps zero to zero, so it acts on the diagonals alone
-        if self.diagonals is None:
-            return Operator.from_dense(func(self.mat))
-        return Operator(self.dim, [(o, func(self.diagonal(o))) for o in self._offsets()])
+        return Operator(self.dim, [(o, func(values)) for o, values in self.diagonals])
 
     def _combine(self, other, ufunc) -> Operator:
         if not isinstance(other, Operator):
             return NotImplemented
         if other.dim != self.dim:
             raise DimMismatchError(f"operators of dimension {self.dim} and {other.dim}")
-        if self.diagonals is None or other.diagonals is None:
-            return Operator.from_dense(ufunc(self.dense(), other.dense()))
-        offsets = sorted(set(self._offsets()) | set(other._offsets()))
+        offsets = {o for o, _ in self.diagonals} | {o for o, _ in other.diagonals}
         return Operator(
             self.dim, [(o, ufunc(self.diagonal(o), other.diagonal(o))) for o in offsets]
         )
@@ -172,61 +121,47 @@ class Operator:
 
     @property
     def T(self) -> Operator:
-        if self.diagonals is None:
-            return Operator._holding(self.mat.T)
-        return Operator(self.dim, [(-o, self.diagonal(o)) for o in self._offsets()])
+        return Operator(self.dim, [(-o, values) for o, values in self.diagonals])
 
     def adjoint(self) -> Operator:
-        if self.diagonals is None:
-            return Operator._holding(self.mat.conj().T)
-        return Operator(self.dim, [(-o, self.diagonal(o).conj()) for o in self._offsets()])
+        return Operator(self.dim, [(-o, values.conj()) for o, values in self.diagonals])
 
     def require_finite(self, name: str) -> None:
         """``numerics.require_finite`` on the entries held."""
-        held = [self.mat] if self.diagonals is None else [v for _, v in self.diagonals]
-        for values in held:
+        for _, values in self.diagonals:
             require_finite(values, name)
 
     def hermitian_part(self, name: str, tol: float) -> Operator:
         """``numerics.hermitian_part`` of the operator: itself when it is
-        exactly Hermitian, else (A + A^dag)/2, with the same errors.  A
-        banded operator is checked and averaged on its diagonals, in O(d)."""
-        if self.diagonals is None:
-            part = hermitian_part(self.mat, name, tol)
-            return self if part is self.mat else Operator.from_dense(part)
+        exactly Hermitian, else (A + A^dag)/2, with the same errors; checked
+        and averaged on the diagonals, in O(d) per diagonal."""
         self.require_finite(name)
-        offsets = sorted({o for held in self._offsets() for o in (held, -held)})
-        pairs = [(self.diagonal(o), self.diagonal(-o).conj()) for o in offsets]
-        diff = [values - adjoint for values, adjoint in pairs]
-        if not any(d.any() for d in diff):
+        adjoint = self.adjoint()
+        diff = self - adjoint
+        if not diff.diagonals:
             return self
-        require_near_hermitian(
-            np.concatenate([values for values, _ in pairs]), np.concatenate(diff), name, tol
-        )
-        return Operator(
-            self.dim, [(o, (values + adjoint) / 2) for o, (values, adjoint) in zip(offsets, pairs)]
-        )
+        held, differences = ([values for _, values in op.diagonals] for op in (self, diff))
+        require_near_hermitian(np.concatenate(held), np.concatenate(differences), name, tol)
+        return (self + adjoint) / 2
 
     def left(self, x: np.ndarray, out: np.ndarray) -> None:
-        """out = mat @ x, in O(n d^2) for n diagonals of a banded operator.
-        ``out`` must not overlap ``x`` and is best C-ordered; ``x`` may be
-        a transposed view."""
-        if self.diagonals is None:
-            np.matmul(self.mat, x, out=out)
-            return
-        dim = x.shape[0]
+        """out = mat @ x in O(n d^2) for n diagonals, one shifted multiply
+        per diagonal.  ``out`` must not overlap ``x`` and is best C-ordered;
+        ``x`` may be a transposed view."""
+        dim = self.dim
         block = np.empty((min(BANDED_BLOCK_ROWS, dim), dim), dtype=complex)
         diagonals = self.diagonals or [(0, np.zeros(dim, dtype=complex))]
         shift = diagonals[0][0]
         out[:max(0, -shift)], out[dim - max(0, shift):] = 0, 0
         for index, (offset, values) in enumerate(diagonals):
-            # row r gains values[r] * x[r + offset], a block of rows at a
-            # time; the first diagonal is written into out directly
-            stop = dim - max(0, offset)
-            for lo in range(max(0, -offset), stop, len(block)):
+            # row r gains values[r - start] * x[r + offset], a block of rows
+            # at a time; the first diagonal is written into out directly
+            start, stop = max(0, -offset), dim - max(0, offset)
+            for lo in range(start, stop, len(block)):
                 hi = min(lo + len(block), stop)
                 part = out[lo:hi] if index == 0 else block[:hi - lo]
-                np.multiply(values[lo:hi, None], x[lo + offset:hi + offset], out=part)
+                factors = values[lo - start:hi - start, None]
+                np.multiply(factors, x[lo + offset:hi + offset], out=part)
                 if index:
                     out[lo:hi] += part
 
@@ -262,8 +197,9 @@ def coherent_state(n_max: int, alpha: complex) -> np.ndarray:
     """Density matrix of the coherent state |alpha><alpha| on the Fock states
     |0> .. |n_max>.
 
-    Built from the Fock amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!) and
-    renormalized after truncation.  Raises if ``n_max`` is below
+    Built from the Fock amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!),
+    renormalized after truncation, as the exactly Hermitian part of their
+    outer product.  Raises if ``n_max`` is below
     ``coherent_cutoff(alpha)`` or the truncated norm deficit exceeds
     ``NORM_DEFICIT_TOL``.
     """
@@ -280,7 +216,7 @@ def coherent_state(n_max: int, alpha: complex) -> np.ndarray:
     if deficit > NORM_DEFICIT_TOL:
         raise CutoffTooSmallError(f"truncated norm deficit {deficit:.3e} > 1e-12")
     amps /= np.linalg.norm(amps)
-    return np.outer(amps, amps.conj())
+    return hermitian_part(np.outer(amps, amps.conj()), "state")
 
 
 def squeezed_cutoff(r: float) -> float:
@@ -296,7 +232,8 @@ def squeezed_vacuum(n_max: int, r: float, theta: float = 0.0) -> np.ndarray:
     Even-Fock amplitudes follow the two-step recursion fixed by b|xi> = 0;
     the analytic norm sum_m |c_2m|^2 = cosh(r) (with c_0 = 1) gives an exact
     truncation-deficit check.  The constructor verifies ||b psi|| < 1e-8 on
-    the normalized amplitudes psi, which equals ||b rho||_F for rho = psi psi^dag.
+    the normalized amplitudes psi, which equals ||b rho||_F for rho = psi psi^dag,
+    returned as its exactly Hermitian part.
     """
     if r < 0:
         raise ValueError("squeeze parameter r must be >= 0")
@@ -323,7 +260,7 @@ def squeezed_vacuum(n_max: int, r: float, theta: float = 0.0) -> np.ndarray:
     self_check = float(np.linalg.norm(b_psi))
     if self_check > 1e-8:
         raise CutoffTooSmallError(f"||b psi|| = {self_check:.3e} fails the self-check")
-    return np.outer(amps, amps.conj())
+    return hermitian_part(np.outer(amps, amps.conj()), "state")
 
 
 @dataclass(frozen=True)

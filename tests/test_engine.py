@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lindrec.engine import (
+    BANDED_DIAGONAL_RATIO,
     LindbladAnsatz,
     LindbladianParams,
     apply_lindbladian,
@@ -23,7 +24,7 @@ from lindrec.errors import (
     NonPhysicalVectorError,
     NotHermitianError,
 )
-from lindrec import models
+from lindrec import engine, models
 from lindrec.models import (
     CoherentSpec,
     CollectiveSpec,
@@ -32,9 +33,8 @@ from lindrec.models import (
     analytic_kernel_vectors,
     build_model,
 )
-from lindrec.numerics import hermitian_coordinates, hermitian_from_coordinates
+from lindrec.numerics import hermitian_coordinates, hermitian_from_coordinates, hermitian_part
 from lindrec.quantum_ops import (
-    BANDED_DIAGONAL_RATIO,
     Operator,
     boson_ops,
     mix_with_identity,
@@ -153,17 +153,6 @@ class TestBandedProducts:
         for got, _ in pairs:
             np.testing.assert_array_equal(got, 0)
 
-    def test_operator_above_the_crossover_takes_the_dense_path(self, rng):
-        dim = 80
-        n_diag = dim // BANDED_DIAGONAL_RATIO + 1
-        diagonals = [np.diag(rng.standard_normal(dim - o) + 1j, o) for o in range(n_diag)]
-        op, *pairs = self.products(sum(diagonals), rng)
-        assert op.diagonals is None
-        for got, expected in pairs:
-            np.testing.assert_array_equal(got, expected)
-        # one diagonal fewer takes the banded path
-        assert Operator.from_dense(sum(diagonals[:-1])).diagonals is not None
-
 
 class TestTermImages:
     @pytest.mark.parametrize("n_drive, n_jump", [
@@ -196,7 +185,7 @@ class TestTermImages:
     @pytest.mark.parametrize("spec", BANDED_SPECS)
     def test_model_ansatze_above_the_crossover_are_banded(self, spec):
         operators = build_model(spec).ansatz._operators
-        assert all(op.diagonals for group in operators for op in group)
+        assert all(isinstance(op, Operator) for group in operators for op in group)
 
     def test_non_finite_state_rejected(self, rng):
         ansatz = random_ansatz(rng, 4, 1, 2)
@@ -246,6 +235,15 @@ class TestTermImages:
         got = term_images(ansatz, rho + 1e-10 * skew)
         assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize("spec", [
+        CoherentSpec(alpha=1.5 * np.exp(0.7j)),
+        SqueezedSpec(r=0.6, theta=1.1, n_max=164),
+    ])
+    def test_bosonic_states_are_exactly_hermitian(self, spec):
+        # so term_images reads them as they are, with no averaged copy
+        rho = build_model(spec).rho_ss
+        assert hermitian_part(rho, "state") is rho
+
     def test_drives_stored_exactly_hermitian(self, rng):
         h = random_hermitian(rng, 4)
         h[0, 1] += 1e-12
@@ -280,10 +278,10 @@ class TestAnsatzStorage:
         for ops, dim in ((spin_ops(400), 401), (boson_ops(164), 165)):
             for name in vars(ops):
                 op = getattr(ops, name)
-                assert op.mat is None and op.dim == dim, name
+                assert op.dim == dim, name
                 arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
                 arrays += [values for _, values in op.diagonals]
-                assert arrays and all(a.shape == (dim,) for a in arrays), name
+                assert arrays and all(a.ndim == 1 and len(a) <= dim for a in arrays), name
 
     def test_build_model_keeps_only_the_state_dense(self):
         # the state takes 16 d^2 = 2.6 MB at d = 401, and a dense Sx, Sy or
@@ -298,9 +296,48 @@ class TestAnsatzStorage:
                 kept, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert all(op.mat is None for group in model.ansatz._operators for op in group)
+            assert all(
+                isinstance(op, Operator) for group in model.ansatz._operators for op in group
+            )
             assert kept <= 4e6
             assert peak < 15 * 2**20
+
+    @pytest.mark.parametrize("dim", [80, 160])
+    def test_storage_rule_at_the_crossover(self, rng, dim):
+        # d / BANDED_DIAGONAL_RATIO diagonals are stored as an Operator, one
+        # more as a matrix, whether given as an Operator or as a matrix
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = random_density(rng, dim)
+        for n_diag, banded in ((dim // BANDED_DIAGONAL_RATIO, True),
+                               (dim // BANDED_DIAGONAL_RATIO + 1, False)):
+            mat = sum(np.diag(rng.standard_normal(dim - o) + 1j, o) for o in range(n_diag))
+            images = []
+            for given in (mat, Operator.from_dense(mat)):
+                ansatz = LindbladAnsatz(h_ops=(), jump_ops=(given,))
+                stored = ansatz.jump_operators[0]
+                assert isinstance(stored, Operator) == banded
+                images.append(term_images(ansatz, rho))
+                if banded:
+                    continue
+                np.testing.assert_array_equal(stored, mat)
+                # the products of term_images are np.matmul's, bitwise
+                for operand in (x, x.T):
+                    out = np.empty((dim, dim), dtype=complex)
+                    engine._left(stored, operand, out)
+                    assert out.tobytes() == (mat @ operand).tobytes()
+            assert images[0].tobytes() == images[1].tobytes()
+
+    def test_dense_operators_held_by_reference(self, rng):
+        h, l = random_hermitian(rng, 30), rng.standard_normal((30, 30)) + 0j
+        ansatz = LindbladAnsatz(h_ops=(h,), jump_ops=(l,))
+        (drive,), (jump,), (jump_t,) = ansatz._operators
+        assert drive is h and jump is l and jump_t.base is l
+        assert ansatz.h_ops[0] is h and ansatz.jump_ops[0] is l
+        # an Operator too dense for its products is formed once, when stored
+        ansatz = LindbladAnsatz(h_ops=(Operator.from_dense(h),), jump_ops=())
+        (stored,), _, _ = ansatz._operators
+        assert not isinstance(stored, Operator) and ansatz.h_ops[0] is stored
+        np.testing.assert_array_equal(stored, h)
 
     def test_identity_semantics(self):
         drive = np.array([[1.0, 0.5], [0.5, -1.0]])

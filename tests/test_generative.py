@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lindrec.engine import (
+    BANDED_DIAGONAL_RATIO,
     FEASIBLE,
     MARKOV_TOL,
     LindbladAnsatz,
@@ -19,7 +20,7 @@ from lindrec.engine import (
     reverse_engineer,
 )
 from lindrec.models import SqueezedSpec, analytic_kernel_vectors
-from lindrec.quantum_ops import BANDED_DIAGONAL_RATIO, Operator
+from lindrec.quantum_ops import Operator
 from lindrec.verification import steady_state_of
 
 from conftest import random_ansatz, random_density

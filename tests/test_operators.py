@@ -6,7 +6,7 @@ import pytest
 
 from lindrec import models
 from lindrec.engine import LindbladAnsatz, term_images
-from lindrec.errors import DimMismatchError, NonFiniteError, NotHermitianError
+from lindrec.errors import DimMismatchError, NonFiniteError, NonSquareError, NotHermitianError
 from lindrec.models import CoherentSpec, CollectiveSpec, SqueezedSpec, build_model
 from lindrec.numerics import hermitian_part
 from lindrec.quantum_ops import (
@@ -61,7 +61,7 @@ def assert_bitwise_equal(got, expected):
     assert got.tobytes() == expected.tobytes()
 
 
-# both sides of the dense/banded storage switch: one diagonal is banded from
+# both sides of the ansatz's storage rule: one diagonal is stored banded from
 # d = 40 on, two from d = 80 on
 SPECS = [
     *(CollectiveSpec(n_spins=n, omega0=0.7, kappa=1.0, basis=basis)
@@ -114,9 +114,7 @@ class TestDiagonalConstruction:
                 op, matrix = getattr(built, name), getattr(dense, name)
                 np.testing.assert_array_equal(op.dense(), matrix)
                 scanned = Operator.from_dense(matrix)
-                assert (op.mat is None) == (scanned.mat is None)
-                if op.mat is None:
-                    assert [o for o, _ in op.diagonals] == [o for o, _ in scanned.diagonals]
+                assert [o for o, _ in op.diagonals] == [o for o, _ in scanned.diagonals]
 
 
 class TestEdgeCases:
@@ -136,7 +134,7 @@ class TestEdgeCases:
     @pytest.mark.parametrize("dim", [1, 2, 45])
     def test_zero_operator(self, rng, dim):
         for zero in (Operator(dim), Operator(dim, [(0, np.zeros(dim))])):
-            assert zero.diagonals == [] and zero.mat is None
+            assert zero.diagonals == []
             np.testing.assert_array_equal(zero.dense(), np.zeros((dim, dim)))
             np.testing.assert_array_equal(zero.diagonal(min(1, dim - 1)), 0)
             ansatz = LindbladAnsatz(h_ops=(zero,), jump_ops=(zero,))
@@ -159,14 +157,15 @@ class TestEdgeCases:
         ops = [Operator(dim, [(0, np.arange(1, dim + 1) * (1 + 1j))])]
         if dim == 2:
             ops.append(Operator(dim, [(1, [3.0]), (-1, [1j])]))
-        assert all(op.mat is not None for op in ops)  # below the banded crossover
+        # below the storage rule's crossover, so the ansatz stores matrices
+        stored = LindbladAnsatz(h_ops=(), jump_ops=ops).jump_operators
+        assert not any(isinstance(op, Operator) for op in stored)
         self.assert_same_images(ops, rng)
 
     def test_non_finite_diagonal_rejected(self):
         values = np.ones(99)
         values[7] = np.nan
         bad = Operator(100, [(1, values), (-1, values)])
-        assert bad.mat is None
         with pytest.raises(NonFiniteError, match="drive operator 0"):
             LindbladAnsatz(h_ops=(bad,), jump_ops=())
         with pytest.raises(NonFiniteError, match="jump operator 1"):
@@ -179,7 +178,6 @@ class TestEdgeCases:
             LindbladAnsatz(h_ops=(upper,), jump_ops=())
         # within 1e-10 the stored drive is the Hermitian part, as the dense rule gives it
         near = upper + (upper.adjoint() + Operator(dim, [(-1, np.full(dim - 1, 1e-12j))]))
-        assert near.mat is None
         stored = LindbladAnsatz(h_ops=(near,), jump_ops=()).h_ops[0]
         assert_bitwise_equal(stored, hermitian_part(near.dense(), "drive", tol=1e-10))
         exact = spin_ops(dim - 1).sx
@@ -197,3 +195,21 @@ class TestEdgeCases:
             with pytest.raises(DimMismatchError):
                 Operator(7, diagonals)
 
+
+    def test_non_square_matrix_rejected(self):
+        for shape in ((3, 4), (4, 3), (4,)):
+            with pytest.raises(NonSquareError):
+                Operator.from_dense(np.ones(shape))
+
+    @pytest.mark.parametrize("dim", [5, 80, 81])
+    def test_diagonals_are_held_unpadded(self, dim):
+        op = Operator(dim, [(o, np.arange(1, dim - abs(o) + 1)) for o in (-2, 0, 1)])
+        assert [(o, len(values)) for o, values in op.diagonals] == [
+            (-2, dim - 2), (0, dim), (1, dim - 1)
+        ]
+        mat = op.dense()
+        for o in range(1 - dim, dim):
+            np.testing.assert_array_equal(op.diagonal(o), np.diagonal(mat, o))
+        for derived, expected in ((op.T, mat.T), (op.adjoint(), mat.conj().T),
+                                  (op + op.T, mat + mat.T), (2j * op, 2j * mat)):
+            np.testing.assert_array_equal(derived.dense(), expected)

@@ -30,7 +30,7 @@ from lindrec.models import (
     collective_generator_params,
 )
 from lindrec.numerics import asymmetry, hermitian_coordinates
-from lindrec.quantum_ops import mix_with_identity
+from lindrec.quantum_ops import Operator, mix_with_identity
 from lindrec.verification import (
     MAX_SUPEROP_DIM,
     NULL_SV_TOL,
@@ -183,7 +183,9 @@ class TestAllBandedAnsatz:
     def reconstructed(self):
         model = build_model(CoherentSpec(alpha=1.0, n_max=99))
         assert model.ansatz.dim**2 == MAX_SUPEROP_DIM
-        assert all(op.mat is None for group in model.ansatz._operators for op in group)
+        assert all(
+            isinstance(op, Operator) for group in model.ansatz._operators for op in group
+        )
         return model, reverse_engineer(model.ansatz, model.rho_ss).solutions[0]
 
     def test_vectorized_generator_matches_the_master_equation(self, rng, reconstructed):
