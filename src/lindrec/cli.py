@@ -503,6 +503,8 @@ def _parse_int_grid(text: str) -> tuple[int, ...]:
             span, _, step = text.partition(":")
             start, _, stop = span.partition("..")
             step_val = int(step) if step else 1
+            if step_val < 1:
+                raise ConfigInvalidError(f"range step must be at least 1: {text!r}")
             return tuple(range(int(start), int(stop) + 1, step_val))
         return tuple(int(tok) for tok in text.split(",") if tok)
     except ValueError as exc:

@@ -19,7 +19,6 @@ post-processes solutions for complete positivity.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,16 +47,6 @@ FACTOR_BLOCK_ROWS = 4096
 # PSD tolerance defining the Markovianity flag.
 MARKOV_TOL = 1e-10
 
-# ``LindbladAnsatz`` stores an operator with n nonzero diagonals as an
-# ``Operator``, multiplied by one shifted product per diagonal, when
-# BANDED_DIAGONAL_RATIO * n <= d, and as a matrix for np.matmul otherwise.
-# Measured against np.matmul with d x d complex operands (2 vCPU, OpenBLAS
-# with 2 threads): the banded product of a C-ordered operand wins up to
-# about d / 30 diagonals from d = 41 to 401; at d <= 21 np.matmul wins even
-# for one diagonal.  On the model ansaetze this ratio makes ``term_images``
-# as fast as all-dense products at d = 41 and 1.6-2x faster from d = 81 on.
-BANDED_DIAGONAL_RATIO = 40
-
 # Relative floor of the squared singular values below which a direction is
 # dropped when the physical gauge basis is formed.
 GAUGE_TOL = 1e-12
@@ -72,14 +61,14 @@ class LindbladAnsatz:
     (``NotHermitianError`` otherwise), and its Hermitian part is stored.  At
     least one generator (drive or jump) is required.
 
-    Each operator is stored once, by the rule of ``BANDED_DIAGONAL_RATIO``:
-    as an ``Operator`` when it has few enough nonzero diagonals, else as a
-    matrix.  A matrix is kept as given, not copied (an ``Operator`` of it is
-    formed when it is banded), and an ``Operator`` too dense for its
-    products is formed once with ``dense()``.  ``jump_operators`` are the
-    stored jumps; ``h_ops`` and ``jump_ops`` give the matrices, forming
-    those of stored ``Operator``s on every access.  Ansaetze compare equal
-    only when they are the same object.
+    Each operator is stored once, in the type it was given: an ``Operator``
+    is multiplied by one shifted product per diagonal, a matrix by
+    np.matmul, and a matrix is kept as given, not copied (pass
+    ``Operator.from_dense(mat)`` for the banded products of a banded
+    matrix).  ``jump_operators`` are the stored jumps; ``h_ops`` and
+    ``jump_ops`` give the matrices, forming those of stored ``Operator``s on
+    every access.  Ansaetze compare equal only when they are the same
+    object.
     """
 
     def __init__(
@@ -133,29 +122,20 @@ class LindbladAnsatz:
 
 def _stored(op: Operator | np.ndarray, kind: str, index: int) -> Operator | np.ndarray:
     """``op``, operator ``index`` of ``kind`` "drive" or "jump", as the ansatz
-    stores it: an ``Operator`` when it has at most d / BANDED_DIAGONAL_RATIO
-    nonzero diagonals, else a matrix.  A drive is replaced by its Hermitian
-    part, so that rho h is exactly the adjoint of h rho in ``term_images``
-    (an exactly Hermitian one is kept, not copied); a jump is checked for
-    finite entries."""
-    name, drive = f"{kind} operator {index}", kind == "drive"
+    stores it, in the type it was given.  A drive is replaced by its
+    Hermitian part, so that rho h is exactly the adjoint of h rho in
+    ``term_images`` (an exactly Hermitian one is kept, not copied); a jump is
+    checked for finite entries and kept as given."""
+    name = f"{kind} operator {index}"
+    if kind == "drive":
+        if isinstance(op, Operator):
+            return op.hermitian_part(name, tol=1e-10)
+        return hermitian_part(op, name, tol=1e-10)
     if isinstance(op, Operator):
-        if drive:
-            op = op.hermitian_part(name, tol=1e-10)
-        else:
-            op.require_finite(name)
-        return op if BANDED_DIAGONAL_RATIO * len(op.diagonals) <= op.dim else op.dense()
-    if drive:
-        op = hermitian_part(op, name, tol=1e-10)
+        op.require_finite(name)
     else:
         require_finite(op, name)
-    # nonzero diagonals counted nearest first, so a dense matrix stops early
-    nonzero = op != 0
-    offsets = sorted(range(1 - len(op), len(op)), key=abs)
-    counts = itertools.accumulate(bool(np.diagonal(nonzero, o).any()) for o in offsets)
-    if any(BANDED_DIAGONAL_RATIO * count > len(op) for count in counts):
-        return op
-    return Operator.from_dense(op)
+    return op
 
 
 def _matrix(op: Operator | np.ndarray) -> np.ndarray:
@@ -246,10 +226,9 @@ def term_images(ansatz: LindbladAnsatz, rho: np.ndarray) -> np.ndarray:
 
     and A takes J + K + K(K+1)/2 + K^2 left products with a d x d matrix
     (drive images, A_j, the sandwiches for k >= j, the anticommutator
-    halves): O(d^2) per nonzero diagonal of an ``Operator`` the ansatz
-    stores (``BANDED_DIAGONAL_RATIO``), O(d^3) for a matrix.  Each step adds
-    its part of D_{j,k} to the columns of its pair; three d x d arrays are
-    held.
+    halves): O(d^2) per nonzero diagonal of an ``Operator``, O(d^3) for a
+    matrix.  Each step adds its part of D_{j,k} to the columns of its pair;
+    three d x d arrays are held.
     """
     rho = np.asarray(rho, dtype=complex)
     dim, n_drive, n_jump = ansatz.dim, ansatz.n_drive, ansatz.n_jump

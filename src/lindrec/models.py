@@ -84,7 +84,7 @@ ModelSpec = Union[CoherentSpec, SqueezedSpec, CollectiveSpec]
 # of an ansatz with J drives and K jumps are held as a real d^2 x (J + K^2)
 # matrix: 15 MB at d = 401 and 0.4 GB at d = 2048 for the collective full
 # basis (J + K^2 = 12), on top of the d x d state; the ansatz holds the
-# model operators by their diagonals from d = 80 on, as matrices below.
+# model operators by their diagonals.
 # The default Fock cutoffs stay below it up to |alpha| ~ 14 and r ~ 2.25.
 MAX_HILBERT_DIM = 2048
 
@@ -200,7 +200,9 @@ def collective_steady_state(spec: CollectiveSpec, ops: SpinOps) -> np.ndarray:
     powers beyond j = N vanish by ladder nilpotency.  S_- has a single
     nonzero subdiagonal, so eta is lower triangular with
     eta[c + j, c] = prod_{t=c+1..c+j} S_-[t, t-1] / beta, built in O(d^2) as a
-    column-wise cumulative product.  The density matrix is eta eta^dag,
+    column-wise cumulative product, scaled by a power of two when its
+    squares would overflow (``DegenerateParamsError`` when no scaling holds
+    them, at weak drive and large N).  The density matrix is eta eta^dag,
     normalized and made exactly Hermitian (this product ordering is the one
     annihilated by the generator; the construction is verified against it
     to 1e-10 before returning).  Operators of another sector raise
@@ -213,12 +215,26 @@ def collective_steady_state(spec: CollectiveSpec, ops: SpinOps) -> np.ndarray:
         raise DimMismatchError(f"spin operators of shape {ops.sm.shape} for N = {n_spins}")
     beta = -1j * omega0 * n_spins / (2.0 * kappa)
     step = ops.sm.diagonal(-1) / beta
-    # factors[i, c] is S_-[i, i-1] / beta below the diagonal and 1
-    # elsewhere, so the cumulative product down column c is 1 up to row c
-    # and then the ladder product; the upper triangle is dropped afterwards
+    # log2 of the largest ladder product, the largest entry of eta
+    log_products = np.concatenate(([0.0], np.cumsum(np.log2(np.abs(step)))))
+    top = float(np.max(log_products - np.minimum.accumulate(log_products)))
+    # eta eta^dag sums at most d^2 squared entries of eta, so every column
+    # starts at 2^-k when the squares would leave the float range; a power
+    # of two scales exactly, and the trace normalization removes it
+    floats = np.finfo(float)
+    shift = max(0.0, np.ceil(top + np.log2(dim) - (floats.maxexp - 1) / 2))
+    if not shift <= -floats.minexp:  # 2^-k is a normal float
+        raise DegenerateParamsError(
+            f"ladder products of the steady state span 2^{top:.0f}, beyond the float range"
+        )
+    # factors[i, c] is S_-[i, i-1] / beta below the diagonal, 2^-k on the
+    # first row and 1 elsewhere, so the cumulative product down column c is
+    # 2^-k up to row c and then 2^-k times the ladder product; the upper
+    # triangle is dropped afterwards
     rows = np.arange(dim)
     sub = np.concatenate(([1.0], step))
     factors = np.where(rows[:, None] > rows[None, :], sub[:, None], 1.0)
+    factors[0] = 2.0**-shift
     eta = np.tril(np.cumprod(factors, axis=0))
     rho = eta @ eta.conj().T
     del factors, eta  # released before the residual check forms its images
@@ -230,7 +246,7 @@ def collective_steady_state(spec: CollectiveSpec, ops: SpinOps) -> np.ndarray:
         gamma=np.array([[kappa / (n_spins / 2.0)]], dtype=complex),
     )
     residual = float(np.linalg.norm(apply_lindbladian(params, ansatz, rho)))
-    if residual > 1e-10:
+    if not residual <= 1e-10:
         raise DegenerateParamsError(
             f"steady-state residual {residual:.3e} exceeds 1e-10"
         )

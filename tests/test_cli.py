@@ -94,6 +94,14 @@ class TestParsing:
         with pytest.raises(ConfigInvalidError):
             _parse_int_grid("10..x")
 
+    @pytest.mark.parametrize("grid", ["60..10:-10", "10..60:0"])
+    def test_range_step_below_one_is_a_config_error(self, tmp_path, grid):
+        # a descending range would drop its endpoint, as range() does
+        with pytest.raises(ConfigInvalidError, match="step"):
+            _parse_int_grid(grid)
+        assert main(["collective", "--N", grid, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv", [
         ["collective", "--N", "1"],
         ["robustness", "--N", "1,10"],
@@ -422,6 +430,15 @@ class TestRuns:
             # signed overlap, so the reported sign must match the closed form too
             overlap = np.vdot(exact, phi).real / (np.linalg.norm(exact) * np.linalg.norm(phi))
             assert 1.0 - overlap <= 1e-12, row["n_spins"]
+
+    def test_weak_drive_at_n_400_runs(self, tmp_path):
+        # the ladder products of the state reach 2^1157, beyond the float range
+        out = tmp_path / "weak"
+        argv = ["collective", "--N", "400", "--omega-over-kappa", "0.1", "--out", str(out)]
+        assert main(argv) == 0
+        (row,) = load_report(out)["results"]["rows"]
+        assert row["solution"]["markovian"]
+        assert row["solution"]["rapidity_residual"] <= 1e-10
 
     def test_feasibility_exit_codes(self, tmp_path):
         out = tmp_path / "feas"

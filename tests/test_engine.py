@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lindrec.engine import (
-    BANDED_DIAGONAL_RATIO,
     LindbladAnsatz,
     LindbladianParams,
     apply_lindbladian,
@@ -109,14 +108,14 @@ def reference_coordinates(ansatz, rho):
     return hermitian_coordinates((combined + combined.conj().transpose(0, 2, 1)) / 2).T
 
 
-# model ansaetze whose operators all lie above the banded-product crossover
-BANDED_SPECS = [
+# model ansaetze at d = 101 and 165
+LARGE_SPECS = [
     CollectiveSpec(n_spins=100, omega0=1.5, kappa=1.0),
     SqueezedSpec(r=1.0, n_max=164),
     SqueezedSpec(r=1.0, jumps="two", n_max=164),
 ]
 
-# every model ansatz, from all-dense (N = 2, 3 and d = 41) to all-banded
+# every model ansatz, from d = 3 to d = 401
 MODEL_SPECS = [
     *(CollectiveSpec(n_spins=n, omega0=1.5, kappa=1.0, basis=basis)
       for n in (2, 3, 40, 400) for basis in ("full3", "xy2")),
@@ -173,7 +172,7 @@ class TestTermImages:
         SqueezedSpec(r=0.7, theta=0.4, jumps="two", n_max=60),
         CollectiveSpec(n_spins=12, omega0=2.0, kappa=1.0),
         CollectiveSpec(n_spins=12, omega0=0.5, kappa=1.0, basis="xy2"),
-        *BANDED_SPECS,
+        *LARGE_SPECS,
         CollectiveSpec(n_spins=40, omega0=1.5, kappa=1.0),
     ])
     def test_matches_term_maps_on_model_ansatze(self, spec):
@@ -182,8 +181,8 @@ class TestTermImages:
         got = term_images(model.ansatz, model.rho_ss)
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
-    @pytest.mark.parametrize("spec", BANDED_SPECS)
-    def test_model_ansatze_above_the_crossover_are_banded(self, spec):
+    @pytest.mark.parametrize("spec", MODEL_SPECS)
+    def test_model_ansatze_are_banded(self, spec):
         operators = build_model(spec).ansatz._operators
         assert all(isinstance(op, Operator) for group in operators for op in group)
 
@@ -302,30 +301,23 @@ class TestAnsatzStorage:
             assert kept <= 4e6
             assert peak < 15 * 2**20
 
-    @pytest.mark.parametrize("dim", [80, 160])
-    def test_storage_rule_at_the_crossover(self, rng, dim):
-        # d / BANDED_DIAGONAL_RATIO diagonals are stored as an Operator, one
-        # more as a matrix, whether given as an Operator or as a matrix
+    @pytest.mark.parametrize("dim", [1, 2, 41, 401])
+    def test_operators_stored_as_given(self, rng, dim):
+        # an Operator stays that object, and a matrix, banded or dense, is
+        # held by reference and multiplied by np.matmul, bitwise
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        rho = random_density(rng, dim)
-        for n_diag, banded in ((dim // BANDED_DIAGONAL_RATIO, True),
-                               (dim // BANDED_DIAGONAL_RATIO + 1, False)):
-            mat = sum(np.diag(rng.standard_normal(dim - o) + 1j, o) for o in range(n_diag))
-            images = []
-            for given in (mat, Operator.from_dense(mat)):
-                ansatz = LindbladAnsatz(h_ops=(), jump_ops=(given,))
-                stored = ansatz.jump_operators[0]
-                assert isinstance(stored, Operator) == banded
-                images.append(term_images(ansatz, rho))
-                if banded:
-                    continue
-                np.testing.assert_array_equal(stored, mat)
-                # the products of term_images are np.matmul's, bitwise
-                for operand in (x, x.T):
-                    out = np.empty((dim, dim), dtype=complex)
-                    engine._left(stored, operand, out)
-                    assert out.tobytes() == (mat @ operand).tobytes()
-            assert images[0].tobytes() == images[1].tobytes()
+        sx = spin_ops(dim - 1).sx if dim > 1 else Operator(1, [(0, [0.5])])
+        banded = sx.dense()
+        dense = random_hermitian(rng, dim)
+        ansatz = LindbladAnsatz(h_ops=(sx, banded, dense), jump_ops=(sx, banded, dense))
+        drives, jumps, _ = ansatz._operators
+        for stored in (drives, jumps):
+            assert [id(op) for op in stored] == [id(sx), id(banded), id(dense)]
+        for mat in (banded, dense):
+            for operand in (x, x.T):
+                out = np.empty((dim, dim), dtype=complex)
+                engine._left(mat, operand, out)
+                assert out.tobytes() == (mat @ operand).tobytes()
 
     def test_dense_operators_held_by_reference(self, rng):
         h, l = random_hermitian(rng, 30), rng.standard_normal((30, 30)) + 0j
@@ -333,11 +325,13 @@ class TestAnsatzStorage:
         (drive,), (jump,), (jump_t,) = ansatz._operators
         assert drive is h and jump is l and jump_t.base is l
         assert ansatz.h_ops[0] is h and ansatz.jump_ops[0] is l
-        # an Operator too dense for its products is formed once, when stored
-        ansatz = LindbladAnsatz(h_ops=(Operator.from_dense(h),), jump_ops=())
+        # an Operator with every diagonal nonzero is kept as given too
+        op = Operator.from_dense(h)
+        assert len(op.diagonals) == 59
+        ansatz = LindbladAnsatz(h_ops=(op,), jump_ops=())
         (stored,), _, _ = ansatz._operators
-        assert not isinstance(stored, Operator) and ansatz.h_ops[0] is stored
-        np.testing.assert_array_equal(stored, h)
+        assert stored is op
+        np.testing.assert_array_equal(ansatz.h_ops[0], h)
 
     def test_identity_semantics(self):
         drive = np.array([[1.0, 0.5], [0.5, -1.0]])
@@ -473,7 +467,7 @@ class TestCorrelationMatrix:
     @pytest.mark.parametrize("case", [
         # (d, J, K): random, drive-only, jump-only, d = 1 and d = 2
         (7, 2, 3), (6, 3, 0), (6, 0, 3), (1, 1, 2), (2, 2, 2),
-        *BANDED_SPECS,
+        *LARGE_SPECS,
     ])
     def test_factor_matches_the_re_im_fold(self, rng, case):
         # reference: the real and imaginary parts of all d^2 entries of the

@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lindrec.engine import (
-    BANDED_DIAGONAL_RATIO,
     FEASIBLE,
     MARKOV_TOL,
     LindbladAnsatz,
@@ -183,14 +182,14 @@ def test_search_is_invariant_under_complex_remixing_of_the_basis(seed, dim, n_dr
 @SETTINGS
 @given(
     seed=SEEDS,
-    dim=st.integers(BANDED_DIAGONAL_RATIO, 3 * BANDED_DIAGONAL_RATIO + 10),
+    dim=st.integers(40, 130),
     corners=st.booleans(),
 )
 def test_banded_products_match_matmul(seed, dim, corners):
-    # complex diagonals at random offsets, as many as the banded path takes;
-    # with ``corners`` the outermost offsets +-(d - 1) are among them
+    # one to d / 40 complex diagonals at random offsets; with ``corners`` the
+    # outermost offsets +-(d - 1) are among them
     rng = np.random.default_rng(seed)
-    n_diag = int(rng.integers(1, dim // BANDED_DIAGONAL_RATIO + 1))
+    n_diag = int(rng.integers(1, dim // 40 + 1))
     offsets = rng.choice(np.arange(1 - dim, dim), n_diag, replace=False)
     if corners:
         offsets[:2] = (dim - 1, 1 - dim)[:n_diag]

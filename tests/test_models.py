@@ -202,6 +202,31 @@ class TestCollectiveSteadyState:
         rho = steady_state(n_spins, ratio, 1.0)
         np.testing.assert_allclose(rho, reference, rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize("n_spins, ratio", [(400, 0.1), (400, 0.3), (200, 0.05)])
+    def test_weak_drive_at_large_n_matches_a_log_domain_reference(self, n_spins, ratio):
+        # the ladder products reach 2^1157 at N = 400, omega/kappa = 0.1, so
+        # the reference sums eta eta^dag by its logarithms, in extended
+        # precision: log eta[i, c] = logs[i] - logs[c], and
+        # rho[i, j] = exp(logs[i] + conj(logs[j])) sum_{c <= min(i, j)} exp(-2 Re logs[c])
+        step = spin_ops(n_spins).sm.diagonal(-1) / (-1j * ratio * n_spins / 2.0)
+        logs = np.concatenate(([0], np.cumsum(np.log(step.astype(np.clongdouble)))))
+        sums = np.logaddexp.accumulate(-2 * logs.real)
+        norm = np.logaddexp.reduce(2 * logs.real + sums)
+        rows = np.arange(n_spins + 1)
+        exponent = logs[:, None] + logs.conj()[None, :] + sums[np.minimum.outer(rows, rows)]
+        reference = np.exp(exponent - norm).astype(complex)
+        rho = steady_state(n_spins, ratio, 1.0)
+        assert np.isfinite(rho).all()
+        assert abs(np.trace(rho) - 1) <= 1e-14
+        assert hermitian_part(rho, "state") is rho  # exactly Hermitian
+        np.testing.assert_allclose(rho, reference, rtol=1e-12, atol=0)
+
+    def test_products_beyond_the_float_range_rejected(self):
+        # at omega/kappa = 0.05 the ladder products of N = 400 reach 2^1557:
+        # no power of two brings their squares into the float range
+        with pytest.raises(DegenerateParamsError, match="2\\^1557"):
+            steady_state(400, 0.05, 1.0)
+
     def test_degenerate_parameters_rejected(self):
         # the spec owns the parameter rules, so no degenerate spec reaches
         # the state constructor

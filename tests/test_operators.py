@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lindrec import models
-from lindrec.engine import LindbladAnsatz, term_images
+from lindrec.engine import LindbladAnsatz, reverse_engineer, term_images
 from lindrec.errors import DimMismatchError, NonFiniteError, NonSquareError, NotHermitianError
 from lindrec.models import CoherentSpec, CollectiveSpec, SqueezedSpec, build_model
 from lindrec.numerics import hermitian_part
@@ -61,8 +61,7 @@ def assert_bitwise_equal(got, expected):
     assert got.tobytes() == expected.tobytes()
 
 
-# both sides of the ansatz's storage rule: one diagonal is stored banded from
-# d = 40 on, two from d = 80 on
+# model ansaetze from d = 3 to d = 401
 SPECS = [
     *(CollectiveSpec(n_spins=n, omega0=0.7, kappa=1.0, basis=basis)
       for n in (2, 39, 78, 79, 400) for basis in (models.FULL_BASIS, models.XY_BASIS)),
@@ -79,23 +78,23 @@ class TestDiagonalConstruction:
     def test_model_matches_the_dense_operators(self, monkeypatch, spec):
         model = build_model(spec)
         drives, jumps = dense_operators(spec)
-        # the same operators given as dense matrices
+        # the same operators given as dense matrices, and scanned from them
         dense = LindbladAnsatz(h_ops=drives, jump_ops=jumps)
-        again = LindbladAnsatz(
-            h_ops=model.ansatz.h_ops, jump_ops=model.ansatz.jump_ops
+        scanned = LindbladAnsatz(
+            h_ops=[Operator.from_dense(m) for m in drives],
+            jump_ops=[Operator.from_dense(m) for m in jumps],
         )
-        for stored, given, reference in (
-            (model.ansatz.h_ops, again.h_ops, dense.h_ops),
-            (model.ansatz.jump_ops, again.jump_ops, dense.jump_ops),
-        ):
-            for got, expected, matrix in zip(stored, given, reference, strict=True):
-                assert_bitwise_equal(got, expected)
+        for stored, matrices in ((model.ansatz.h_ops, drives), (model.ansatz.jump_ops, jumps)):
+            for got, matrix in zip(stored, matrices, strict=True):
                 # equal entries; a zero may carry the other sign where the
                 # dense arithmetic met the conjugated zero of an adjoint
                 np.testing.assert_array_equal(got, matrix)
         images = term_images(model.ansatz, model.rho_ss)
-        assert_bitwise_equal(images, term_images(again, model.rho_ss))
-        assert_bitwise_equal(images, term_images(dense, model.rho_ss))
+        # the same products through the same kernel
+        assert_bitwise_equal(images, term_images(scanned, model.rho_ss))
+        # np.matmul sums the products of a row in another order
+        expected = term_images(dense, model.rho_ss)
+        assert np.linalg.norm(images - expected) <= 1e-13 * np.linalg.norm(expected)
         if isinstance(spec, CollectiveSpec):
             # the state and its residual check from the dense sector operators
             ops = dense_spin_ops(spec.n_spins)
@@ -115,6 +114,30 @@ class TestDiagonalConstruction:
                 np.testing.assert_array_equal(op.dense(), matrix)
                 scanned = Operator.from_dense(matrix)
                 assert [o for o, _ in op.diagonals] == [o for o, _ in scanned.diagonals]
+
+
+class TestStorageIndependence:
+    @pytest.mark.parametrize("spec", [
+        *(CollectiveSpec(n_spins=n, omega0=1.5, kappa=1.0) for n in (2, 3, 100, 400)),
+        CollectiveSpec(n_spins=40, omega0=1.5, kappa=1.0, basis=models.XY_BASIS),
+        CoherentSpec(alpha=1.5 * np.exp(0.7j)),
+        *(SqueezedSpec(r=0.6, theta=1.1, jumps=jumps)
+          for jumps in (models.SINGLE_JUMPS, models.TWO_JUMPS)),
+    ], ids=repr)
+    def test_kernel_does_not_depend_on_the_storage(self, spec):
+        # the model's Operators against the same operators as dense matrices:
+        # the products differ in roundoff, the kernel and spectrum do not
+        model = build_model(spec)
+        dense = LindbladAnsatz(h_ops=model.ansatz.h_ops, jump_ops=model.ansatz.jump_ops)
+        banded, given = (reverse_engineer(a, model.rho_ss) for a in (model.ansatz, dense))
+        assert banded.kernel_dim == given.kernel_dim >= 1
+        projectors = [
+            r.eigenvectors[:, :r.kernel_dim] @ r.eigenvectors[:, :r.kernel_dim].conj().T
+            for r in (banded, given)
+        ]
+        assert np.abs(projectors[0] - projectors[1]).max() <= 1e-12
+        scale = max(1.0, given.spectrum.max())
+        assert np.abs(banded.spectrum - given.spectrum).max() <= 1e-13 * scale
 
 
 class TestEdgeCases:
@@ -157,9 +180,8 @@ class TestEdgeCases:
         ops = [Operator(dim, [(0, np.arange(1, dim + 1) * (1 + 1j))])]
         if dim == 2:
             ops.append(Operator(dim, [(1, [3.0]), (-1, [1j])]))
-        # below the storage rule's crossover, so the ansatz stores matrices
         stored = LindbladAnsatz(h_ops=(), jump_ops=ops).jump_operators
-        assert not any(isinstance(op, Operator) for op in stored)
+        assert all(got is op for got, op in zip(stored, ops, strict=True))
         self.assert_same_images(ops, rng)
 
     def test_non_finite_diagonal_rejected(self):
