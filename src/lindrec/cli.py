@@ -96,8 +96,10 @@ class RunConfig:
             # at eps = 1 the target is I/d, which every unital term annihilates
             if not all(0.0 < eps < 1.0 for eps in self.eps_list):
                 raise ConfigInvalidError("eps values must lie in (0, 1)")
-            if len(set(self.eps_list)) < 3:  # each N is fitted against eps
-                raise ConfigInvalidError("need at least three distinct eps values")
+            if len(set(self.eps_list)) != len(self.eps_list):
+                raise ConfigInvalidError("eps values must not repeat")
+            if len(self.eps_list) < 3:  # each N is fitted against eps
+                raise ConfigInvalidError("need at least three eps values")
             if self.regime not in ("strong", "weak"):
                 raise ConfigInvalidError("regime must be strong or weak")
         if self.r < 0:

@@ -1,15 +1,15 @@
 """Independent verification of reconstructed generators.
 
 The generator is vectorized into a sparse d^2 x d^2 matrix acting on
-column-stacked states, a sum of Kronecker products of the operators.  With
-real couplings and a Hermitian rate matrix it maps Hermitian matrices to
-Hermitian matrices, so ``vectorize_liouvillian`` returns it in an
-orthonormal basis of Hermitian operators, where it is real.  Steady states
-and residuals are obtained from the sparse real matrix, without going
-through the correlation matrix, on one factored path: SuperLU factors it
-once, and an optional certificate inverts those factors densely in place
-with LAPACK.  scipy is imported inside the functions that use it, so
-importing lindrec does not load it.
+column-stacked states: one Kronecker product per jump channel and one for
+the effective Hamiltonian.  With real couplings and a Hermitian rate matrix
+it maps Hermitian matrices to Hermitian ones, so ``vectorize_liouvillian``
+returns it in an orthonormal basis of Hermitian operators, where it is
+real.  Steady states and residuals are obtained from the sparse real
+matrix, without going through the correlation matrix, on one factored
+path: SuperLU factors it once, and an optional certificate inverts those
+factors densely in place with LAPACK.  scipy is imported inside the
+functions that use it, so importing lindrec does not load it.
 """
 
 from __future__ import annotations
@@ -42,24 +42,24 @@ def vectorize_liouvillian(
     params: LindbladianParams, ansatz: LindbladAnsatz
 ) -> sparse.csr_array:
     """The generator as the real d^2 x d^2 matrix T = Re(U^H S U), a float64
-    ``scipy.sparse`` CSR array without duplicate or explicit zero entries.
+    ``scipy.sparse`` CSR array in canonical form: sorted indices, no
+    duplicates, no explicit zeros.
 
-    S is the generator on column-stacked states.  Column stacking turns
-    A rho B into (B^T kron A) vec(rho), so S is a sum of at most K + 2
-    Kronecker products.  With gamma = W diag(s) V^H the jump terms
-    sum_jk gamma_jk L_j rho L_k^dag are sum_m s_m A_m rho B_m^dag over the
-    channels A_m = sum_j W_jm L_j and B_m = sum_k V_km L_k, one product
-    conj(B_m) kron A_m each; for a Hermitian gamma these are its
-    eigen-channels up to sign.  The drive and anticommutator terms fold
-    into one left and one right d x d matrix, I kron left and
-    right^T kron I.  U is the unitary of ``numerics.hermitian_coordinates``,
-    sparse with two entries in each column off the diagonal positions.  S
-    maps Hermitian matrices to Hermitian matrices, so the imaginary part
-    dropped is roundoff, and T has the singular values of S.  Trace
-    preservation makes the rows of T at arange(d) * (d + 1) sum to zero.
-    Non-finite couplings raise ``NonFiniteError``; the rate matrix is
-    replaced by ``hermitian_part(gamma, "rate matrix gamma")``, which
-    rejects a non-finite or non-Hermitian one.
+    U is the unitary of ``numerics.hermitian_coordinates``; column stacking
+    turns A rho B into (B^T kron A) vec(rho).  With gamma = W diag(s) V^H
+    the jump terms are sum_m s_m A_m rho B_m^dag over the channels
+    A_m = sum_j W_jm L_j and B_m = sum_k V_km L_k, one product
+    conj(B_m) kron A_m each.  The rest is K rho + rho K^dag with one
+    effective Hamiltonian K = -iH - 1/2 sum_jk gamma_jk L_k^dag L_j, or
+    -iH - 1/2 sum_m s_m B_m^dag A_m.  For a Hermitian rho that is
+    K rho + (K rho)^dag, whose coordinates are twice the real part of those
+    of K rho, so the one product I kron 2K carries it exactly: S is a sum
+    of n_jump + 1 products.  Summed, the jump terms of a Hermitian rho are
+    Hermitian, so their imaginary part is roundoff, and T has the singular
+    values of the generator.  Trace preservation makes the rows of T at
+    arange(d) * (d + 1) sum to zero.  Non-finite couplings raise
+    ``NonFiniteError``; the rate matrix is replaced by its
+    ``hermitian_part``, which rejects a non-finite or non-Hermitian one.
     """
     from scipy import sparse
 
@@ -70,11 +70,9 @@ def vectorize_liouvillian(
         raise DimTooLargeError(f"superoperator dimension {d * d} exceeds {MAX_SUPEROP_DIM}")
     if params.n_drive != ansatz.n_drive or params.n_jump != ansatz.n_jump:
         raise DimMismatchError("parameter shapes do not match the ansatz")
-    # left and right multipliers: L[rho] = left rho + rho right + jump terms
-    left = np.zeros((d, d), dtype=complex)
+    k_eff = np.zeros((d, d), dtype=complex)
     if params.n_drive:
-        left -= 1j * np.tensordot(params.c, np.array(ansatz.h_ops), axes=1)
-    right = -left
+        k_eff -= 1j * np.tensordot(params.c, np.array(ansatz.h_ops), axes=1)
     terms = []
     if params.n_jump:
         jumps = np.array(ansatz.jump_ops)
@@ -82,14 +80,9 @@ def vectorize_liouvillian(
         for s_m, a_m, b_m in zip(
             s, np.tensordot(w.T, jumps, axes=1), np.tensordot(vh.conj(), jumps, axes=1)
         ):
-            # sum_jk gamma_jk L_k^dag L_j = sum_m s_m B_m^dag A_m
-            anticomm = s_m * (b_m.conj().T @ a_m)
-            left -= 0.5 * anticomm
-            right -= 0.5 * anticomm
+            k_eff -= 0.5 * s_m * (b_m.conj().T @ a_m)
             terms.append(s_m * sparse.kron(sparse.csr_array(b_m.conj()), sparse.csr_array(a_m)))
-    ident = sparse.eye_array(d, dtype=complex, format="csr")
-    terms.append(sparse.kron(ident, sparse.csr_array(left)))
-    terms.append(sparse.kron(sparse.csr_array(right.T), ident))
+    terms.append(sparse.kron(sparse.eye_array(d, format="csr"), sparse.csr_array(2 * k_eff)))
     superop = sum(terms[1:], terms[0]).tocsr()
     del terms  # the Kronecker products are not held through the change of basis
     i, j = np.triu_indices(d, 1)
@@ -103,6 +96,7 @@ def vectorize_liouvillian(
     basis = sparse.csc_array((vals, (rows, cols)), shape=(d * d, d * d))
     gen = (basis.conj().T @ superop @ basis).real
     gen.eliminate_zeros()
+    gen.sum_duplicates()
     return gen
 
 
@@ -260,7 +254,7 @@ def _steady_state_factored(
     dense Fortran-ordered array, which LAPACK getri overwrites with
     (LU)^-1 = Pc^T B^-1 Pr^T, so that array is the only d^2 x d^2 one.  The
     1- and inf-norms of the uniqueness bound do not change under those
-    permutations.
+    permutations, and T is canonical, so ``abs(gen)`` does not reorder it.
     """
     from scipy.linalg.lapack import dgetri, dgetri_lwork
     from scipy.sparse.linalg import splu
@@ -295,10 +289,8 @@ def _steady_state_factored(
             return "singular"
         # s_{n-1}(T) >= s_min(B) = 1 / ||B^-1||_2 by interlacing (B is T with one
         # row replaced) and s_0(T) = ||T||_2; both 2-norms are bounded by _one_inf.
-        # abs() of a sparse array sorts its indices in place; taken of a sorted
-        # copy, it keeps T in the order in which both methods sum the residual
         inv_norms = _one_inf(np.abs(inv, out=inv))
-        bound = float(1.0 / np.sqrt(inv_norms * _one_inf(abs(gen.sorted_indices()))))
+        bound = float(1.0 / np.sqrt(inv_norms * _one_inf(abs(gen))))
         if not bound > NULL_SV_TOL:
             return "bound"
     rho, residual, scale = _null_residual(gen, dim, coords)

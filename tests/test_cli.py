@@ -121,6 +121,17 @@ class TestParsing:
         assert main(argv) == 2
         assert not (tmp_path / "o").exists()
 
+    def test_repeated_eps_is_a_config_error(self, tmp_path, capsys):
+        # a repeated eps would count twice in each per-N fit
+        out = tmp_path / "o"
+        argv = ["robustness", "--N", "4,5,6", "--eps", "1e-3,1e-3,2e-3,3e-3"]
+        assert main(argv + ["--out", str(out)]) == 2
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_list": [4, 5, 6], "eps_list": [1e-3, 2e-3, 3e-3, 2e-3]}))
+        assert main(["robustness", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("eps values must not repeat") == 2
+        assert not out.exists()
+
     def test_validate_rejects_zero_drive_in_robustness(self):
         # robustness has no --omega-over-kappa flag; a config file can set it
         with pytest.raises(ConfigInvalidError):

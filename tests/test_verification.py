@@ -135,6 +135,24 @@ class TestVectorize:
             got = gen @ hermitian_coordinates(rho)
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [CollectiveSpec(n_spins=10, omega0=2.0, kappa=1.0, basis="xy2"), CoherentSpec(alpha=1.5)],
+        ids=["collective", "coherent"],
+    )
+    def test_generator_is_canonical(self, spec):
+        # abs() of a CSR array sorts its indices in place unless they are
+        # sorted already; the certificate takes abs() of T itself
+        model = build_model(spec)
+        params = reverse_engineer(model.ansatz, model.rho_ss).solutions[0]
+        gen = vectorize_liouvillian(params, model.ansatz)
+        assert gen.has_canonical_format
+        indices, data = gen.indices.copy(), gen.data.copy()
+        out = _steady_state_factored(gen, model.ansatz.dim, certify=True)
+        assert out.method == "inverse"
+        np.testing.assert_array_equal(gen.indices, indices)
+        np.testing.assert_array_equal(gen.data, data)
+
     def test_zero_params_zero_matrix(self, rng):
         ansatz = random_ansatz(rng, 3, 1, 1)
         params = LindbladianParams(c=np.zeros(1), gamma=np.zeros((1, 1)))
@@ -510,6 +528,19 @@ class TestSteadyState:
         assert out.fallback in ("singular", "bound")
         assert out.null_space_dim >= 2
         assert out.unique is False
+
+    def test_two_jump_squeezed_state_is_not_unique(self):
+        # a^2 and a^dag^2 conserve parity, so the Markovian reconstruction
+        # annihilates rho without making it its only steady state
+        model = build_model(SqueezedSpec(r=0.25, theta=0.3, jumps="two", n_max=24))
+        params = reverse_engineer(model.ansatz, model.rho_ss).solutions[0]
+        assert params.markovian
+        out = steady_state_of(params, model.ansatz, method="svd")
+        assert out.unique is False and out.null_space_dim > 1
+        assert out.fallback in ("singular", "bound")
+        solved = steady_state_of(params, model.ansatz, method="lu")
+        assert solved.method == "lu"
+        assert norm_difference(solved.rho, model.rho_ss) <= 1e-8
 
     def test_lu_falls_back_on_degenerate_generator(self, rng):
         # dephasing in a fixed basis leaves every diagonal state steady
