@@ -433,7 +433,7 @@ def _run_feasibility(config: RunConfig) -> dict:
     model = models.build_model(spec)
     ansatz = LindbladAnsatz(h_ops=(), jump_ops=model.ansatz.jump_operators[:1])
     result = reverse_engineer(ansatz, model.rho_ss, config.tol_null)
-    # independent check: scan the one-parameter family directly
+    # scan the one-parameter family through the factor R of M
     grid = np.linspace(-2.0, 2.0, 401)
     scan = []
     for g in grid:

@@ -27,7 +27,6 @@ from .errors import DimMismatchError, NonPhysicalVectorError
 from .numerics import (
     DEFAULT_NULL_TOL,
     extract_kernel,
-    hermitian_coordinates,
     hermitian_from_coordinates,
     hermitian_part,
     is_psd,
@@ -40,9 +39,10 @@ from .quantum_ops import Operator
 # coordinates when unpacking a parameter vector.
 UNPACK_TOL = 1e-8
 
-# Each QR step of the triangular factor of M takes FACTOR_BLOCK_ROWS rows of
-# the coordinate matrix of the term images, which bounds its working copy.
-FACTOR_BLOCK_ROWS = 4096
+# Rows of the state per call of ``term_images``: the term images are formed
+# and folded into the factor of M one such block of rows at a time, which
+# bounds the working arrays of every consumer of the images.
+BLOCK_ROWS = 16
 
 # PSD tolerance defining the Markovianity flag.
 MARKOV_TOL = 1e-10
@@ -65,7 +65,9 @@ class LindbladAnsatz:
     is multiplied by one shifted product per diagonal, a matrix by
     np.matmul, and a matrix is kept as given, not copied (pass
     ``Operator.from_dense(mat)`` for the banded products of a banded
-    matrix).  ``jump_operators`` are the stored jumps; ``h_ops`` and
+    matrix).  The K^2 operators of the anticommutators are formed once
+    from the jumps: ``Operator``s for two ``Operator`` jumps, else d x d
+    matrices.  ``jump_operators`` are the stored jumps; ``h_ops`` and
     ``jump_ops`` give the matrices, forming those of stored ``Operator``s on
     every access.  Ansaetze compare equal only when they are the same
     object.
@@ -87,9 +89,9 @@ class LindbladAnsatz:
             raise DimMismatchError(f"inconsistent operator shapes: {dims}")
         h_ops = tuple(_stored(h, "drive", idx) for idx, h in enumerate(h_ops))
         jump_ops = tuple(_stored(l, "jump", idx) for idx, l in enumerate(jump_ops))
-        # the drives, the jumps and the transposed jumps, for the products
-        # of ``term_images``
-        self._operators = (h_ops, jump_ops, tuple(l.T for l in jump_ops))
+        # the drives, the jumps and the Hermitian operators of the
+        # anticommutators, for the products of ``term_images``
+        self._operators = (h_ops, jump_ops, _anticommutator_operators(jump_ops))
 
     @property
     def h_ops(self) -> tuple[np.ndarray, ...]:
@@ -142,12 +144,39 @@ def _matrix(op: Operator | np.ndarray) -> np.ndarray:
     return op.dense() if isinstance(op, Operator) else op
 
 
-def _left(op: Operator | np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-    """out = op @ x: the shifted multiplies of an ``Operator``, else np.matmul."""
+def _anticommutator_operators(
+    jumps: tuple[Operator | np.ndarray, ...],
+) -> tuple[Operator | np.ndarray, ...]:
+    """The exactly Hermitian F_q with {F_q, rho} the anticommutator part of
+    dissipator column q (``hermitian_parameter_basis`` order): with
+    N = l_k^dag l_j, F = (N + N^dag)/4 for j = k, and for j < k
+    (N + N^dag)/(2 sqrt2) and i (N - N^dag)/(2 sqrt2).  A product of two
+    ``Operator``s is one, formed from the diagonals; any other is a matrix."""
+    n_jump, scale = len(jumps), 0.5**1.5
+    operators = [None] * n_jump**2
+    for j, l_j in enumerate(jumps):
+        for k, l_k in enumerate(jumps[j:], start=j):
+            if isinstance(l_j, Operator) and isinstance(l_k, Operator):
+                n = l_k.adjoint() @ l_j
+                n_dag = n.adjoint()
+            else:
+                n = _matrix(l_k).conj().T @ _matrix(l_j)
+                n_dag = n.conj().T
+            if k == j:
+                operators[j * (n_jump + 1)] = (n + n_dag) * 0.25
+            else:
+                operators[j + k * n_jump] = (n + n_dag) * scale
+                operators[k + j * n_jump] = (n - n_dag) * (1j * scale)
+    return tuple(operators)
+
+
+def _left(op: Operator | np.ndarray, x: np.ndarray, out: np.ndarray, first: int) -> None:
+    """out = rows first .. first + len(out) of op @ x: the shifted
+    multiplies of an ``Operator``, else np.matmul."""
     if isinstance(op, Operator):
-        op.left(x, out)
+        op.left(x, out, first)
     else:
-        np.matmul(op, x, out=out)
+        np.matmul(op[first:first + len(out)], x, out=out)
 
 
 @dataclass
@@ -200,92 +229,137 @@ class CorrelationMatrix:
     Rows/columns 0..J-1 of ``mat`` are the drive terms in ansatz order;
     J..J+K^2-1 are the dissipator terms (j, k) in row-major order.
     ``factor`` is the real upper-triangular R with M = P R^T R P^dag, P from
-    ``hermitian_parameter_basis``.  ``coordinates`` is the matrix A of
-    ``term_images`` both come from, kept to form the flow of any parameters.
+    ``hermitian_parameter_basis``; R^T R = A^T A for the coordinates A of
+    the term images, so R gives the flow norm of any parameters.
     """
 
     mat: np.ndarray
     n_drive: int
     n_jump: int
     factor: np.ndarray
-    coordinates: np.ndarray
 
 
-def term_images(ansatz: LindbladAnsatz, rho: np.ndarray) -> np.ndarray:
-    """Real (d^2, J + K^2) matrix A whose column q is the
-    ``hermitian_coordinates`` of sum_mu P[mu, q] O_mu, O the term images of
-    a Hermitian ``rho`` and P from ``hermitian_parameter_basis``: the drive
-    images, O_kk, and for j < k (O_jk + O_jk^dag)/sqrt2 at column J + j + k K
-    and i (O_jk - O_jk^dag)/sqrt2 at J + k + j K.
-
-    ``rho`` is taken as ``hermitian_part(rho, "state")``, which rejects a
-    non-finite or non-Hermitian state.  Hermiticity makes rho h the adjoint
-    of h rho and O_kj the adjoint of O_jk, so with A_j = l_j rho
-
-        D_{j,k}[rho] = A_j l_k^dag - (l_k^dag A_j)/2 - (l_j^dag A_k)^dag / 2
-
-    and A takes J + K + K(K+1)/2 + K^2 left products with a d x d matrix
-    (drive images, A_j, the sandwiches for k >= j, the anticommutator
-    halves): O(d^2) per nonzero diagonal of an ``Operator``, O(d^3) for a
-    matrix.  Each step adds its part of D_{j,k} to the columns of its pair;
-    three d x d arrays are held.
-    """
+def _shaped(ansatz: LindbladAnsatz, rho: np.ndarray) -> np.ndarray:
+    """``rho`` as a complex array, which must be d x d for the ansatz's d."""
     rho = np.asarray(rho, dtype=complex)
-    dim, n_drive, n_jump = ansatz.dim, ansatz.n_drive, ansatz.n_jump
-    if rho.shape != (dim, dim):
+    if rho.shape != (ansatz.dim, ansatz.dim):
         raise DimMismatchError(
-            f"state shape {rho.shape} does not match ansatz dim {dim}"
+            f"state shape {rho.shape} does not match ansatz dim {ansatz.dim}"
         )
-    rho = hermitian_part(rho, "state")
-    drives, jumps, jumps_t = ansatz._operators
-    coordinates = np.zeros((dim * dim, ansatz.n_params), order="F")
+    return rho
 
-    def add_parts(z: np.ndarray, scratch: np.ndarray, herm, anti=None) -> None:
-        # column c += s * coordinates of z + z^dag for herm = (c, s), of i (z - z^dag) for anti
-        hermitian = np.add(z, np.conjugate(z.T, out=scratch), out=scratch)
-        z *= 2  # i (z - z^dag) = i (2 z - (z + z^dag))
-        z -= hermitian
-        z *= 1j
-        for target, matrix in ((herm, hermitian), (anti, z)):
-            if target is not None:
-                coords = hermitian_coordinates(matrix)
-                coordinates[:, target[0]] += np.multiply(coords, target[1], out=coords)
 
-    work, part, conj_a = np.empty((3, dim, dim), dtype=complex)
+def _weights(lo: int, hi: int, dim: int, above: float = 2**0.5) -> np.ndarray:
+    """(hi - lo, dim - lo, 2) weights of the real and imaginary parts of the
+    entries (r, c), lo <= r < hi, lo <= c < dim, of a Hermitian matrix, by
+    which their squares sum to its squared Frobenius norm: ``above`` (sqrt2)
+    for both parts above the diagonal, 1 for the real part on it, 0 below
+    it, where the entries mirror those above."""
+    weights = np.full((hi - lo, dim - lo, 2), above)
+    for row in range(hi - lo):
+        weights[row, :row + 1] = 0.0
+        weights[row, row, 0] = 1.0
+    return weights
+
+
+def term_images(ansatz: LindbladAnsatz, rho: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows lo .. hi - 1 of the term images in coordinates: a real
+    (2 (hi - lo)(d - lo), J + K^2) matrix whose column q holds the entries
+    (r, c), lo <= r < hi, lo <= c < d, of the Hermitian image
+    X_q = sum_mu P[mu, q] O_mu, row-major, each as its real and imaginary
+    part times ``_weights``.  O are the term images of ``rho`` and P is
+    ``hermitian_parameter_basis``: the drive images, D_kk, and for j < k
+    (D_jk + D_kj)/sqrt2 at column J + j + k K and i (D_jk - D_kj)/sqrt2 at
+    J + k + j K.  As X_q is Hermitian, the rows of all blocks hold the
+    coordinates A of ``hermitian_coordinates`` up to rows of zeros and an
+    orthogonal map, so their Gram matrix is A^T A.
+
+    ``rho`` must be exactly Hermitian, as ``hermitian_part`` returns it: rho h
+    is then the adjoint of h rho, and the rows of rho F are the adjoints of
+    columns of F rho.  With S_jk = l_j rho l_k^dag, the adjoint of a block
+    of rows of S_jk is l_k (l_j rho)^dag restricted to columns, and
+
+        D_jk + D_kj = S_jk + S_kj - {N + N^dag, rho}/2,  N = l_k^dag l_j,
+
+    with the Hermitian F_q of the anticommutators formed once by the
+    ansatz.  A block takes 2 J + K + 3 K^2 products of an operator with a
+    slice of rho or of l_j rho: O(b d) per nonzero diagonal of an
+    ``Operator`` for b = hi - lo rows, O(b d^2) for a matrix.
+    """
+    rho = _shaped(ansatz, rho)
+    dim, n_drive, n_jump = ansatz.dim, ansatz.n_drive, ansatz.n_jump
+    drives, jumps, anticommutators = ansatz._operators
+    rows, width = hi - lo, dim - lo
+    images = np.empty((ansatz.n_params, rows, width), dtype=complex)
+    part, adjoint = np.empty((rows, width), dtype=complex), np.empty((width, rows), dtype=complex)
+
+    def subtract_adjoint(image: np.ndarray) -> None:
+        # image -= adjoint^dag, the rows of the adjoint of what adjoint holds
+        image -= np.conjugate(adjoint, out=adjoint).T
+
     for column, h in enumerate(drives):
-        # -i (h rho - rho h) = -i (z - z^dag) with z = h rho
-        _left(h, rho, work)
-        add_parts(work, part, None, (column, -1.0))
+        # -i (h rho - rho h), with rho h the adjoint of h rho
+        _left(h, rho[:, lo:], images[column], lo)
+        _left(h, rho[:, lo:hi], adjoint, lo)
+        subtract_adjoint(images[column])
+        images[column] *= -1j
+    # conj(l_j rho) on the rows of the block: the adjoint of its transpose
+    # is the right factor of the sandwiches
+    conj_a = np.empty((n_jump, rows, dim), dtype=complex)
     for j, l_j in enumerate(jumps):
-        # conj(A_j) is held: products with l_k^T then give the conjugates of
-        # the products with l_k^dag, with no adjoint copy
-        _left(l_j, rho, conj_a)
-        np.conjugate(conj_a, out=conj_a)
-        for k, l_k_t in enumerate(jumps_t):
-            # work = conj(l_k^dag A_j); part = Y^dag, Y what D_{j,k} gains here
-            _left(l_k_t, conj_a, work)
-            if k < j:
-                np.multiply(work.T, -0.5, out=part)
-            else:
-                # l_k A_j^dag, the adjoint of the sandwich S = A_j l_k^dag
-                _left(jumps[k], conj_a.T, part)
-                part -= work.T if k == j else np.multiply(work, 0.5, out=work).T
-            # the pair gains (Y + Y^dag)/sqrt2 and +-i (Y - Y^dag)/sqrt2; as S
-            # is Hermitian, O_jj = (Y + Y^dag)/2 for Y = S - l_j^dag A_j
-            lo, hi = sorted((j, k))
-            scale = 0.5 if k == j else 0.5**0.5
-            anti = None if k == j else (n_drive + hi + lo * n_jump, np.sign(j - k) * scale)
-            add_parts(part, work, (n_drive + lo + hi * n_jump, scale), anti)
-    return coordinates
+        _left(l_j, rho, conj_a[j], lo)
+        np.conjugate(conj_a[j], out=conj_a[j])
+    for j in range(n_jump):
+        for k in range(j, n_jump):
+            # adjoint holds the adjoint of the block's rows of S_jk, and
+            # then of S_kj, whose rows part takes
+            _left(jumps[k], conj_a[j].T, adjoint, lo)
+            if k == j:
+                np.conjugate(adjoint.T, out=images[n_drive + j * (n_jump + 1)])
+                continue
+            plus, minus = images[n_drive + j + k * n_jump], images[n_drive + k + j * n_jump]
+            np.conjugate(adjoint.T, out=plus)
+            _left(jumps[j], conj_a[k].T, adjoint, lo)
+            np.conjugate(adjoint.T, out=part)
+            np.subtract(plus, part, out=minus)
+            plus += part
+            plus *= 0.5**0.5
+            minus *= 1j * 0.5**0.5
+    for column, f in enumerate(anticommutators, start=n_drive):
+        # - F rho - rho F, with rho F the adjoint of F rho
+        _left(f, rho[:, lo:], part, lo)
+        images[column] -= part
+        _left(f, rho[:, lo:hi], adjoint, lo)
+        subtract_adjoint(images[column])
+    coordinates = images.view(float).reshape(ansatz.n_params, rows, width, 2)
+    coordinates *= _weights(lo, hi, dim)
+    return coordinates.reshape(ansatz.n_params, -1).T
 
 
-def _flow_parts(coordinates: np.ndarray, params: LindbladianParams, shape) -> np.ndarray:
-    """Columns A Re z, A Im z (z = P^H phi): the coordinates of the Hermitian H
-    and G with L[rho] = H + i G.  ``params`` must fit ``shape``'s J and K."""
+def _blocks(ansatz: LindbladAnsatz) -> list[tuple[int, int]]:
+    """Row ranges (lo, hi) of the blocks of ``term_images``: ``BLOCK_ROWS``
+    rows, but no more than d / (J + K^2), so that the coordinates of a block
+    take no more bytes than the state."""
+    dim = ansatz.dim
+    rows = max(1, min(BLOCK_ROWS, dim // ansatz.n_params))
+    return [(lo, min(lo + rows, dim)) for lo in range(0, dim, rows)]
+
+
+def _flow_pair(params: LindbladianParams, shape) -> np.ndarray:
+    """(J + K^2, 2) columns Re z, Im z of z = P^H phi: the images combined by
+    them are the Hermitian H and G with L[rho] = H + i G.  ``params`` must
+    fit ``shape``'s J and K."""
     if params.n_drive != shape.n_drive or params.n_jump != shape.n_jump:
         raise DimMismatchError("parameter shapes do not match the ansatz")
     z = hermitian_parameter_basis(params.n_drive, params.n_jump).conj().T @ params.to_vector()
-    return np.dot(coordinates, z.view(float).reshape(-1, 2))
+    return z.view(float).reshape(-1, 2)
+
+
+def _flow_norm(factor: np.ndarray, params: LindbladianParams, shape) -> float:
+    """||R Re z||^2 + ||R Im z||^2 = ||A Re z||^2 + ||A Im z||^2, as
+    R^T R = A^T A: the squared Frobenius norm of L[rho]."""
+    parts = factor @ _flow_pair(params, shape)
+    return float(np.vdot(parts, parts))
 
 
 def apply_lindbladian(
@@ -293,18 +367,34 @@ def apply_lindbladian(
 ) -> np.ndarray:
     """Full generator action sum_j c_j H-terms + sum_jk gamma_jk D-terms on a
     Hermitian ``rho`` (a non-Hermitian one raises ``NotHermitianError``),
-    formed from the coordinates of ``term_images``."""
-    parts = _flow_parts(term_images(ansatz, rho), params, ansatz)
-    return hermitian_from_coordinates(parts.view(complex)[:, 0], ansatz.dim)
+    assembled from the blocks of ``term_images``: each gives the entries of
+    L[rho] on and above the diagonal in its rows, and their conjugate
+    mirrors below it."""
+    rho = hermitian_part(_shaped(ansatz, rho), "state")
+    pair, dim = _flow_pair(params, ansatz), ansatz.dim
+    out = np.empty((dim, dim), dtype=complex)
+    for lo, hi in _blocks(ansatz):
+        # the entries of H and G on and above the diagonal, the weights
+        # undone; those below it are zero
+        inverse = _weights(lo, hi, dim, above=0.5**0.5)
+        h, g = (
+            (column.reshape(hi - lo, dim - lo, 2) * inverse).view(complex)[..., 0]
+            for column in (pair.T @ term_images(ansatz, rho, lo, hi).T)
+        )
+        upper, lower = h + 1j * g, h.conj() + 1j * g.conj()
+        rows = hi - lo
+        out[lo:hi, hi:], out[hi:, lo:hi] = upper[:, rows:], lower[:, rows:].T
+        out[lo:hi, lo:hi] = upper[:, :rows] + np.tril(lower[:, :rows].T, -1)
+    return out
 
 
 def rapidity(
     params: LindbladianParams, ansatz: LindbladAnsatz, rho: np.ndarray
 ) -> float:
-    """Squared Frobenius norm ||A Re z||^2 + ||A Im z||^2 of L[rho] for a
-    Hermitian ``rho``, A from ``term_images`` and z = P^H phi."""
-    parts = _flow_parts(term_images(ansatz, rho), params, ansatz)
-    return float(np.vdot(parts, parts))
+    """Squared Frobenius norm of L[rho] for a Hermitian ``rho``:
+    ||R Re z||^2 + ||R Im z||^2 for the factor R of
+    ``build_correlation_matrix`` and z = P^H phi."""
+    return _flow_norm(build_correlation_matrix(ansatz, rho).factor, params, ansatz)
 
 
 @functools.lru_cache(maxsize=None)
@@ -327,22 +417,22 @@ def build_correlation_matrix(
     ansatz: LindbladAnsatz, rho: np.ndarray
 ) -> CorrelationMatrix:
     """Gram matrix M, entries Tr(O_mu^dag O_nu) of the term images O, and
-    its real square-root factor R, built without forming M: M = P A^T A P^dag
-    for the real matrix A of ``term_images`` (which rejects a non-Hermitian
-    ``rho``), and QR folds A into R, ``FACTOR_BLOCK_ROWS`` rows at a time.
+    its real square-root factor R, built without forming M or the
+    coordinates A of the images: M = P A^T A P^dag, and QR folds each block
+    of ``term_images`` into R as it is formed, ``BLOCK_ROWS`` rows of
+    ``rho`` at a time (a non-Hermitian ``rho`` is rejected).
     """
-    coordinates = term_images(ansatz, rho)
+    rho = hermitian_part(_shaped(ansatz, rho), "state")
     factor = np.empty((0, ansatz.n_params))
-    for lo in range(0, len(coordinates), FACTOR_BLOCK_ROWS):
-        block = np.hstack([factor.T, coordinates[lo:lo + FACTOR_BLOCK_ROWS].T])
-        factor = np.linalg.qr(block.T, mode="r")  # in the column order LAPACK reads
+    for lo, hi in _blocks(ansatz):
+        block = np.linalg.qr(term_images(ansatz, rho, lo, hi), mode="r")
+        factor = np.linalg.qr(np.vstack([factor, block]), mode="r")
     basis = hermitian_parameter_basis(ansatz.n_drive, ansatz.n_jump)
     return CorrelationMatrix(
         mat=basis @ (factor.T @ factor) @ basis.conj().T,
         n_drive=ansatz.n_drive,
         n_jump=ansatz.n_jump,
         factor=factor,
-        coordinates=coordinates,
     )
 
 
@@ -432,9 +522,8 @@ class ReconstructionResult:
 
     def rapidity(self, params: LindbladianParams) -> float:
         """``rapidity(params, ansatz, rho)`` for the reconstructed pair, formed
-        from the stored coordinates with the same arithmetic."""
-        parts = _flow_parts(self.corr.coordinates, params, self.corr)
-        return float(np.vdot(parts, parts))
+        from the stored factor with the same arithmetic."""
+        return _flow_norm(self.corr.factor, params, self.corr)
 
 
 def reverse_engineer(

@@ -80,13 +80,15 @@ class CollectiveSpec:
 
 ModelSpec = Union[CoherentSpec, SqueezedSpec, CollectiveSpec]
 
-# Largest Hilbert-space dimension d an experiment may build.  The term images
-# of an ansatz with J drives and K jumps are held as a real d^2 x (J + K^2)
-# matrix: 15 MB at d = 401 and 0.4 GB at d = 2048 for the collective full
-# basis (J + K^2 = 12), on top of the d x d state; the ansatz holds the
-# model operators by their diagonals.
+# Largest Hilbert-space dimension d an experiment may build.  The d x d
+# state, 67 MB at d = 2048, sets the memory: the ansatz holds the model
+# operators by their diagonals, and the term images are formed and folded a
+# block of rows at a time, no block outweighing the state.
 # The default Fock cutoffs stay below it up to |alpha| ~ 14 and r ~ 2.25.
 MAX_HILBERT_DIM = 2048
+
+# Columns of eta eta^dag formed per product in ``collective_steady_state``.
+STATE_BLOCK_COLUMNS = 32
 
 
 def default_cutoff(spec: CoherentSpec | SqueezedSpec) -> int:
@@ -203,11 +205,13 @@ def collective_steady_state(spec: CollectiveSpec, ops: SpinOps) -> np.ndarray:
     column-wise cumulative product, scaled by a power of two when its
     squares would overflow (``DegenerateParamsError`` when no scaling holds
     them, at weak drive and large N).  The density matrix is eta eta^dag,
-    normalized and made exactly Hermitian (this product ordering is the one
-    annihilated by the generator; the construction is verified against it
-    to 1e-10 before returning).  Operators of another sector raise
-    ``DimMismatchError``: the residual cannot catch them, since the same eta
-    is the steady state of that sector too.
+    formed ``STATE_BLOCK_COLUMNS`` columns at a time, normalized and made
+    exactly Hermitian in place, so at most two d x d arrays are held (this
+    product ordering is the one annihilated by the generator; the
+    construction is verified against it to 1e-10 before returning, through
+    ``apply_lindbladian``).  Operators of another sector raise
+    ``DimMismatchError``: the residual cannot catch them, since the same
+    eta is the steady state of that sector too.
     """
     n_spins, omega0, kappa = spec.n_spins, spec.omega0, spec.kappa
     dim = n_spins + 1
@@ -227,19 +231,28 @@ def collective_steady_state(spec: CollectiveSpec, ops: SpinOps) -> np.ndarray:
         raise DegenerateParamsError(
             f"ladder products of the steady state span 2^{top:.0f}, beyond the float range"
         )
-    # factors[i, c] is S_-[i, i-1] / beta below the diagonal, 2^-k on the
-    # first row and 1 elsewhere, so the cumulative product down column c is
-    # 2^-k up to row c and then 2^-k times the ladder product; the upper
-    # triangle is dropped afterwards
+    # eta[i, c] starts as S_-[i, i-1] / beta below the diagonal, 2^-k on
+    # the first row and 1 elsewhere, so the cumulative product down column c
+    # is 2^-k up to row c and then 2^-k times the ladder product; the upper
+    # triangle is then zeroed
     rows = np.arange(dim)
     sub = np.concatenate(([1.0], step))
-    factors = np.where(rows[:, None] > rows[None, :], sub[:, None], 1.0)
-    factors[0] = 2.0**-shift
-    eta = np.tril(np.cumprod(factors, axis=0))
-    rho = eta @ eta.conj().T
-    del factors, eta  # released before the residual check forms its images
+    eta = np.where(rows[:, None] > rows[None, :], sub[:, None], 1.0)
+    eta[0] = 2.0**-shift
+    np.cumprod(eta, axis=0, out=eta)
+    for row in range(dim - 1):
+        eta[row, row + 1:] = 0
+    rho = np.empty_like(eta)
+    # the blocks start at multiples of STATE_BLOCK_COLUMNS and the last one
+    # takes the final 9 to 40 columns: BLAS sums a product of a few columns
+    # in another order, and these give the bits of the one product
+    edges = [*range(0, max(1, dim - 8), STATE_BLOCK_COLUMNS), dim]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        rho[:, lo:hi] = eta @ eta[lo:hi].conj().T
+    del eta  # released before the residual check forms its images
     rho /= np.trace(rho).real
-    rho = (rho + rho.conj().T) / 2  # exactly Hermitian, so hermitian_part keeps it
+    rho += rho.conj().T  # exactly Hermitian, so hermitian_part keeps it
+    rho /= 2
     ansatz = LindbladAnsatz(h_ops=(ops.sx,), jump_ops=(ops.sm,))
     params = LindbladianParams(
         c=np.array([omega0]),

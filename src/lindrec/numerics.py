@@ -45,8 +45,19 @@ def require_finite(a: np.ndarray, name: str) -> None:
 
 def asymmetry(a: np.ndarray) -> float:
     """Deviation of ``a`` from its conjugate transpose, relative to max(1, ||a||)."""
-    a = _as_square(a)
-    return _asymmetry(a, a - a.conj().T)
+    return _hermitian_defect(_as_square(a))[0]
+
+
+def _hermitian_defect(a: np.ndarray) -> tuple[float, bool]:
+    """``asymmetry`` of a square ``a`` and whether A equals A^dag entry by
+    entry, formed 32 rows at a time, so that no second n x n array is held."""
+    step = 32
+    squares, exact = 0.0, True
+    for lo in range(0, len(a), step):
+        diff = a[lo:lo + step] - a[:, lo:lo + step].conj().T
+        squares += float(np.linalg.norm(diff)) ** 2
+        exact = exact and not diff.any()
+    return squares**0.5 / max(1.0, float(np.linalg.norm(a))), exact
 
 
 def _asymmetry(a: np.ndarray, diff: np.ndarray) -> float:
@@ -58,7 +69,10 @@ def require_near_hermitian(a: np.ndarray, diff: np.ndarray, name: str, tol: floa
     ||diff|| / max(1, ||a||) of a matrix A exceeds ``tol``, for ``a`` and
     ``diff`` holding every nonzero entry of A and of A - A^dag: the
     matrices, or the diagonals of ``quantum_ops.Operator``s."""
-    asym = _asymmetry(a, diff)
+    _require_asymmetry(_asymmetry(a, diff), name, tol)
+
+
+def _require_asymmetry(asym: float, name: str, tol: float) -> None:
     if asym > tol:
         raise NotHermitianError(f"{name} asymmetry {asym:.3e} exceeds {tol:g}")
 
@@ -74,12 +88,11 @@ def hermitian_part(
     """
     a = _as_square(a)
     require_finite(a, name)
-    adjoint = a.conj().T  # one conjugate copy for the check, the test and the sum
-    diff = a - adjoint
-    require_near_hermitian(a, diff, name, tol)
-    if not diff.any():
+    asym, exact = _hermitian_defect(a)
+    _require_asymmetry(asym, name, tol)
+    if exact:
         return a
-    return np.divide(np.add(a, adjoint, out=diff), 2, out=diff)  # (A + A^dag)/2 in diff
+    return (a + a.conj().T) / 2
 
 
 @functools.lru_cache(maxsize=None)

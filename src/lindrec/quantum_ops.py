@@ -23,10 +23,6 @@ from .numerics import _as_square, hermitian_part, require_finite, require_near_h
 # Acceptable norm lost to the Fock truncation.
 NORM_DEFICIT_TOL = 1e-12
 
-# Rows of a banded product formed per shifted multiply, which bounds its
-# block buffer.
-BANDED_BLOCK_ROWS = 32
-
 
 class Operator:
     """A d x d operator held by its nonzero diagonals.
@@ -119,6 +115,27 @@ class Operator:
             return NotImplemented
         return self._map(lambda values: values / scalar)
 
+    def __matmul__(self, other) -> Operator:
+        """The product, diagonal by diagonal: diagonals o and p of the
+        factors add to diagonal o + p, in O(d) per pair."""
+        if not isinstance(other, Operator):
+            return NotImplemented
+        if other.dim != self.dim:
+            raise DimMismatchError(f"operators of dimension {self.dim} and {other.dim}")
+        dim, products = self.dim, {}
+        for o, left in self.diagonals:
+            for p, right in other.diagonals:
+                # row r gains left[r, r + o] * right[r + o, r + o + p] for the
+                # rows where all three indices lie in range
+                start, stop = max(0, -o, -o - p), min(dim, dim - o, dim - o - p)
+                if start < stop:
+                    values = products.setdefault(o + p, np.zeros(dim - abs(o + p), complex))
+                    values[start - max(0, -o - p):stop - max(0, -o - p)] += (
+                        left[start - max(0, -o):stop - max(0, -o)]
+                        * right[start + o - max(0, -p):stop + o - max(0, -p)]
+                    )
+        return Operator(dim, products.items())
+
     @property
     def T(self) -> Operator:
         return Operator(self.dim, [(-o, values) for o, values in self.diagonals])
@@ -144,26 +161,22 @@ class Operator:
         require_near_hermitian(np.concatenate(held), np.concatenate(differences), name, tol)
         return (self + adjoint) / 2
 
-    def left(self, x: np.ndarray, out: np.ndarray) -> None:
-        """out = mat @ x in O(n d^2) for n diagonals, one shifted multiply
-        per diagonal.  ``out`` must not overlap ``x`` and is best C-ordered;
-        ``x`` may be a transposed view."""
-        dim = self.dim
-        block = np.empty((min(BANDED_BLOCK_ROWS, dim), dim), dtype=complex)
-        diagonals = self.diagonals or [(0, np.zeros(dim, dtype=complex))]
-        shift = diagonals[0][0]
-        out[:max(0, -shift)], out[dim - max(0, shift):] = 0, 0
-        for index, (offset, values) in enumerate(diagonals):
-            # row r gains values[r - start] * x[r + offset], a block of rows
-            # at a time; the first diagonal is written into out directly
-            start, stop = max(0, -offset), dim - max(0, offset)
-            for lo in range(start, stop, len(block)):
-                hi = min(lo + len(block), stop)
-                part = out[lo:hi] if index == 0 else block[:hi - lo]
-                factors = values[lo - start:hi - start, None]
-                np.multiply(factors, x[lo + offset:hi + offset], out=part)
-                if index:
-                    out[lo:hi] += part
+    def left(self, x: np.ndarray, out: np.ndarray, first: int = 0) -> None:
+        """out = rows first .. first + len(out) of mat @ x, for x with d
+        rows: one shifted multiply per diagonal, reading the rows of x within
+        the bandwidth of those rows, in O(n len(out) m) for n diagonals and m
+        columns.  ``out`` must not overlap ``x``; ``x`` may be a transposed
+        view."""
+        last = first + len(out)
+        out[...] = 0
+        for offset, values in self.diagonals:
+            # row r gains values[r - skip] * x[r + offset]
+            skip = max(0, -offset)
+            start, stop = max(first, skip), min(last, self.dim - max(0, offset))
+            if start < stop:
+                out[start - first:stop - first] += (
+                    values[start - skip:stop - skip, None] * x[start + offset:stop + offset]
+                )
 
 
 @dataclass(frozen=True)

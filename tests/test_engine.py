@@ -32,7 +32,7 @@ from lindrec.models import (
     analytic_kernel_vectors,
     build_model,
 )
-from lindrec.numerics import hermitian_coordinates, hermitian_from_coordinates, hermitian_part
+from lindrec.numerics import hermitian_coordinates, hermitian_part
 from lindrec.quantum_ops import (
     Operator,
     boson_ops,
@@ -100,12 +100,31 @@ def term_by_term_images(ansatz, rho):
     return np.array(drives + jumps).reshape(ansatz.n_params, ansatz.dim, ansatz.dim)
 
 
-def reference_coordinates(ansatz, rho):
-    """Columns: the Hermitian coordinates of the reference images combined
-    by the basis P, sum_mu P[mu, q] O_mu, each Hermitian up to roundoff."""
+def reference_rows(ansatz, rho, lo, hi):
+    """Columns: entries (r, c), lo <= r < hi, lo <= c < d, row-major, of the
+    reference images combined by the basis P, sum_mu P[mu, q] O_mu, each as
+    its real and imaginary part: times sqrt2 above the diagonal, the real
+    part alone on it, none below it."""
     p = hermitian_parameter_basis(ansatz.n_drive, ansatz.n_jump)
-    combined = np.tensordot(p.T, term_by_term_images(ansatz, rho), axes=1)
-    return hermitian_coordinates((combined + combined.conj().transpose(0, 2, 1)) / 2).T
+    combined = np.tensordot(p.T, term_by_term_images(ansatz, rho), axes=1)[:, lo:hi, lo:]
+    rows, cols = np.arange(lo, hi)[:, None], np.arange(lo, ansatz.dim)
+    weights = np.where(cols > rows, 2**0.5, 0.0)
+    parts = np.stack([combined.real * (weights + (cols == rows)), combined.imag * weights], -1)
+    return parts.reshape(ansatz.n_params, -1).T
+
+
+def single_block(ansatz, rho):
+    """The coordinates A of the term images: ``term_images`` on one block."""
+    return term_images(ansatz, hermitian_part(rho, "state"), 0, ansatz.dim)
+
+
+def re_im_gram(ansatz, rho):
+    """A^T A from the real and imaginary parts of all d^2 entries of the
+    reference images in the basis P."""
+    p = hermitian_parameter_basis(ansatz.n_drive, ansatz.n_jump)
+    entries = term_by_term_images(ansatz, rho).reshape(ansatz.n_params, -1).T @ p
+    re_im = np.vstack([entries.real, entries.imag])
+    return re_im.T @ re_im
 
 
 # model ansaetze at d = 101 and 165
@@ -161,10 +180,12 @@ class TestTermImages:
         for dim in (2, 5, 9):
             ansatz = random_ansatz(rng, dim, n_drive, n_jump)
             rho = random_density(rng, dim)
-            expected = reference_coordinates(ansatz, rho)
-            got = term_images(ansatz, rho)
-            assert got.shape == (dim * dim, ansatz.n_params)
-            assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+            # the whole state, one row, and rows in the middle
+            for lo, hi in ((0, dim), (dim - 1, dim), (dim // 3, dim // 3 + 2)):
+                expected = reference_rows(ansatz, rho, lo, hi)
+                got = term_images(ansatz, rho, lo, hi)
+                assert got.shape == (2 * (hi - lo) * (dim - lo), ansatz.n_params)
+                assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("spec", [
         CoherentSpec(alpha=1.5 - 0.5j),
@@ -177,9 +198,11 @@ class TestTermImages:
     ])
     def test_matches_term_maps_on_model_ansatze(self, spec):
         model = build_model(spec)
-        expected = reference_coordinates(model.ansatz, model.rho_ss)
-        got = term_images(model.ansatz, model.rho_ss)
-        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+        dim = model.ansatz.dim
+        for lo, hi in ((0, dim), (dim // 2, dim // 2 + 7)):
+            expected = reference_rows(model.ansatz, model.rho_ss, lo, hi)
+            got = term_images(model.ansatz, model.rho_ss, lo, hi)
+            assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("spec", MODEL_SPECS)
     def test_model_ansatze_are_banded(self, spec):
@@ -193,9 +216,10 @@ class TestTermImages:
             rho = random_density(rng, 4)
             rho[2, 2] = bad
             for call in (
-                lambda: term_images(ansatz, rho),
+                lambda: build_correlation_matrix(ansatz, rho),
                 lambda: apply_lindbladian(params, ansatz, rho),
                 lambda: reverse_engineer(ansatz, rho),
+                lambda: rapidity(params, ansatz, rho),
             ):
                 with pytest.raises(NonFiniteError, match="state"):
                     call()
@@ -219,7 +243,7 @@ class TestTermImages:
         rho = random_density(rng, 4)
         rho[0, 1] += 1e-6
         for call in (
-            lambda: term_images(ansatz, rho),
+            lambda: build_correlation_matrix(ansatz, rho),
             lambda: apply_lindbladian(params, ansatz, rho),
             lambda: rapidity(params, ansatz, rho),
         ):
@@ -230,8 +254,8 @@ class TestTermImages:
         ansatz = random_ansatz(rng, 4, 1, 2)
         rho = random_density(rng, 4)
         skew = random_hermitian(rng, 4) * 1j
-        expected = term_images(ansatz, rho)
-        got = term_images(ansatz, rho + 1e-10 * skew)
+        expected = build_correlation_matrix(ansatz, rho).mat
+        got = build_correlation_matrix(ansatz, rho + 1e-10 * skew).mat
         assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("spec", [
@@ -239,7 +263,7 @@ class TestTermImages:
         SqueezedSpec(r=0.6, theta=1.1, n_max=164),
     ])
     def test_bosonic_states_are_exactly_hermitian(self, spec):
-        # so term_images reads them as they are, with no averaged copy
+        # so the reconstruction reads them as they are, with no averaged copy
         rho = build_model(spec).rho_ss
         assert hermitian_part(rho, "state") is rho
 
@@ -285,9 +309,10 @@ class TestAnsatzStorage:
     def test_build_model_keeps_only_the_state_dense(self):
         # the state takes 16 d^2 = 2.6 MB at d = 401, and a dense Sx, Sy or
         # Sz would take as much again each.  The operators are built from
-        # their diagonals, so the residual check of the state sets the peak:
-        # the state, its two-column coordinate matrix and three d x d work
-        # arrays, 13.6 MiB (18.6 MiB with dense Sx and S-)
+        # their diagonals, and the state build holds two d x d arrays at a
+        # time (eta and rho, then rho and its adjoint), as does its residual
+        # check (rho and L[rho], assembled block by block): 2.6 states at the
+        # peak, with the comparison mask of eta
         for omega0 in (0.7, 1.5):
             tracemalloc.start()
             try:
@@ -299,7 +324,7 @@ class TestAnsatzStorage:
                 isinstance(op, Operator) for group in model.ansatz._operators for op in group
             )
             assert kept <= 4e6
-            assert peak < 15 * 2**20
+            assert peak <= 3 * 16 * 401**2
 
     @pytest.mark.parametrize("dim", [1, 2, 41, 401])
     def test_operators_stored_as_given(self, rng, dim):
@@ -316,14 +341,17 @@ class TestAnsatzStorage:
         for mat in (banded, dense):
             for operand in (x, x.T):
                 out = np.empty((dim, dim), dtype=complex)
-                engine._left(mat, operand, out)
+                engine._left(mat, operand, out, 0)
                 assert out.tobytes() == (mat @ operand).tobytes()
 
     def test_dense_operators_held_by_reference(self, rng):
         h, l = random_hermitian(rng, 30), rng.standard_normal((30, 30)) + 0j
         ansatz = LindbladAnsatz(h_ops=(h,), jump_ops=(l,))
-        (drive,), (jump,), (jump_t,) = ansatz._operators
-        assert drive is h and jump is l and jump_t.base is l
+        (drive,), (jump,), (anticommutator,) = ansatz._operators
+        assert drive is h and jump is l
+        # the anticommutator operator of a matrix jump is a matrix
+        n = l.conj().T @ l
+        np.testing.assert_array_equal(anticommutator, (n + n.conj().T) * 0.25)
         assert ansatz.h_ops[0] is h and ansatz.jump_ops[0] is l
         # an Operator with every diagonal nonzero is kept as given too
         op = Operator.from_dense(h)
@@ -386,6 +414,32 @@ class TestRapidity:
         res = reverse_engineer(model.ansatz, model.rho_ss)
         sol = res.solutions[0]
         assert rapidity(sol, model.ansatz, model.rho_ss) < 1e-18
+
+    @pytest.mark.parametrize("case", [
+        (2, 1, 1), (5, 2, 2), (9, 3, 3), (7, 0, 2),
+        CollectiveSpec(n_spins=40, omega0=1.5, kappa=1.0),
+        CoherentSpec(alpha=1.5 - 0.5j),
+        SqueezedSpec(r=0.6, theta=1.1, jumps="two", n_max=60),
+    ], ids=repr)
+    def test_factor_gives_the_flow_norm(self, rng, case):
+        # ||R Re z||^2 + ||R Im z||^2 against ||L[rho]||_F^2 from the
+        # reference term maps, for random parameters and for the kernel
+        # solutions, whose flow vanishes up to the roundoff floor of R
+        if isinstance(case, tuple):
+            ansatz, rho = random_ansatz(rng, *case), random_density(rng, case[0])
+        else:
+            model = build_model(case)
+            ansatz, rho = model.ansatz, model.rho_ss
+        result = reverse_engineer(ansatz, rho)
+        floor = 1e-14 * np.linalg.norm(result.corr.factor) ** 2
+        images = term_by_term_images(ansatz, rho)
+        candidates = [random_params(rng, ansatz.n_drive, ansatz.n_jump) for _ in range(3)]
+        for params in candidates + result.solutions:
+            flow = np.tensordot(params.to_vector(), images, axes=1)
+            expected = float(np.vdot(flow, flow).real)
+            got = rapidity(params, ansatz, rho)
+            assert abs(got - expected) <= 1e-12 * expected + floor
+            assert result.rapidity(params) == got
 
     def test_quadratic_scaling(self, rng):
         ansatz = random_ansatz(rng, 4, 1, 2)
@@ -479,24 +533,59 @@ class TestCorrelationMatrix:
             model = build_model(case)
             ansatz, rho = model.ansatz, model.rho_ss
         corr = build_correlation_matrix(ansatz, rho)
-        p = hermitian_parameter_basis(ansatz.n_drive, ansatz.n_jump)
-        entries = term_by_term_images(ansatz, rho).reshape(ansatz.n_params, -1).T @ p
-        re_im = np.vstack([entries.real, entries.imag])
-        expected = re_im.T @ re_im
+        expected = re_im_gram(ansatz, rho)
         got = corr.factor.T @ corr.factor
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
-    def test_factor_is_built_block_by_block(self, rng, monkeypatch):
-        # more image entries than one block, so several QR folds happen
-        import lindrec.engine as engine
+    @pytest.mark.parametrize("case", [
+        # Operators, matrices, both in one ansatz, and the offset +-2 jumps
+        # a^2, a_dag^2
+        CollectiveSpec(n_spins=40, omega0=1.5, kappa=1.0),
+        (9, 2, 2),
+        "mixed",
+        SqueezedSpec(r=0.6, theta=1.1, jumps="two", n_max=60),
+    ], ids=repr)
+    @pytest.mark.parametrize("rows", ["1", "7", "non-divisor", "all"])
+    def test_factor_does_not_depend_on_the_blocks(self, rng, monkeypatch, case, rows):
+        if isinstance(case, tuple):
+            ansatz, rho = random_ansatz(rng, *case), random_density(rng, case[0])
+        elif case == "mixed":
+            ops, dense = spin_ops(12), random_ansatz(rng, 13, 1, 1)
+            ansatz = LindbladAnsatz(
+                h_ops=(ops.sx, *dense.h_ops), jump_ops=(ops.sm, *dense.jump_ops)
+            )
+            rho = random_density(rng, 13)
+        else:
+            model = build_model(case)
+            ansatz, rho = model.ansatz, model.rho_ss
+        dim = ansatz.dim
+        size = {"1": 1, "7": 7, "non-divisor": dim // 2 + 1, "all": dim + 3}[rows]
+        assert size == 1 or dim % size
+        blocks = [(lo, min(lo + size, dim)) for lo in range(0, dim, size)]
+        monkeypatch.setattr(engine, "_blocks", lambda _: blocks)
+        corr = build_correlation_matrix(ansatz, rho)
+        expected = re_im_gram(ansatz, rho)
+        got = corr.factor.T @ corr.factor
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+        # the generator assembled from the same blocks
+        params = random_params(rng, ansatz.n_drive, ansatz.n_jump)
+        flow = apply_lindbladian(params, ansatz, rho)
+        reference = np.tensordot(params.to_vector(), term_by_term_images(ansatz, rho), axes=1)
+        assert np.linalg.norm(flow - reference) <= 1e-13 * np.linalg.norm(reference)
 
-        ansatz = random_ansatz(rng, 9, 2, 2)
-        rho = random_density(rng, 9)
-        whole = build_correlation_matrix(ansatz, rho)
-        monkeypatch.setattr(engine, "FACTOR_BLOCK_ROWS", 7)
-        blocked = build_correlation_matrix(ansatz, rho)
-        scale = np.linalg.norm(whole.mat)
-        assert np.linalg.norm(blocked.mat - whole.mat) <= 1e-13 * scale
+    def test_blocks_cover_the_rows_and_outweigh_no_state(self):
+        # BLOCK_ROWS rows, fewer where the coordinates of a block would take
+        # more bytes than the state, 16 d^2
+        for dim, n_drive, n_jump in ((401, 3, 3), (101, 3, 3), (11, 2, 2), (3, 0, 3), (1, 1, 1)):
+            ansatz = LindbladAnsatz(
+                h_ops=(np.eye(dim),) * n_drive, jump_ops=(np.eye(dim),) * n_jump
+            )
+            blocks = engine._blocks(ansatz)
+            assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+            assert blocks[-1][1] == dim
+            rows = max(hi - lo for lo, hi in blocks)
+            assert rows <= engine.BLOCK_ROWS
+            assert rows == 1 or 16 * rows * dim * ansatz.n_params <= 16 * dim**2
 
     def test_non_hermitian_state_rejected(self, rng):
         ansatz = random_ansatz(rng, 4, 1, 1)
@@ -505,19 +594,21 @@ class TestCorrelationMatrix:
         with pytest.raises(NotHermitianError):
             build_correlation_matrix(ansatz, rho)
 
-    def test_peak_memory_below_the_complex_image_stack(self):
-        # a complex (J + K^2, d, d) stack of the images would take 16 P d^2
-        # bytes; the real coordinate matrix that is kept takes half of that
-        model = build_model(CollectiveSpec(n_spins=100, omega0=1.5, kappa=1.0))
-        stack_bytes = 16 * model.ansatz.n_params * model.ansatz.dim**2
+    @pytest.mark.parametrize("basis", ["full3", "xy2"])
+    def test_peak_memory_does_not_grow_with_the_ansatz(self, basis):
+        # the coordinates A of the images would take 8 (J + K^2) d^2 bytes,
+        # 12 states' worth in the full basis; the blocks of A are folded
+        # into R as they are formed, so the reconstruction's heap stays
+        # within four d x d complex arrays whatever J + K^2 is
+        model = build_model(CollectiveSpec(n_spins=100, omega0=1.5, kappa=1.0, basis=basis))
         tracemalloc.start()
         try:
-            corr = build_correlation_matrix(model.ansatz, model.rho_ss)
+            result = reverse_engineer(model.ansatz, model.rho_ss)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert corr.coordinates.nbytes == stack_bytes // 2
-        assert peak < stack_bytes
+        assert not hasattr(result.corr, "coordinates")
+        assert peak <= 4 * 16 * model.ansatz.dim**2
 
     def test_gram_matrix_psd(self, rng):
         for _ in range(5):
@@ -556,9 +647,12 @@ class TestHermitianParameterBasis:
         mapped = np.tensordot(hermitian_parameter_basis(2, 3).T, images, axes=1)
         scale = np.linalg.norm(images)
         assert np.linalg.norm(mapped - mapped.conj().transpose(0, 2, 1)) <= 1e-13 * scale
-        # the columns of term_images are their coordinates
-        rebuilt = hermitian_from_coordinates(term_images(ansatz, rho).T, 5)
-        assert np.linalg.norm(rebuilt - mapped) <= 1e-13 * scale
+        # the rows of term_images hold their coordinates up to an orthogonal
+        # map: the Gram matrices agree
+        rows = single_block(ansatz, rho)
+        coords = hermitian_coordinates(mapped)
+        gram = coords @ coords.T
+        assert np.linalg.norm(rows.T @ rows - gram) <= 1e-13 * np.linalg.norm(gram)
 
 
 class TestUnpack:

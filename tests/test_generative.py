@@ -212,3 +212,31 @@ def test_banded_products_match_matmul(seed, dim, corners):
     out[:] = np.nan
     op.left(x.T, out)
     np.testing.assert_allclose(out, mat @ x.T, rtol=0, atol=1e-14 * scale)
+    # rows first .. first + n alone, reading only the rows of x they need
+    first = int(rng.integers(0, dim))
+    rows = np.full((int(rng.integers(1, dim - first + 1)), dim), np.nan, dtype=complex)
+    op.left(x, rows, first)
+    expected = (mat @ x)[first:first + len(rows)]
+    np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-14 * scale)
+
+
+@SETTINGS
+@given(seed=SEEDS, dim=st.integers(1, 60))
+def test_banded_operator_product_matches_matmul(seed, dim):
+    # random diagonals, the outermost offsets +-(d - 1) among them
+    rng = np.random.default_rng(seed)
+
+    def banded():
+        offsets = {1 - dim, dim - 1} | set(rng.integers(1 - dim, dim, 3).tolist())
+        return Operator(dim, [
+            (o, rng.standard_normal(dim - abs(o)) + 1j * rng.standard_normal(dim - abs(o)))
+            for o in offsets
+        ])
+
+    a, b = banded(), banded()
+    product = (a @ b).dense()
+    expected = a.dense() @ b.dense()
+    scale = np.abs(a.dense()).sum(axis=1).max() * np.abs(b.dense()).max()
+    np.testing.assert_allclose(product, expected, rtol=0, atol=1e-14 * scale)
+    nonzero = {o for o in range(1 - dim, dim) if np.diagonal(expected, o).any()}
+    assert {o for o, _ in (a @ b).diagonals} == nonzero

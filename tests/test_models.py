@@ -188,6 +188,25 @@ class TestCollectiveSteadyState:
         flow = apply_lindbladian(params, model.ansatz, model.rho_ss)
         assert np.linalg.norm(flow) < 1e-10
 
+    @pytest.mark.parametrize("n_spins", [2, 7, 8, 31, 32, 39, 40, 63, 64, 71, 72, 128, 400])
+    @pytest.mark.parametrize("ratio", [0.1, 0.7, 1.5])
+    def test_column_blocks_give_the_bits_of_one_product(self, n_spins, ratio):
+        # eta eta^dag is formed a block of columns at a time; the reference
+        # forms eta, the product and the Hermitian average whole
+        spec = CollectiveSpec(n_spins=n_spins, omega0=ratio, kappa=1.0)
+        step = spin_ops(n_spins).sm.diagonal(-1) / (-1j * ratio * n_spins / 2.0)
+        logs = np.concatenate(([0.0], np.cumsum(np.log2(np.abs(step)))))
+        top = np.max(logs - np.minimum.accumulate(logs))
+        rows = np.arange(n_spins + 1)
+        factors = np.where(rows[:, None] > rows[None, :], np.append(1.0, step)[:, None], 1.0)
+        factors[0] = 2.0 ** -max(0.0, np.ceil(top + np.log2(n_spins + 1) - 511.5))
+        eta = np.tril(np.cumprod(factors, axis=0))
+        reference = eta @ eta.conj().T
+        reference /= np.trace(reference).real
+        reference = (reference + reference.conj().T) / 2
+        rho = collective_steady_state(spec, spin_ops(n_spins))
+        assert rho.tobytes() == reference.tobytes()
+
     @pytest.mark.parametrize("n_spins", [2, 3, 10, 60, 200])
     @pytest.mark.parametrize("ratio", [0.5, 2.0])
     def test_matches_dense_horner_reference(self, n_spins, ratio):

@@ -10,6 +10,7 @@ from lindrec.errors import (
 )
 from lindrec.models import CoherentSpec, analytic_corr_matrix
 from lindrec.numerics import (
+    asymmetry,
     eigh,
     extract_kernel,
     hermitian_coordinates,
@@ -54,11 +55,25 @@ class TestHermitianPart:
         a = random_hermitian(rng, 5)
         assert hermitian_part(a, "a") is a
 
-    def test_near_hermitian_input_is_averaged_bitwise(self, rng):
-        a = random_hermitian(rng, 5) + 1e-12 * rng.standard_normal((5, 5))
+    @pytest.mark.parametrize("dim", [5, 70])
+    def test_near_hermitian_input_is_averaged_bitwise(self, rng, dim):
+        a = random_hermitian(rng, dim) + 1e-12 * rng.standard_normal((dim, dim))
         expected = (a + a.conj().T) / 2
         np.testing.assert_array_equal(hermitian_part(a, "a"), expected)
         assert hermitian_part(expected, "a") is expected
+
+    def test_asymmetry_in_any_block_of_rows(self, rng):
+        # the check runs over blocks of rows: one asymmetric entry in the
+        # last rows, or below the diagonal of the first, is found
+        for entry in ((69, 3), (3, 69), (40, 2)):
+            a = random_hermitian(rng, 70)
+            a[entry] += 1e-12
+            expected = 2**0.5 * 1e-12 / np.linalg.norm(a)  # the entry and its mirror
+            assert asymmetry(a) == pytest.approx(expected, rel=1e-3, abs=0)
+            assert hermitian_part(a, "a") is not a
+            a[entry] += 1.0
+            with pytest.raises(NotHermitianError, match="a asymmetry"):
+                hermitian_part(a, "a")
 
 
 class TestEigh:

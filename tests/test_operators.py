@@ -89,11 +89,12 @@ class TestDiagonalConstruction:
                 # equal entries; a zero may carry the other sign where the
                 # dense arithmetic met the conjugated zero of an adjoint
                 np.testing.assert_array_equal(got, matrix)
-        images = term_images(model.ansatz, model.rho_ss)
+        dim = model.ansatz.dim
+        images = term_images(model.ansatz, model.rho_ss, 0, dim)
         # the same products through the same kernel
-        assert_bitwise_equal(images, term_images(scanned, model.rho_ss))
+        assert_bitwise_equal(images, term_images(scanned, model.rho_ss, 0, dim))
         # np.matmul sums the products of a row in another order
-        expected = term_images(dense, model.rho_ss)
+        expected = term_images(dense, model.rho_ss, 0, dim)
         assert np.linalg.norm(images - expected) <= 1e-13 * np.linalg.norm(expected)
         if isinstance(spec, CollectiveSpec):
             # the state and its residual check from the dense sector operators
@@ -152,7 +153,7 @@ class TestEdgeCases:
         dense = LindbladAnsatz(
             h_ops=[op.dense() for op in drives], jump_ops=[op.dense() for op in operators]
         )
-        assert_bitwise_equal(term_images(given, rho), term_images(dense, rho))
+        assert_bitwise_equal(term_images(given, rho, 0, dim), term_images(dense, rho, 0, dim))
 
     @pytest.mark.parametrize("dim", [1, 2, 45])
     def test_zero_operator(self, rng, dim):
@@ -162,7 +163,7 @@ class TestEdgeCases:
             np.testing.assert_array_equal(zero.diagonal(min(1, dim - 1)), 0)
             ansatz = LindbladAnsatz(h_ops=(zero,), jump_ops=(zero,))
             assert ansatz._operators[0][0] is zero
-            assert not term_images(ansatz, random_density(rng, dim)).any()
+            assert not term_images(ansatz, random_density(rng, dim), 0, dim).any()
 
     @pytest.mark.parametrize("dim", [81, 120])
     def test_outermost_offsets(self, rng, dim):
