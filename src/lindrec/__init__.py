@@ -8,7 +8,6 @@ certifies infeasibility.
 """
 
 from .engine import (
-    CorrelationMatrix,
     LindbladAnsatz,
     LindbladianParams,
     ReconstructionResult,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CoherentSpec",
     "CollectiveSpec",
-    "CorrelationMatrix",
     "LindbladAnsatz",
     "LindbladianParams",
     "Model",

@@ -197,8 +197,7 @@ class LindbladianParams:
             raise NonPhysicalVectorError("couplings must be real")
         self.c = np.asarray(np.real(c), dtype=float)
         self.gamma = np.asarray(self.gamma, dtype=complex)
-        k = self.gamma.shape[0]
-        if self.gamma.shape != (k, k):
+        if self.gamma.ndim != 2 or self.gamma.shape[0] != self.gamma.shape[1]:
             raise DimMismatchError("gamma must be a square matrix")
 
     @property
@@ -220,23 +219,6 @@ class LindbladianParams:
     def to_vector(self) -> np.ndarray:
         """Concatenate (c_1..c_J, gamma_11, gamma_12, ..., gamma_KK)."""
         return np.concatenate([self.c.astype(complex), self.gamma.reshape(-1)])
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Gram matrix M of the term images and its real square-root factor.
-
-    Rows/columns 0..J-1 of ``mat`` are the drive terms in ansatz order;
-    J..J+K^2-1 are the dissipator terms (j, k) in row-major order.
-    ``factor`` is the real upper-triangular R with M = P R^T R P^dag, P from
-    ``hermitian_parameter_basis``; R^T R = A^T A for the coordinates A of
-    the term images, so R gives the flow norm of any parameters.
-    """
-
-    mat: np.ndarray
-    n_drive: int
-    n_jump: int
-    factor: np.ndarray
 
 
 def _shaped(ansatz: LindbladAnsatz, rho: np.ndarray) -> np.ndarray:
@@ -345,20 +327,20 @@ def _blocks(ansatz: LindbladAnsatz) -> list[tuple[int, int]]:
     return [(lo, min(lo + rows, dim)) for lo in range(0, dim, rows)]
 
 
-def _flow_pair(params: LindbladianParams, shape) -> np.ndarray:
+def _flow_pair(params: LindbladianParams, n_drive: int, n_jump: int) -> np.ndarray:
     """(J + K^2, 2) columns Re z, Im z of z = P^H phi: the images combined by
     them are the Hermitian H and G with L[rho] = H + i G.  ``params`` must
-    fit ``shape``'s J and K."""
-    if params.n_drive != shape.n_drive or params.n_jump != shape.n_jump:
+    have ``n_drive`` couplings and an ``n_jump`` x ``n_jump`` rate matrix."""
+    if params.n_drive != n_drive or params.n_jump != n_jump:
         raise DimMismatchError("parameter shapes do not match the ansatz")
-    z = hermitian_parameter_basis(params.n_drive, params.n_jump).conj().T @ params.to_vector()
+    z = hermitian_parameter_basis(n_drive, n_jump).conj().T @ params.to_vector()
     return z.view(float).reshape(-1, 2)
 
 
-def _flow_norm(factor: np.ndarray, params: LindbladianParams, shape) -> float:
+def _flow_norm(factor: np.ndarray, params: LindbladianParams, n_drive: int, n_jump: int) -> float:
     """||R Re z||^2 + ||R Im z||^2 = ||A Re z||^2 + ||A Im z||^2, as
     R^T R = A^T A: the squared Frobenius norm of L[rho]."""
-    parts = factor @ _flow_pair(params, shape)
+    parts = factor @ _flow_pair(params, n_drive, n_jump)
     return float(np.vdot(parts, parts))
 
 
@@ -371,7 +353,7 @@ def apply_lindbladian(
     L[rho] on and above the diagonal in its rows, and their conjugate
     mirrors below it."""
     rho = hermitian_part(_shaped(ansatz, rho), "state")
-    pair, dim = _flow_pair(params, ansatz), ansatz.dim
+    pair, dim = _flow_pair(params, ansatz.n_drive, ansatz.n_jump), ansatz.dim
     out = np.empty((dim, dim), dtype=complex)
     for lo, hi in _blocks(ansatz):
         # the entries of H and G on and above the diagonal, the weights
@@ -394,7 +376,8 @@ def rapidity(
     """Squared Frobenius norm of L[rho] for a Hermitian ``rho``:
     ||R Re z||^2 + ||R Im z||^2 for the factor R of
     ``build_correlation_matrix`` and z = P^H phi."""
-    return _flow_norm(build_correlation_matrix(ansatz, rho).factor, params, ansatz)
+    factor = build_correlation_matrix(ansatz, rho)
+    return _flow_norm(factor, params, ansatz.n_drive, ansatz.n_jump)
 
 
 @functools.lru_cache(maxsize=None)
@@ -413,27 +396,23 @@ def hermitian_parameter_basis(n_drive: int, n_jump: int) -> np.ndarray:
     return basis
 
 
-def build_correlation_matrix(
-    ansatz: LindbladAnsatz, rho: np.ndarray
-) -> CorrelationMatrix:
-    """Gram matrix M, entries Tr(O_mu^dag O_nu) of the term images O, and
-    its real square-root factor R, built without forming M or the
-    coordinates A of the images: M = P A^T A P^dag, and QR folds each block
-    of ``term_images`` into R as it is formed, ``BLOCK_ROWS`` rows of
-    ``rho`` at a time (a non-Hermitian ``rho`` is rejected).
+def build_correlation_matrix(ansatz: LindbladAnsatz, rho: np.ndarray) -> np.ndarray:
+    """Real upper-triangular square-root factor R, J + K^2 columns and at
+    most as many rows, of the Gram matrix M, entries Tr(O_mu^dag O_nu) of
+    the term images O: M = P R^T R P^dag for P from
+    ``hermitian_parameter_basis``, with rows/columns 0..J-1 of M the drive
+    terms in ansatz order and J..J+K^2-1 the dissipator terms (j, k)
+    row-major.  Neither M nor the coordinates A of the images is formed:
+    R^T R = A^T A, and QR folds each block of ``term_images`` into R as it
+    is formed, ``BLOCK_ROWS`` rows of ``rho`` at a time (a non-Hermitian
+    ``rho`` is rejected).
     """
     rho = hermitian_part(_shaped(ansatz, rho), "state")
     factor = np.empty((0, ansatz.n_params))
     for lo, hi in _blocks(ansatz):
         block = np.linalg.qr(term_images(ansatz, rho, lo, hi), mode="r")
         factor = np.linalg.qr(np.vstack([factor, block]), mode="r")
-    basis = hermitian_parameter_basis(ansatz.n_drive, ansatz.n_jump)
-    return CorrelationMatrix(
-        mat=basis @ (factor.T @ factor) @ basis.conj().T,
-        n_drive=ansatz.n_drive,
-        n_jump=ansatz.n_jump,
-        factor=factor,
-    )
+    return factor
 
 
 def fix_global_phase(x: np.ndarray, n_drive: int, n_jump: int) -> np.ndarray:
@@ -493,13 +472,17 @@ INFEASIBLE = "infeasible"
 class ReconstructionResult:
     """Everything the reconstruction produces for one (ansatz, state) pair.
 
-    ``spectrum`` is the spectrum of M, ascending; column ``k`` of
-    ``eigenvectors`` is the packed (c, gamma row-major) unit eigenvector of
-    ``spectrum[k]``.  The first ``kernel_dim`` columns span the null space,
-    and ``solutions`` holds them unpacked, in the same order.
+    ``factor`` is the R of ``build_correlation_matrix`` for an ansatz of J =
+    ``n_drive`` drives and K = ``n_jump`` jumps.  ``spectrum`` is the
+    spectrum of M, ascending; column ``k`` of ``eigenvectors`` is the packed
+    (c, gamma row-major) unit eigenvector of ``spectrum[k]``.  The first
+    ``kernel_dim`` columns span the null space, and ``solutions`` holds them
+    unpacked, in the same order.
     """
 
-    corr: CorrelationMatrix
+    factor: np.ndarray
+    n_drive: int
+    n_jump: int
     spectrum: np.ndarray
     eigenvectors: np.ndarray
     solutions: list[LindbladianParams]
@@ -523,7 +506,7 @@ class ReconstructionResult:
     def rapidity(self, params: LindbladianParams) -> float:
         """``rapidity(params, ansatz, rho)`` for the reconstructed pair, formed
         from the stored factor with the same arithmetic."""
-        return _flow_norm(self.corr.factor, params, self.corr)
+        return _flow_norm(self.factor, params, self.n_drive, self.n_jump)
 
 
 def reverse_engineer(
@@ -541,15 +524,17 @@ def reverse_engineer(
     the closest to a true null.  The superposition search explores
     Markovian combinations of a degenerate kernel.
     """
-    corr = build_correlation_matrix(ansatz, rho)
-    spectrum, vectors, kernel_dim = extract_kernel(corr.factor, tol_null)
+    factor = build_correlation_matrix(ansatz, rho)
+    spectrum, vectors, kernel_dim = extract_kernel(factor, tol_null)
     eigenvectors = hermitian_parameter_basis(ansatz.n_drive, ansatz.n_jump) @ vectors
     # contiguous rows, as kernel_vectors gives them, so both unpack bit-equal
     solutions = [
         unpack_kernel_vector(v, ansatz.n_drive, ansatz.n_jump)
         for v in eigenvectors.T[:kernel_dim].copy()
     ]
-    return ReconstructionResult(corr, spectrum, eigenvectors, solutions)
+    return ReconstructionResult(
+        factor, ansatz.n_drive, ansatz.n_jump, spectrum, eigenvectors, solutions
+    )
 
 
 def markovian_postselect(kernel: list[LindbladianParams]) -> list[LindbladianParams]:

@@ -17,7 +17,6 @@ import numpy as np
 from .engine import LindbladAnsatz, LindbladianParams, apply_lindbladian
 from .errors import DegenerateParamsError, DimMismatchError, UnsupportedVariantError
 from .quantum_ops import (
-    Operator,
     SpinOps,
     boson_ops,
     coherent_cutoff,
@@ -160,8 +159,7 @@ def build_model(spec: ModelSpec) -> Model:
             h_ops=(ops.x, ops.p), jump_ops=(ops.a, ops.a_dag)
         )
         return Model(spec=spec, ansatz=ansatz, rho_ss=coherent_state(n_max, spec.alpha))
-    s = ops.a.diagonal(1)  # a^2 and a_dag^2 from the superdiagonal of a
-    a2, ad2 = (Operator(n_max + 1, [(offset, s[:-1] * s[1:])]) for offset in (2, -2))
+    a2, ad2 = ops.a @ ops.a, ops.a_dag @ ops.a_dag
     drives = ((a2 + ad2) / np.sqrt(2), (a2 - ad2) / (1j * np.sqrt(2)))
     jumps = (ops.a, ops.a_dag) if spec.jumps == SINGLE_JUMPS else (a2, ad2)
     ansatz = LindbladAnsatz(h_ops=drives, jump_ops=jumps)

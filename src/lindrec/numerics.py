@@ -60,19 +60,9 @@ def _hermitian_defect(a: np.ndarray) -> tuple[float, bool]:
     return squares**0.5 / max(1.0, float(np.linalg.norm(a))), exact
 
 
-def _asymmetry(a: np.ndarray, diff: np.ndarray) -> float:
-    return float(np.linalg.norm(diff) / max(1.0, np.linalg.norm(a)))
-
-
-def require_near_hermitian(a: np.ndarray, diff: np.ndarray, name: str, tol: float) -> None:
-    """Raise ``NotHermitianError`` naming ``name`` when the asymmetry
-    ||diff|| / max(1, ||a||) of a matrix A exceeds ``tol``, for ``a`` and
-    ``diff`` holding every nonzero entry of A and of A - A^dag: the
-    matrices, or the diagonals of ``quantum_ops.Operator``s."""
-    _require_asymmetry(_asymmetry(a, diff), name, tol)
-
-
 def _require_asymmetry(asym: float, name: str, tol: float) -> None:
+    """Raise ``NotHermitianError`` naming ``name`` when the asymmetry
+    ``asym`` of a matrix exceeds ``tol``."""
     if asym > tol:
         raise NotHermitianError(f"{name} asymmetry {asym:.3e} exceeds {tol:g}")
 

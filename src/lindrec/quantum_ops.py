@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffTooSmallError, DimMismatchError, EpsOutOfRangeError
-from .numerics import _as_square, hermitian_part, require_finite, require_near_hermitian
+from .numerics import _as_square, _require_asymmetry, hermitian_part, require_finite
 
 # Acceptable norm lost to the Fock truncation.
 NORM_DEFICIT_TOL = 1e-12
@@ -32,10 +32,9 @@ class Operator:
     are dropped.  ``Operator.from_dense(mat)`` finds the nonzero diagonals
     of a square matrix.  ``diagonals`` lists the (offset o, values) pairs
     held, in ascending offset, each values array of length d - |o|, and
-    ``dense()`` forms the matrix.  Sums, differences, scalar multiples, the
-    transpose ``T`` and ``adjoint()`` are new operators, formed entry by
-    entry on the diagonals as on the dense matrices.  No operation changes
-    an operator in place.
+    ``dense()`` forms the matrix.  Sums, differences, scalar multiples and
+    ``adjoint()`` are new operators, formed entry by entry on the diagonals
+    as on the dense matrices.  No operation changes an operator in place.
     """
 
     __array_ufunc__ = None  # numpy scalars and arrays defer to the operators below
@@ -136,10 +135,6 @@ class Operator:
                     )
         return Operator(dim, products.items())
 
-    @property
-    def T(self) -> Operator:
-        return Operator(self.dim, [(-o, values) for o, values in self.diagonals])
-
     def adjoint(self) -> Operator:
         return Operator(self.dim, [(-o, values.conj()) for o, values in self.diagonals])
 
@@ -157,8 +152,10 @@ class Operator:
         diff = self - adjoint
         if not diff.diagonals:
             return self
-        held, differences = ([values for _, values in op.diagonals] for op in (self, diff))
-        require_near_hermitian(np.concatenate(held), np.concatenate(differences), name, tol)
+        # the asymmetry ||A - A^dag|| / max(1, ||A||) from the entries held
+        held, differences = (np.concatenate([v for _, v in op.diagonals]) for op in (self, diff))
+        asym = float(np.linalg.norm(differences) / max(1.0, np.linalg.norm(held)))
+        _require_asymmetry(asym, name, tol)
         return (self + adjoint) / 2
 
     def left(self, x: np.ndarray, out: np.ndarray, first: int = 0) -> None:

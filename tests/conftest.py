@@ -4,7 +4,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lindrec.engine import LindbladAnsatz, LindbladianParams
+from lindrec.engine import (
+    LindbladAnsatz,
+    LindbladianParams,
+    build_correlation_matrix,
+    hermitian_parameter_basis,
+)
 from lindrec.errors import DimMismatchError
 from lindrec.numerics import asymmetry
 from lindrec.quantum_ops import boson_ops
@@ -53,6 +58,14 @@ def apply_d_term(l_j, l_k, rho):
         raise DimMismatchError("jump operator and state dimensions differ")
     kd_j = l_k.conj().T @ l_j
     return l_j @ rho @ l_k.conj().T - 0.5 * (kd_j @ rho + rho @ kd_j)
+
+
+def correlation_matrix(ansatz, rho):
+    """The Gram matrix M of the term images, P R^T R P^dag for the factor R of
+    ``build_correlation_matrix`` and P = ``hermitian_parameter_basis(J, K)``."""
+    factor = build_correlation_matrix(ansatz, rho)
+    basis = hermitian_parameter_basis(ansatz.n_drive, ansatz.n_jump)
+    return basis @ (factor.T @ factor) @ basis.conj().T
 
 
 def dense_ops(ops):

@@ -16,7 +16,6 @@ from lindrec.cli import RunConfig, run_experiment
 from lindrec.engine import (
     LindbladAnsatz,
     LindbladianParams,
-    build_correlation_matrix,
     markovian_postselect,
     markovian_superposition_search,
     rapidity,
@@ -34,7 +33,7 @@ from lindrec.models import (
 from lindrec.quantum_ops import boson_ops, coherent_state
 from lindrec.verification import norm_difference, steady_state_of
 
-from conftest import random_ansatz, random_density, random_params
+from conftest import correlation_matrix, random_ansatz, random_density, random_params
 
 R_GRID = (0.25, 0.5, 1.0)
 THETA_GRID = (0.0, np.pi / 3)
@@ -119,9 +118,8 @@ def test_criterion_01_rapidity_identity(rng):
             ansatz = random_ansatz(rng, dim, n_drive, n_jump)
             params = random_params(rng, n_drive, n_jump)
             rho = random_density(rng, dim)
-            corr = build_correlation_matrix(ansatz, rho)
             phi = params.to_vector()
-            quad = float((phi.conj() @ corr.mat @ phi).real)
+            quad = float((phi.conj() @ correlation_matrix(ansatz, rho) @ phi).real)
             value = rapidity(params, ansatz, rho)
             assert abs(value - quad) <= 1e-9 * (1 + value)
             checked += 1
@@ -218,7 +216,7 @@ def test_criterion_05_closed_form_oracle():
                 for theta in (0.0, np.pi / 3, np.pi):
                     spec = SqueezedSpec(r=r, theta=theta, jumps=jumps)
                     model = build_model(spec)
-                    numeric = build_correlation_matrix(model.ansatz, model.rho_ss).mat
+                    numeric = correlation_matrix(model.ansatz, model.rho_ss)
                     closed = analytic_corr_matrix(spec)
                     assert np.allclose(numeric, closed, atol=1e-8, rtol=1e-8), (
                         f"jumps={jumps} r={r} theta={theta}"
@@ -229,8 +227,8 @@ def test_criterion_05_closed_form_oracle():
         doubled = build_model(
             SqueezedSpec(r=1.0, theta=np.pi / 3, jumps="two", n_max=2 * base.ansatz.dim)
         )
-        m_base = build_correlation_matrix(base.ansatz, base.rho_ss).mat
-        m_doubled = build_correlation_matrix(doubled.ansatz, doubled.rho_ss).mat
+        m_base = correlation_matrix(base.ansatz, base.rho_ss)
+        m_doubled = correlation_matrix(doubled.ansatz, doubled.rho_ss)
         assert np.allclose(m_base, m_doubled, atol=1e-8, rtol=1e-8)
 
 

@@ -43,6 +43,7 @@ from lindrec.quantum_ops import (
 from conftest import (
     apply_d_term,
     apply_h_term,
+    correlation_matrix,
     random_ansatz,
     random_density,
     random_hermitian,
@@ -254,8 +255,8 @@ class TestTermImages:
         ansatz = random_ansatz(rng, 4, 1, 2)
         rho = random_density(rng, 4)
         skew = random_hermitian(rng, 4) * 1j
-        expected = build_correlation_matrix(ansatz, rho).mat
-        got = build_correlation_matrix(ansatz, rho + 1e-10 * skew).mat
+        expected = correlation_matrix(ansatz, rho)
+        got = correlation_matrix(ansatz, rho + 1e-10 * skew)
         assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("spec", [
@@ -383,6 +384,11 @@ class TestLindbladianParams:
         assert params.c.dtype == float
         np.testing.assert_array_equal(params.c, [1.0, -2.0])
 
+    @pytest.mark.parametrize("gamma", [1.0, np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2))])
+    def test_rate_matrix_must_be_square(self, gamma):
+        with pytest.raises(DimMismatchError, match="gamma must be a square matrix"):
+            LindbladianParams(c=[], gamma=gamma)
+
 
 class TestApplyLindbladian:
     def test_zero_params_zero_flow(self, rng):
@@ -431,7 +437,7 @@ class TestRapidity:
             model = build_model(case)
             ansatz, rho = model.ansatz, model.rho_ss
         result = reverse_engineer(ansatz, rho)
-        floor = 1e-14 * np.linalg.norm(result.corr.factor) ** 2
+        floor = 1e-14 * np.linalg.norm(result.factor) ** 2
         images = term_by_term_images(ansatz, rho)
         candidates = [random_params(rng, ansatz.n_drive, ansatz.n_jump) for _ in range(3)]
         for params in candidates + result.solutions:
@@ -458,9 +464,8 @@ class TestRapidity:
             ansatz = random_ansatz(rng, dim, n_drive, n_jump)
             params = random_params(rng, n_drive, n_jump)
             rho = random_density(rng, dim)
-            corr = build_correlation_matrix(ansatz, rho)
             phi = params.to_vector()
-            quad = float((phi.conj() @ corr.mat @ phi).real)
+            quad = float((phi.conj() @ correlation_matrix(ansatz, rho) @ phi).real)
             rap = rapidity(params, ansatz, rho)
             assert abs(rap - quad) <= 1e-9 * (1 + rap)
 
@@ -473,33 +478,43 @@ class TestRapidity:
             assert res.rapidity(params) == rapidity(params, ansatz, rho)
         with pytest.raises(DimMismatchError):
             res.rapidity(random_params(rng, 1, 2))
+        # parameters of the same length J + K^2 = 6, but of another (J, K)
+        for other in (random_params(rng, 6, 0), random_params(rng, 5, 1)):
+            for call in (
+                lambda: res.rapidity(other),
+                lambda: rapidity(other, ansatz, rho),
+                lambda: apply_lindbladian(other, ansatz, rho),
+            ):
+                with pytest.raises(DimMismatchError):
+                    call()
 
 
 class TestCorrelationMatrix:
     def test_coherent_vacuum_is_diagonal(self):
         model = build_model(CoherentSpec(alpha=0.0))
-        corr = build_correlation_matrix(model.ansatz, model.rho_ss)
         np.testing.assert_allclose(
-            corr.mat, np.diag([1, 1, 0, 0.5, 0.5, 2.0]), atol=1e-12
+            correlation_matrix(model.ansatz, model.rho_ss),
+            np.diag([1, 1, 0, 0.5, 0.5, 2.0]),
+            atol=1e-12,
         )
 
     def test_coherent_displaced_entry(self):
         model = build_model(CoherentSpec(alpha=1.0))
-        corr = build_correlation_matrix(model.ansatz, model.rho_ss)
+        mat = correlation_matrix(model.ansatz, model.rho_ss)
         # drive-p against the a^dag a^dag dissipator column
-        assert abs(corr.mat[1, 5] - np.sqrt(2) / 2) < 1e-10
+        assert abs(mat[1, 5] - np.sqrt(2) / 2) < 1e-10
 
     def test_matches_closed_form_for_squeezed_target(self):
         spec = SqueezedSpec(r=0.5, theta=np.pi / 3)
         model = build_model(spec)
-        corr = build_correlation_matrix(model.ansatz, model.rho_ss)
-        np.testing.assert_allclose(corr.mat, analytic_corr_matrix(spec), atol=1e-8)
+        mat = correlation_matrix(model.ansatz, model.rho_ss)
+        np.testing.assert_allclose(mat, analytic_corr_matrix(spec), atol=1e-8)
 
     def test_gram_matrix_hermitian_before_symmetrization(self, rng):
         # M is formed as P R^T R P^dag and never symmetrized afterwards
         ansatz = random_ansatz(rng, 5, 2, 2)
         rho = random_density(rng, 5)
-        mat = build_correlation_matrix(ansatz, rho).mat
+        mat = correlation_matrix(ansatz, rho)
         assert np.linalg.norm(mat - mat.conj().T) <= 1e-9 * np.linalg.norm(mat)
 
     def test_factor_reproduces_gram_matrix_of_images(self, rng):
@@ -507,16 +522,14 @@ class TestCorrelationMatrix:
         for dim, n_drive, n_jump in ((5, 2, 2), (3, 0, 3), (4, 3, 1), (2, 1, 3)):
             ansatz = random_ansatz(rng, dim, n_drive, n_jump)
             rho = random_density(rng, dim)
-            corr = build_correlation_matrix(ansatz, rho)
+            factor = build_correlation_matrix(ansatz, rho)
             images = term_by_term_images(ansatz, rho)
             gram = np.array([[np.vdot(a, b) for b in images] for a in images])
-            scale = np.linalg.norm(gram)
-            assert np.linalg.norm(corr.mat - gram) <= 1e-13 * scale
-            p = hermitian_parameter_basis(n_drive, n_jump)
-            rebuilt = p @ corr.factor.T @ corr.factor @ p.conj().T
-            assert np.linalg.norm(rebuilt - gram) <= 1e-13 * scale
-            assert not np.iscomplexobj(corr.factor)
-            assert np.array_equal(corr.factor, np.triu(corr.factor))
+            mat = correlation_matrix(ansatz, rho)
+            assert np.linalg.norm(mat - gram) <= 1e-13 * np.linalg.norm(gram)
+            assert isinstance(factor, np.ndarray) and factor.dtype == float
+            assert factor.shape[1] == n_drive + n_jump**2
+            assert np.array_equal(factor, np.triu(factor))
 
     @pytest.mark.parametrize("case", [
         # (d, J, K): random, drive-only, jump-only, d = 1 and d = 2
@@ -532,9 +545,9 @@ class TestCorrelationMatrix:
         else:
             model = build_model(case)
             ansatz, rho = model.ansatz, model.rho_ss
-        corr = build_correlation_matrix(ansatz, rho)
+        factor = build_correlation_matrix(ansatz, rho)
         expected = re_im_gram(ansatz, rho)
-        got = corr.factor.T @ corr.factor
+        got = factor.T @ factor
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("case", [
@@ -563,9 +576,9 @@ class TestCorrelationMatrix:
         assert size == 1 or dim % size
         blocks = [(lo, min(lo + size, dim)) for lo in range(0, dim, size)]
         monkeypatch.setattr(engine, "_blocks", lambda _: blocks)
-        corr = build_correlation_matrix(ansatz, rho)
+        factor = build_correlation_matrix(ansatz, rho)
         expected = re_im_gram(ansatz, rho)
-        got = corr.factor.T @ corr.factor
+        got = factor.T @ factor
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
         # the generator assembled from the same blocks
         params = random_params(rng, ansatz.n_drive, ansatz.n_jump)
@@ -607,28 +620,29 @@ class TestCorrelationMatrix:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not hasattr(result.corr, "coordinates")
+        # the result holds the (J + K^2) x (J + K^2) factor, not the images
+        assert result.factor.nbytes <= 8 * model.ansatz.n_params**2
         assert peak <= 4 * 16 * model.ansatz.dim**2
 
     def test_gram_matrix_psd(self, rng):
         for _ in range(5):
             ansatz = random_ansatz(rng, 4, 2, 2)
             rho = random_density(rng, 4)
-            w = np.linalg.eigvalsh(build_correlation_matrix(ansatz, rho).mat)
+            w = np.linalg.eigvalsh(correlation_matrix(ansatz, rho))
             assert w[0] >= -1e-9 * max(1.0, w[-1])
 
     def test_dissipator_block_index_map(self):
         # dissipator (j, k) sits at J + j K + k, row-major after the drives
         model = build_model(CoherentSpec(alpha=1.0 + 0.5j))
-        corr = build_correlation_matrix(model.ansatz, model.rho_ss)
+        mat = correlation_matrix(model.ansatz, model.rho_ss)
         jumps = model.ansatz.jump_ops
         images = [apply_h_term(h, model.rho_ss) for h in model.ansatz.h_ops]
         images += [None] * 4
         for j, k, index in ((0, 0, 2), (0, 1, 3), (1, 0, 4), (1, 1, 5)):
             images[index] = apply_d_term(jumps[j], jumps[k], model.rho_ss)
         gram = np.array([[np.vdot(a, b) for b in images] for a in images])
-        assert np.linalg.norm(corr.mat - gram) <= 1e-13 * np.linalg.norm(gram)
-        assert corr.mat.shape == (6, 6)
+        assert np.linalg.norm(mat - gram) <= 1e-13 * np.linalg.norm(gram)
+        assert mat.shape == (6, 6)
 
 
 class TestHermitianParameterBasis:
@@ -750,7 +764,7 @@ class TestReverseEngineer:
         ):
             model = build_model(spec)
             res = reverse_engineer(model.ansatz, model.rho_ss)
-            scale = np.linalg.norm(res.corr.mat)
+            scale = np.linalg.norm(correlation_matrix(model.ansatz, model.rho_ss))
             for sol in res.solutions:
                 assert rapidity(sol, model.ansatz, model.rho_ss) <= 1e-16 * scale
 

@@ -14,7 +14,6 @@ from lindrec.engine import (
     MARKOV_TOL,
     LindbladAnsatz,
     LindbladianParams,
-    build_correlation_matrix,
     markovian_superposition_search,
     reverse_engineer,
 )
@@ -22,7 +21,7 @@ from lindrec.models import SqueezedSpec, analytic_kernel_vectors
 from lindrec.quantum_ops import Operator
 from lindrec.verification import steady_state_of
 
-from conftest import random_ansatz, random_density
+from conftest import correlation_matrix, random_ansatz, random_density
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -139,8 +138,8 @@ def test_correlation_matrix_is_unitarily_covariant(seed, dim, n_drive, n_jump):
         h_ops=tuple(u @ h @ u.conj().T for h in ansatz.h_ops),
         jump_ops=tuple(u @ l @ u.conj().T for l in ansatz.jump_ops),
     )
-    mat = build_correlation_matrix(ansatz, rho).mat
-    mat_rotated = build_correlation_matrix(rotated, u @ rho @ u.conj().T).mat
+    mat = correlation_matrix(ansatz, rho)
+    mat_rotated = correlation_matrix(rotated, u @ rho @ u.conj().T)
     assert np.linalg.norm(mat_rotated - mat) <= 1e-10 * np.linalg.norm(mat)
 
 

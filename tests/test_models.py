@@ -7,7 +7,6 @@ import pytest
 from lindrec import models
 from lindrec.engine import (
     apply_lindbladian,
-    build_correlation_matrix,
     rapidity,
     reverse_engineer,
     unpack_kernel_vector,
@@ -28,7 +27,7 @@ from lindrec.models import (
 from lindrec.numerics import hermitian_part
 from lindrec.quantum_ops import boson_ops, spin_ops
 
-from conftest import check_density_matrix, dense_ops
+from conftest import check_density_matrix, correlation_matrix, dense_ops
 
 R_GRID = [0.0, 0.25, 0.5, 1.0]
 THETA_GRID = [0.0, np.pi / 3, np.pi]
@@ -308,7 +307,7 @@ class TestOracleEquivalence:
             for theta in THETA_GRID:
                 spec = SqueezedSpec(r=r, theta=theta, jumps=jumps)
                 model = build_model(spec)
-                numeric = build_correlation_matrix(model.ansatz, model.rho_ss).mat
+                numeric = correlation_matrix(model.ansatz, model.rho_ss)
                 closed = analytic_corr_matrix(spec)
                 np.testing.assert_allclose(
                     numeric, closed, atol=1e-8, rtol=1e-8,
@@ -319,7 +318,7 @@ class TestOracleEquivalence:
         for alpha in ALPHA_GRID:
             spec = CoherentSpec(alpha=alpha)
             model = build_model(spec)
-            numeric = build_correlation_matrix(model.ansatz, model.rho_ss).mat
+            numeric = correlation_matrix(model.ansatz, model.rho_ss)
             np.testing.assert_allclose(
                 numeric, analytic_corr_matrix(spec), atol=1e-8, rtol=1e-8
             )
@@ -361,4 +360,4 @@ class TestOracleEquivalence:
             params = unpack_kernel_vector(vec, 2, 2)
             assert rapidity(params, model.ansatz, model.rho_ss) < 1e-16 * np.linalg.norm(
                 vec
-            ) ** 2 * np.linalg.norm(build_correlation_matrix(model.ansatz, model.rho_ss).mat)
+            ) ** 2 * np.linalg.norm(correlation_matrix(model.ansatz, model.rho_ss))

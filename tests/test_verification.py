@@ -555,8 +555,11 @@ class TestSteadyState:
 
 class TestLazyScipy:
     def test_importing_the_package_and_cli_loads_no_scipy(self):
+        # nor does one collective reconstruction
         code = (
             "import sys, lindrec, lindrec.cli; "
+            "model = lindrec.build_model(lindrec.CollectiveSpec(n_spins=20, omega0=1.5, kappa=1.0)); "
+            "assert lindrec.reverse_engineer(model.ansatz, model.rho_ss).feasible; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         # the child finds lindrec where this process found it
