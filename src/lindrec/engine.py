@@ -69,8 +69,9 @@ class LindbladAnsatz:
     from the jumps: ``Operator``s for two ``Operator`` jumps, else d x d
     matrices.  ``jump_operators`` are the stored jumps; ``h_ops`` and
     ``jump_ops`` give the matrices, forming those of stored ``Operator``s on
-    every access.  Ansaetze compare equal only when they are the same
-    object.
+    every access.  The library no longer reads ``h_ops`` or ``jump_ops``:
+    ``term_images`` and ``verification`` work from the stored operators.
+    Ansaetze compare equal only when they are the same object.
     """
 
     def __init__(

@@ -2,14 +2,21 @@
 
 The generator is vectorized into a sparse d^2 x d^2 matrix acting on
 column-stacked states: one Kronecker product per jump channel and one for
-the effective Hamiltonian.  With real couplings and a Hermitian rate matrix
-it maps Hermitian matrices to Hermitian ones, so ``vectorize_liouvillian``
-returns it in an orthonormal basis of Hermitian operators, where it is
-real.  Steady states and residuals are obtained from the sparse real
+the effective Hamiltonian, all assembled in ``scipy.sparse`` from the
+operators the ansatz stores, with no dense d x d operator.  With real
+couplings and a Hermitian rate matrix it maps Hermitian matrices to
+Hermitian ones, so ``vectorize_liouvillian`` returns it in an orthonormal
+basis of Hermitian operators, where it is real.  Steady states and residuals are obtained from the sparse real
 matrix, without going through the correlation matrix, on one factored
 path: SuperLU factors it once, and an optional certificate inverts those
 factors densely in place with LAPACK.  scipy is imported inside the
 functions that use it, so importing lindrec does not load it.
+
+Besides scipy's getri and SuperLU, verification makes no threaded BLAS
+call: numpy and scipy each bundle their own OpenBLAS, whose pool workers
+spin for a while after every threaded call, so a dense numpy product,
+``eigh`` or a long ``norm`` would keep numpy's worker spinning on the core
+that the certificate's getri needs.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .numerics import (
     hermitian_part,
     require_finite,
 )
+from .quantum_ops import Operator
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -46,9 +54,10 @@ def vectorize_liouvillian(
     duplicates, no explicit zeros.
 
     U is the unitary of ``numerics.hermitian_coordinates``; column stacking
-    turns A rho B into (B^T kron A) vec(rho).  With gamma = W diag(s) V^H
-    the jump terms are sum_m s_m A_m rho B_m^dag over the channels
-    A_m = sum_j W_jm L_j and B_m = sum_k V_km L_k, one product
+    turns A rho B into (B^T kron A) vec(rho).  The operators are read as the
+    ansatz stores them and combined as sparse arrays (``_csr``).  With
+    gamma = W diag(s) V^H the jump terms are sum_m s_m A_m rho B_m^dag over
+    the channels A_m = sum_j W_jm L_j and B_m = sum_k V_km L_k, one product
     conj(B_m) kron A_m each.  The rest is K rho + rho K^dag with one
     effective Hamiltonian K = -iH - 1/2 sum_jk gamma_jk L_k^dag L_j, or
     -iH - 1/2 sum_m s_m B_m^dag A_m.  For a Hermitian rho that is
@@ -70,19 +79,20 @@ def vectorize_liouvillian(
         raise DimTooLargeError(f"superoperator dimension {d * d} exceeds {MAX_SUPEROP_DIM}")
     if params.n_drive != ansatz.n_drive or params.n_jump != ansatz.n_jump:
         raise DimMismatchError("parameter shapes do not match the ansatz")
-    k_eff = np.zeros((d, d), dtype=complex)
-    if params.n_drive:
-        k_eff -= 1j * np.tensordot(params.c, np.array(ansatz.h_ops), axes=1)
+    h_ops, jump_ops, _ = ansatz._operators
+    k_eff = sparse.csr_array((d, d), dtype=complex)
+    for c_j, h_j in zip(params.c, h_ops):
+        k_eff = k_eff - 1j * c_j * _csr(h_j)
     terms = []
     if params.n_jump:
-        jumps = np.array(ansatz.jump_ops)
+        jumps = [_csr(l_j) for l_j in jump_ops]
         w, s, vh = np.linalg.svd(gamma)
-        for s_m, a_m, b_m in zip(
-            s, np.tensordot(w.T, jumps, axes=1), np.tensordot(vh.conj(), jumps, axes=1)
-        ):
-            k_eff -= 0.5 * s_m * (b_m.conj().T @ a_m)
-            terms.append(s_m * sparse.kron(sparse.csr_array(b_m.conj()), sparse.csr_array(a_m)))
-    terms.append(sparse.kron(sparse.eye_array(d, format="csr"), sparse.csr_array(2 * k_eff)))
+        for m, s_m in enumerate(s):
+            a_m = sum(w[j, m] * l_j for j, l_j in enumerate(jumps))
+            b_m = sum(vh[m, k].conj() * l_k for k, l_k in enumerate(jumps))
+            k_eff = k_eff - 0.5 * s_m * (b_m.conj().T @ a_m)
+            terms.append(s_m * sparse.kron(b_m.conj(), a_m))
+    terms.append(sparse.kron(sparse.eye_array(d, format="csr"), 2 * k_eff))
     superop = sum(terms[1:], terms[0]).tocsr()
     del terms  # the Kronecker products are not held through the change of basis
     i, j = np.triu_indices(d, 1)
@@ -98,6 +108,19 @@ def vectorize_liouvillian(
     gen.eliminate_zeros()
     gen.sum_duplicates()
     return gen
+
+
+def _csr(op: Operator | np.ndarray) -> sparse.csr_array:
+    """An ansatz operator as a complex CSR array: an ``Operator`` from its
+    diagonals, a matrix by its nonzero entries."""
+    from scipy import sparse
+
+    if not isinstance(op, Operator):
+        return sparse.csr_array(op)
+    if not op.diagonals:
+        return sparse.csr_array(op.shape, dtype=complex)
+    offsets, values = zip(*op.diagonals)
+    return sparse.diags_array(values, offsets=offsets, shape=op.shape, format="csr")
 
 
 @dataclass
@@ -132,13 +155,17 @@ class SteadyStateResult:
 
 
 def _canonicalize_state(rho: np.ndarray) -> np.ndarray:
-    """Sign-fix on the trace, clamp tiny negatives, normalize a Hermitian matrix."""
+    """Sign-fix on the trace, clamp tiny negatives, normalize a Hermitian matrix.
+
+    The eigenvectors, and the product that clamps with them, are formed only
+    when the smallest eigenvalue is a tiny negative; the output is that of
+    clamping through ``eigh`` on every call."""
     if np.trace(rho).real < 0:
         rho = -rho
-    w, v = np.linalg.eigh(rho)
-    if w[0] < 0 and w[0] > -1e-8:
-        w = np.maximum(w, 0.0)
-        rho = (v * w) @ v.conj().T
+    low = np.linalg.eigvalsh(rho)[0]
+    if low < 0 and low > -1e-8:
+        w, v = np.linalg.eigh(rho)
+        rho = (v * np.maximum(w, 0.0)) @ v.conj().T
     tr = np.trace(rho).real
     if abs(tr) < 1e-300:
         raise NoSteadyStateError("null vector has vanishing trace")
@@ -232,8 +259,9 @@ def _null_residual(
     and the scale ||T||_F / d of the residual gates."""
     rho = _canonicalize_state(hermitian_from_coordinates(coords, dim))
     residual = float(np.linalg.norm(gen @ hermitian_coordinates(rho)))
-    # the stored entries of T are its nonzeros, each once
-    scale = float(np.linalg.norm(gen.data)) / dim
+    # the stored entries of T are its nonzeros, each once; summed by numpy, not
+    # by the BLAS dot product of np.linalg.norm
+    scale = float(np.sqrt(np.sum(gen.data * gen.data))) / dim
     return rho, residual, scale
 
 

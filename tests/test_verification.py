@@ -23,19 +23,21 @@ from lindrec.errors import (
     NotHermitianError,
 )
 from lindrec.models import (
+    XY_BASIS,
     CoherentSpec,
     CollectiveSpec,
     SqueezedSpec,
     build_model,
     collective_generator_params,
 )
-from lindrec.numerics import asymmetry, hermitian_coordinates
+from lindrec.numerics import asymmetry, hermitian_coordinates, hermitian_from_coordinates
 from lindrec.quantum_ops import Operator, mix_with_identity
 from lindrec.verification import (
     MAX_SUPEROP_DIM,
     NULL_SV_TOL,
     SteadyStateResult,
     _bordered,
+    _canonicalize_state,
     _one_inf,
     _steady_state_factored,
     _steady_state_svd,
@@ -99,6 +101,22 @@ def dense_superop(params, ansatz):
     return out
 
 
+def mixed_ansatz(rng, dim):
+    """Two drives and three jumps of dimension ``dim``, each kind mixing
+    ``Operator``s (banded and from a full matrix) with dense matrices."""
+
+    def random_op():
+        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+    off = rng.standard_normal(dim - 1) + 1j * rng.standard_normal(dim - 1)
+    banded_drive = Operator(dim, [(-1, off.conj()), (0, rng.standard_normal(dim)), (1, off)])
+    banded_jump = Operator(dim, [(offset, random_op().diagonal(offset)) for offset in (-1, 1)])
+    return LindbladAnsatz(
+        h_ops=(banded_drive, random_hermitian(rng, dim)),
+        jump_ops=(banded_jump, random_op(), Operator.from_dense(random_op())),
+    )
+
+
 def gamma_with_zero_rate(rng, n_jump):
     """Hermitian PSD rate matrix with one zero rate (up to roundoff)."""
     _, chans = np.linalg.eigh(random_hermitian(rng, n_jump))
@@ -154,9 +172,12 @@ class TestVectorize:
         np.testing.assert_array_equal(gen.data, data)
 
     def test_zero_params_zero_matrix(self, rng):
-        ansatz = random_ansatz(rng, 3, 1, 1)
         params = LindbladianParams(c=np.zeros(1), gamma=np.zeros((1, 1)))
-        assert vectorize_liouvillian(params, ansatz).nnz == 0
+        assert vectorize_liouvillian(params, random_ansatz(rng, 3, 1, 1)).nnz == 0
+        # zero operators hold no diagonals at all
+        zero = LindbladAnsatz(h_ops=(Operator(3),), jump_ops=(Operator(3),))
+        params = LindbladianParams(c=np.ones(1), gamma=np.ones((1, 1)))
+        assert vectorize_liouvillian(params, zero).nnz == 0
 
     def test_vectorized_identity_is_left_null(self, rng):
         # the identity's coordinates are 1 at the diagonal positions, 0 elsewhere
@@ -194,8 +215,8 @@ class TestVectorize:
 
 class TestAllBandedAnsatz:
     """Coherent n_max = 99: d^2 = MAX_SUPEROP_DIM, and every operator of the
-    ansatz is stored by its diagonals, so verification reads the dense
-    matrices that ``h_ops`` and ``jump_ops`` form on access."""
+    ansatz is stored by its diagonals, from which verification forms its
+    sparse matrices."""
 
     @pytest.fixture(scope="class")
     def reconstructed(self):
@@ -227,11 +248,17 @@ class TestHermitianBasis:
     def test_real_matrix_is_the_dense_change_of_basis(self, rng, dim):
         basis = hermitian_basis(dim)
         assert np.allclose(basis.conj().T @ basis, np.eye(dim * dim), atol=1e-15)
-        for case in ("random", "no_drive", "no_jump", "zero_gamma", "zero_rate"):
+        for case in ("random", "no_drive", "no_jump", "zero_gamma", "zero_rate", "mixed"):
             n_drive = 0 if case == "no_drive" else 2
             n_jump = 0 if case == "no_jump" else 3
-            ansatz = random_ansatz(rng, dim, n_drive, n_jump)
+            if case == "mixed":
+                ansatz = mixed_ansatz(rng, dim)
+            else:
+                ansatz = random_ansatz(rng, dim, n_drive, n_jump)
             params = random_params(rng, n_drive, n_jump, hermitian_gamma=True)
+            # a complex rate matrix of full rank, unless a case zeroes rates
+            assert np.abs(params.gamma.imag).max(initial=0) > 0 or n_jump == 0
+            assert np.linalg.matrix_rank(params.gamma) == n_jump
             if case == "zero_gamma":
                 params = LindbladianParams(c=params.c, gamma=np.zeros((n_jump, n_jump)))
             elif case == "zero_rate":
@@ -551,6 +578,64 @@ class TestSteadyState:
         assert out.method == "svd"
         assert out.fallback is not None
         assert out.null_space_dim >= 2
+
+
+def canonical_state_with_eigenvectors(rho):
+    """``_canonicalize_state`` written with one ``eigh`` on every call: the
+    reference that the eigenvalue test before the clamp must reproduce bit
+    for bit."""
+    if np.trace(rho).real < 0:
+        rho = -rho
+    w, v = np.linalg.eigh(rho)
+    if w[0] < 0 and w[0] > -1e-8:
+        w = np.maximum(w, 0.0)
+        rho = (v * w) @ v.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestCanonicalState:
+    def test_bitwise_the_reference_on_each_branch(self, rng):
+        dim = 5
+        full = random_density(rng, dim)
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        pure = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real - 1e-12 * np.eye(dim)
+        negative = hermitian_from_coordinates(-2.5 * hermitian_coordinates(full), dim)
+        assert np.linalg.eigvalsh(full)[0] > 0
+        assert -1e-8 < np.linalg.eigvalsh(pure)[0] < 0  # the clamp applies
+        assert np.trace(negative).real < 0
+        for state in (full, pure, negative):
+            got = _canonicalize_state(state)
+            expected = canonical_state_with_eigenvectors(state)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+        assert np.linalg.eigvalsh(_canonicalize_state(pure))[0] > -1e-15
+
+
+class TestNoThreadedNumpyBlas:
+    """numpy and scipy each bundle an OpenBLAS whose idle workers spin after
+    a threaded call, so verification keeps numpy's pool idle: it reads the
+    stored operators, never the dense ``h_ops`` / ``jump_ops``, and calls
+    neither ``tensordot`` nor ``eigh`` on a full-rank state."""
+
+    def test_weak_collective_row_needs_neither(self, monkeypatch):
+        spec = CollectiveSpec(n_spins=6, omega0=2.0, kappa=1.0, basis=XY_BASIS)
+        model = build_model(spec)
+        ansatz = model.ansatz
+        result = reverse_engineer(ansatz, mix_with_identity(model.rho_ss, 1e-3))
+        params = unpack_kernel_vector(result.eigenvectors[:, 0], ansatz.n_drive, ansatz.n_jump)
+        repaired = repair_markovianity(params)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verification made a call it must not make")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np, "tensordot", forbidden)
+        for name in ("h_ops", "jump_ops"):
+            monkeypatch.setattr(LindbladAnsatz, name, property(forbidden))
+        certified = steady_state_of(params, ansatz, method="svd")
+        assert certified.method == "inverse" and certified.fallback is None
+        solved = steady_state_of(repaired, ansatz, method="lu")
+        assert solved.method == "lu" and solved.fallback is None
 
 
 class TestLazyScipy:
