@@ -566,14 +566,14 @@ class Experiment:
 COMMON_FLAGS = (
     Flag("--out", "out_dir", options={"help": "output directory"}),
     Flag("--tol-null", "tol_null", options={"type": float}),
-    Flag("--n-max", "n_max", options={"type": int, "help": "Fock cutoff override"}),
 )
+_N_MAX = Flag("--n-max", "n_max", options={"type": int, "help": "Fock cutoff override"})
 _ALPHA = Flag("--alpha", "alpha", _parse_complex)
 _N_GRID = Flag("--N", "n_list", _parse_int_grid, {"help": "e.g. 10,20,40 or 10..60:10"})
 _KAPPA = Flag("--kappa", "kappa", options={"type": float})
 
 EXPERIMENTS = {
-    "coherent": Experiment("coherent target, linear ansatz", _run_coherent, (_ALPHA,)),
+    "coherent": Experiment("coherent target, linear ansatz", _run_coherent, (_ALPHA, _N_MAX)),
     "squeezed": Experiment(
         "squeezed-vacuum target, quadratic drives",
         _run_squeezed,
@@ -582,6 +582,7 @@ EXPERIMENTS = {
             Flag("--theta", "theta", options={"type": float}),
             Flag("--jumps", "jumps",
                  options={"choices": [models.SINGLE_JUMPS, models.TWO_JUMPS]}),
+            _N_MAX,
         ),
     ),
     "collective": Experiment(
@@ -604,8 +605,8 @@ EXPERIMENTS = {
     "feasibility": Experiment(
         "no-go check on an impoverished ansatz",
         _run_feasibility,
-        (_ALPHA, Flag("--require-feasible", "require_feasible",
-                      options={"action": "store_true"})),
+        (_ALPHA, _N_MAX, Flag("--require-feasible", "require_feasible",
+                              options={"action": "store_true"})),
     ),
 }
 

@@ -56,8 +56,8 @@ class LindbladAnsatz:
     """Ordered operator basis spanning the candidate generators.
 
     Each operator is a ``quantum_ops.Operator`` or a square matrix.  All
-    share one dimension and have finite entries (``NonFiniteError``
-    otherwise); every drive generator must be Hermitian within 1e-10
+    share one dimension of at least 1 (``DimMismatchError`` otherwise) and
+    have finite entries (``NonFiniteError`` otherwise); every drive generator must be Hermitian within 1e-10
     (``NotHermitianError`` otherwise), and its Hermitian part is stored.  At
     least one generator (drive or jump) is required.
 
@@ -67,11 +67,8 @@ class LindbladAnsatz:
     ``Operator.from_dense(mat)`` for the banded products of a banded
     matrix).  The K^2 operators of the anticommutators are formed once
     from the jumps: ``Operator``s for two ``Operator`` jumps, else d x d
-    matrices.  ``jump_operators`` are the stored jumps; ``h_ops`` and
-    ``jump_ops`` give the matrices, forming those of stored ``Operator``s on
-    every access.  The library no longer reads ``h_ops`` or ``jump_ops``:
-    ``term_images`` and ``verification`` work from the stored operators.
-    Ansaetze compare equal only when they are the same object.
+    matrices.  ``jump_operators`` are the stored jumps.  Ansaetze compare
+    equal only when they are the same object.
     """
 
     def __init__(
@@ -88,19 +85,14 @@ class LindbladAnsatz:
         dims = {op.shape for op in h_ops + jump_ops}
         if len(dims) != 1 or any(len(s) != 2 or s[0] != s[1] for s in dims):
             raise DimMismatchError(f"inconsistent operator shapes: {dims}")
+        (shape,) = dims
+        if shape[0] < 1:
+            raise DimMismatchError(f"operators of shape {shape} are below 1 x 1")
         h_ops = tuple(_stored(h, "drive", idx) for idx, h in enumerate(h_ops))
         jump_ops = tuple(_stored(l, "jump", idx) for idx, l in enumerate(jump_ops))
         # the drives, the jumps and the Hermitian operators of the
         # anticommutators, for the products of ``term_images``
         self._operators = (h_ops, jump_ops, _anticommutator_operators(jump_ops))
-
-    @property
-    def h_ops(self) -> tuple[np.ndarray, ...]:
-        return tuple(_matrix(op) for op in self._operators[0])
-
-    @property
-    def jump_ops(self) -> tuple[np.ndarray, ...]:
-        return tuple(_matrix(op) for op in self._operators[1])
 
     @property
     def jump_operators(self) -> tuple[Operator | np.ndarray, ...]:
@@ -232,13 +224,13 @@ def _shaped(ansatz: LindbladAnsatz, rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _weights(lo: int, hi: int, dim: int, above: float = 2**0.5) -> np.ndarray:
+def _weights(lo: int, hi: int, dim: int) -> np.ndarray:
     """(hi - lo, dim - lo, 2) weights of the real and imaginary parts of the
     entries (r, c), lo <= r < hi, lo <= c < dim, of a Hermitian matrix, by
-    which their squares sum to its squared Frobenius norm: ``above`` (sqrt2)
-    for both parts above the diagonal, 1 for the real part on it, 0 below
-    it, where the entries mirror those above."""
-    weights = np.full((hi - lo, dim - lo, 2), above)
+    which their squares sum to its squared Frobenius norm: sqrt2 for both
+    parts above the diagonal, 1 for the real part on it, 0 below it, where
+    the entries mirror those above."""
+    weights = np.full((hi - lo, dim - lo, 2), 2**0.5)
     for row in range(hi - lo):
         weights[row, :row + 1] = 0.0
         weights[row, row, 0] = 1.0
@@ -246,16 +238,13 @@ def _weights(lo: int, hi: int, dim: int, above: float = 2**0.5) -> np.ndarray:
 
 
 def term_images(ansatz: LindbladAnsatz, rho: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows lo .. hi - 1 of the term images in coordinates: a real
-    (2 (hi - lo)(d - lo), J + K^2) matrix whose column q holds the entries
+    """Rows lo .. hi - 1 of the combined term images: a complex
+    (J + K^2, hi - lo, d - lo) array whose entry [q, r - lo, c - lo] is entry
     (r, c), lo <= r < hi, lo <= c < d, of the Hermitian image
-    X_q = sum_mu P[mu, q] O_mu, row-major, each as its real and imaginary
-    part times ``_weights``.  O are the term images of ``rho`` and P is
+    X_q = sum_mu P[mu, q] O_mu.  O are the term images of ``rho`` and P is
     ``hermitian_parameter_basis``: the drive images, D_kk, and for j < k
-    (D_jk + D_kj)/sqrt2 at column J + j + k K and i (D_jk - D_kj)/sqrt2 at
-    J + k + j K.  As X_q is Hermitian, the rows of all blocks hold the
-    coordinates A of ``hermitian_coordinates`` up to rows of zeros and an
-    orthogonal map, so their Gram matrix is A^T A.
+    (D_jk + D_kj)/sqrt2 at J + j + k K and i (D_jk - D_kj)/sqrt2 at
+    J + k + j K.
 
     ``rho`` must be exactly Hermitian, as ``hermitian_part`` returns it: rho h
     is then the adjoint of h rho, and the rows of rho F are the adjoints of
@@ -314,15 +303,13 @@ def term_images(ansatz: LindbladAnsatz, rho: np.ndarray, lo: int, hi: int) -> np
         images[column] -= part
         _left(f, rho[:, lo:hi], adjoint, lo)
         subtract_adjoint(images[column])
-    coordinates = images.view(float).reshape(ansatz.n_params, rows, width, 2)
-    coordinates *= _weights(lo, hi, dim)
-    return coordinates.reshape(ansatz.n_params, -1).T
+    return images
 
 
 def _blocks(ansatz: LindbladAnsatz) -> list[tuple[int, int]]:
     """Row ranges (lo, hi) of the blocks of ``term_images``: ``BLOCK_ROWS``
-    rows, but no more than d / (J + K^2), so that the coordinates of a block
-    take no more bytes than the state."""
+    rows, but no more than d / (J + K^2), so that the images of a block take
+    no more bytes than the state."""
     dim = ansatz.dim
     rows = max(1, min(BLOCK_ROWS, dim // ansatz.n_params))
     return [(lo, min(lo + rows, dim)) for lo in range(0, dim, rows)]
@@ -351,23 +338,15 @@ def apply_lindbladian(
     """Full generator action sum_j c_j H-terms + sum_jk gamma_jk D-terms on a
     Hermitian ``rho`` (a non-Hermitian one raises ``NotHermitianError``),
     assembled from the blocks of ``term_images``: each gives the entries of
-    L[rho] on and above the diagonal in its rows, and their conjugate
-    mirrors below it."""
+    L[rho] = H + i G in its rows from the block's diagonal on, and their
+    conjugate mirrors below the block."""
     rho = hermitian_part(_shaped(ansatz, rho), "state")
     pair, dim = _flow_pair(params, ansatz.n_drive, ansatz.n_jump), ansatz.dim
     out = np.empty((dim, dim), dtype=complex)
     for lo, hi in _blocks(ansatz):
-        # the entries of H and G on and above the diagonal, the weights
-        # undone; those below it are zero
-        inverse = _weights(lo, hi, dim, above=0.5**0.5)
-        h, g = (
-            (column.reshape(hi - lo, dim - lo, 2) * inverse).view(complex)[..., 0]
-            for column in (pair.T @ term_images(ansatz, rho, lo, hi).T)
-        )
-        upper, lower = h + 1j * g, h.conj() + 1j * g.conj()
-        rows = hi - lo
-        out[lo:hi, hi:], out[hi:, lo:hi] = upper[:, rows:], lower[:, rows:].T
-        out[lo:hi, lo:hi] = upper[:, :rows] + np.tril(lower[:, :rows].T, -1)
+        h, g = np.tensordot(pair.T, term_images(ansatz, rho, lo, hi), axes=1)
+        out[lo:hi, lo:] = h + 1j * g
+        out[hi:, lo:hi] = (h[:, hi - lo:].conj() + 1j * g[:, hi - lo:].conj()).T
     return out
 
 
@@ -404,14 +383,19 @@ def build_correlation_matrix(ansatz: LindbladAnsatz, rho: np.ndarray) -> np.ndar
     ``hermitian_parameter_basis``, with rows/columns 0..J-1 of M the drive
     terms in ansatz order and J..J+K^2-1 the dissipator terms (j, k)
     row-major.  Neither M nor the coordinates A of the images is formed:
-    R^T R = A^T A, and QR folds each block of ``term_images`` into R as it
-    is formed, ``BLOCK_ROWS`` rows of ``rho`` at a time (a non-Hermitian
-    ``rho`` is rejected).
+    QR folds each block of ``term_images`` into R as it is formed,
+    ``BLOCK_ROWS`` rows of ``rho`` at a time (a non-Hermitian ``rho`` is
+    rejected).  The real and imaginary parts of a block's entries, times
+    ``_weights``, are rows that hold the coordinates of
+    ``hermitian_coordinates`` up to rows of zeros and an orthogonal map, as
+    the images are Hermitian, so R^T R = A^T A.
     """
     rho = hermitian_part(_shaped(ansatz, rho), "state")
     factor = np.empty((0, ansatz.n_params))
     for lo, hi in _blocks(ansatz):
-        block = np.linalg.qr(term_images(ansatz, rho, lo, hi), mode="r")
+        coordinates = term_images(ansatz, rho, lo, hi).view(float)
+        coordinates *= _weights(lo, hi, ansatz.dim).reshape(hi - lo, -1)
+        block = np.linalg.qr(coordinates.reshape(ansatz.n_params, -1).T, mode="r")
         factor = np.linalg.qr(np.vstack([factor, block]), mode="r")
     return factor
 

@@ -27,7 +27,8 @@ NORM_DEFICIT_TOL = 1e-12
 class Operator:
     """A d x d operator held by its nonzero diagonals.
 
-    ``Operator(dim, diagonals)`` builds it from (offset o, values) pairs,
+    ``Operator(dim, diagonals)`` builds it, for an integer dim >= 1
+    (``DimMismatchError`` otherwise), from (offset o, values) pairs,
     values listing diagonal o as ``np.diagonal`` does; all-zero diagonals
     are dropped.  ``Operator.from_dense(mat)`` finds the nonzero diagonals
     of a square matrix.  ``diagonals`` lists the (offset o, values) pairs
@@ -40,6 +41,8 @@ class Operator:
     __array_ufunc__ = None  # numpy scalars and arrays defer to the operators below
 
     def __init__(self, dim: int, diagonals: Iterable[tuple[int, np.ndarray]] = ()):
+        if not isinstance(dim, numbers.Integral) or dim < 1:
+            raise DimMismatchError(f"operator dimension {dim!r} is not an integer >= 1")
         self.dim, self.diagonals = dim, []
         diagonals = sorted(diagonals, key=lambda pair: pair[0])
         offsets = [offset for offset, _ in diagonals]

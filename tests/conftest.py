@@ -12,7 +12,7 @@ from lindrec.engine import (
 )
 from lindrec.errors import DimMismatchError
 from lindrec.numerics import asymmetry
-from lindrec.quantum_ops import boson_ops
+from lindrec.quantum_ops import Operator, boson_ops
 
 
 def random_hermitian(rng, dim):
@@ -58,6 +58,16 @@ def apply_d_term(l_j, l_k, rho):
         raise DimMismatchError("jump operator and state dimensions differ")
     kd_j = l_k.conj().T @ l_j
     return l_j @ rho @ l_k.conj().T - 0.5 * (kd_j @ rho + rho @ kd_j)
+
+
+def ansatz_matrices(ansatz):
+    """The drive and jump matrices of ``ansatz``, formed from the operators it
+    stores: ``dense()`` of an ``Operator``, the matrix itself otherwise."""
+    drives, jumps, _ = ansatz._operators
+    return tuple(
+        tuple(op.dense() if isinstance(op, Operator) else op for op in ops)
+        for ops in (drives, jumps)
+    )
 
 
 def correlation_matrix(ansatz, rho):

@@ -33,7 +33,13 @@ from lindrec.models import (
 from lindrec.quantum_ops import boson_ops, coherent_state
 from lindrec.verification import norm_difference, steady_state_of
 
-from conftest import correlation_matrix, random_ansatz, random_density, random_params
+from conftest import (
+    ansatz_matrices,
+    correlation_matrix,
+    random_ansatz,
+    random_density,
+    random_params,
+)
 
 R_GRID = (0.25, 0.5, 1.0)
 THETA_GRID = (0.0, np.pi / 3)
@@ -192,17 +198,14 @@ def test_criterion_04_squeezed_two_particle_jumps():
                     * np.sinh(4 * r)
                     * (np.exp(-1j * theta) * a2 - np.exp(1j * theta) * a2.conj().T)
                 )
-                h_recovered = sum(
-                    c * h for c, h in zip(sol.c, model.ansatz.h_ops)
-                )
+                drives, jumps = ansatz_matrices(model.ansatz)
+                h_recovered = sum(c * h for c, h in zip(sol.c, drives))
                 assert 1 - operator_alignment(h_recovered, h_expected) < 1e-7
                 # rank-1 rate matrix gives one effective jump operator
                 gev, gvec = np.linalg.eigh(sol.gamma)
                 assert gev[0] > -1e-10
                 w = gvec[:, -1]
-                jump_recovered = sum(
-                    wj * l for wj, l in zip(w, model.ansatz.jump_ops)
-                )
+                jump_recovered = sum(wj * l for wj, l in zip(w, jumps))
                 jump_expected = -np.exp(-2j * theta) * np.sqrt(2) * (
                     np.cosh(2 * r) + 1
                 ) * a2 + np.sqrt(2) * (np.cosh(2 * r) - 1) * a2.conj().T

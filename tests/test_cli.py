@@ -147,6 +147,15 @@ class TestParsing:
         # an explicit 0 is rejected, not read as "no cutoff given"
         assert main([experiment, "--n-max", "0", "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("experiment", ["collective", "robustness"])
+    def test_cutoff_flag_is_rejected_without_a_fock_space(self, tmp_path, capsys, experiment):
+        # the spin runs have no Fock cutoff, so --n-max is not theirs to ignore
+        with pytest.raises(SystemExit) as exc:
+            main([experiment, "--N", "4", "--n-max", "5", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--n-max" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_eps_grid_is_a_config_error(self, tmp_path):
         assert main(["robustness", "--eps", "1e-4..x", "--out", str(tmp_path / "o")]) == 2
         with pytest.raises(ConfigInvalidError):

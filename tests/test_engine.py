@@ -41,6 +41,7 @@ from lindrec.quantum_ops import (
 )
 
 from conftest import (
+    ansatz_matrices,
     apply_d_term,
     apply_h_term,
     correlation_matrix,
@@ -96,27 +97,17 @@ class TestTermMaps:
 
 def term_by_term_images(ansatz, rho):
     """The J + K^2 image stack from the reference term maps, in index-map order."""
-    drives = [apply_h_term(h, rho) for h in ansatz.h_ops]
-    jumps = [apply_d_term(l_j, l_k, rho) for l_j in ansatz.jump_ops for l_k in ansatz.jump_ops]
+    drives, jumps = ansatz_matrices(ansatz)
+    drives = [apply_h_term(h, rho) for h in drives]
+    jumps = [apply_d_term(l_j, l_k, rho) for l_j in jumps for l_k in jumps]
     return np.array(drives + jumps).reshape(ansatz.n_params, ansatz.dim, ansatz.dim)
 
 
 def reference_rows(ansatz, rho, lo, hi):
-    """Columns: entries (r, c), lo <= r < hi, lo <= c < d, row-major, of the
-    reference images combined by the basis P, sum_mu P[mu, q] O_mu, each as
-    its real and imaginary part: times sqrt2 above the diagonal, the real
-    part alone on it, none below it."""
+    """Entries (r, c), lo <= r < hi, lo <= c < d, of the reference images
+    combined by the basis P, sum_mu P[mu, q] O_mu."""
     p = hermitian_parameter_basis(ansatz.n_drive, ansatz.n_jump)
-    combined = np.tensordot(p.T, term_by_term_images(ansatz, rho), axes=1)[:, lo:hi, lo:]
-    rows, cols = np.arange(lo, hi)[:, None], np.arange(lo, ansatz.dim)
-    weights = np.where(cols > rows, 2**0.5, 0.0)
-    parts = np.stack([combined.real * (weights + (cols == rows)), combined.imag * weights], -1)
-    return parts.reshape(ansatz.n_params, -1).T
-
-
-def single_block(ansatz, rho):
-    """The coordinates A of the term images: ``term_images`` on one block."""
-    return term_images(ansatz, hermitian_part(rho, "state"), 0, ansatz.dim)
+    return np.tensordot(p.T, term_by_term_images(ansatz, rho), axes=1)[:, lo:hi, lo:]
 
 
 def re_im_gram(ansatz, rho):
@@ -185,7 +176,8 @@ class TestTermImages:
             for lo, hi in ((0, dim), (dim - 1, dim), (dim // 3, dim // 3 + 2)):
                 expected = reference_rows(ansatz, rho, lo, hi)
                 got = term_images(ansatz, rho, lo, hi)
-                assert got.shape == (2 * (hi - lo) * (dim - lo), ansatz.n_params)
+                assert got.shape == (ansatz.n_params, hi - lo, dim - lo)
+                assert got.dtype == complex
                 assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("spec", [
@@ -203,6 +195,8 @@ class TestTermImages:
         for lo, hi in ((0, dim), (dim // 2, dim // 2 + 7)):
             expected = reference_rows(model.ansatz, model.rho_ss, lo, hi)
             got = term_images(model.ansatz, model.rho_ss, lo, hi)
+            assert got.shape == (model.ansatz.n_params, hi - lo, dim - lo)
+            assert got.dtype == complex
             assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("spec", MODEL_SPECS)
@@ -271,17 +265,17 @@ class TestTermImages:
     def test_drives_stored_exactly_hermitian(self, rng):
         h = random_hermitian(rng, 4)
         h[0, 1] += 1e-12
-        stored = LindbladAnsatz(h_ops=(h,), jump_ops=()).h_ops[0]
+        ((stored,), _) = ansatz_matrices(LindbladAnsatz(h_ops=(h,), jump_ops=()))
         np.testing.assert_array_equal(stored, stored.conj().T)
         np.testing.assert_allclose(stored, h, atol=1e-12)
         # an exactly Hermitian drive is kept as given, not copied
         exact = random_hermitian(rng, 4)
-        assert LindbladAnsatz(h_ops=(exact,), jump_ops=()).h_ops[0] is exact
+        assert LindbladAnsatz(h_ops=(exact,), jump_ops=())._operators[0][0] is exact
 
 
 class TestAnsatzStorage:
     @pytest.mark.parametrize("spec", MODEL_SPECS)
-    def test_dense_accessors_return_the_operators_passed_in(self, monkeypatch, spec):
+    def test_stored_operators_are_the_operators_passed_in(self, monkeypatch, spec):
         built = []
 
         def recording(h_ops, jump_ops):
@@ -291,7 +285,7 @@ class TestAnsatzStorage:
         monkeypatch.setattr(models, "LindbladAnsatz", recording)
         ansatz = build_model(spec).ansatz
         h_ops, jump_ops = next(ops for a, *ops in built if a is ansatz)
-        for stored, given in ((ansatz.h_ops, h_ops), (ansatz.jump_ops, jump_ops)):
+        for stored, given in zip(ansatz_matrices(ansatz), (h_ops, jump_ops)):
             assert len(stored) == len(given)
             for got, expected in zip(stored, given):
                 assert got.dtype == complex
@@ -353,14 +347,13 @@ class TestAnsatzStorage:
         # the anticommutator operator of a matrix jump is a matrix
         n = l.conj().T @ l
         np.testing.assert_array_equal(anticommutator, (n + n.conj().T) * 0.25)
-        assert ansatz.h_ops[0] is h and ansatz.jump_ops[0] is l
         # an Operator with every diagonal nonzero is kept as given too
         op = Operator.from_dense(h)
         assert len(op.diagonals) == 59
         ansatz = LindbladAnsatz(h_ops=(op,), jump_ops=())
         (stored,), _, _ = ansatz._operators
         assert stored is op
-        np.testing.assert_array_equal(ansatz.h_ops[0], h)
+        np.testing.assert_array_equal(ansatz_matrices(ansatz)[0][0], h)
 
     def test_identity_semantics(self):
         drive = np.array([[1.0, 0.5], [0.5, -1.0]])
@@ -563,10 +556,8 @@ class TestCorrelationMatrix:
         if isinstance(case, tuple):
             ansatz, rho = random_ansatz(rng, *case), random_density(rng, case[0])
         elif case == "mixed":
-            ops, dense = spin_ops(12), random_ansatz(rng, 13, 1, 1)
-            ansatz = LindbladAnsatz(
-                h_ops=(ops.sx, *dense.h_ops), jump_ops=(ops.sm, *dense.jump_ops)
-            )
+            ops, (drives, jumps) = spin_ops(12), ansatz_matrices(random_ansatz(rng, 13, 1, 1))
+            ansatz = LindbladAnsatz(h_ops=(ops.sx, *drives), jump_ops=(ops.sm, *jumps))
             rho = random_density(rng, 13)
         else:
             model = build_model(case)
@@ -587,8 +578,8 @@ class TestCorrelationMatrix:
         assert np.linalg.norm(flow - reference) <= 1e-13 * np.linalg.norm(reference)
 
     def test_blocks_cover_the_rows_and_outweigh_no_state(self):
-        # BLOCK_ROWS rows, fewer where the coordinates of a block would take
-        # more bytes than the state, 16 d^2
+        # BLOCK_ROWS rows, fewer where the images of a block would take more
+        # bytes than the state, 16 d^2
         for dim, n_drive, n_jump in ((401, 3, 3), (101, 3, 3), (11, 2, 2), (3, 0, 3), (1, 1, 1)):
             ansatz = LindbladAnsatz(
                 h_ops=(np.eye(dim),) * n_drive, jump_ops=(np.eye(dim),) * n_jump
@@ -635,8 +626,8 @@ class TestCorrelationMatrix:
         # dissipator (j, k) sits at J + j K + k, row-major after the drives
         model = build_model(CoherentSpec(alpha=1.0 + 0.5j))
         mat = correlation_matrix(model.ansatz, model.rho_ss)
-        jumps = model.ansatz.jump_ops
-        images = [apply_h_term(h, model.rho_ss) for h in model.ansatz.h_ops]
+        drives, jumps = ansatz_matrices(model.ansatz)
+        images = [apply_h_term(h, model.rho_ss) for h in drives]
         images += [None] * 4
         for j, k, index in ((0, 0, 2), (0, 1, 3), (1, 0, 4), (1, 1, 5)):
             images[index] = apply_d_term(jumps[j], jumps[k], model.rho_ss)
@@ -661,12 +652,11 @@ class TestHermitianParameterBasis:
         mapped = np.tensordot(hermitian_parameter_basis(2, 3).T, images, axes=1)
         scale = np.linalg.norm(images)
         assert np.linalg.norm(mapped - mapped.conj().transpose(0, 2, 1)) <= 1e-13 * scale
-        # the rows of term_images hold their coordinates up to an orthogonal
-        # map: the Gram matrices agree
-        rows = single_block(ansatz, rho)
+        # the factor's Gram matrix is that of their coordinates
+        factor = build_correlation_matrix(ansatz, rho)
         coords = hermitian_coordinates(mapped)
         gram = coords @ coords.T
-        assert np.linalg.norm(rows.T @ rows - gram) <= 1e-13 * np.linalg.norm(gram)
+        assert np.linalg.norm(factor.T @ factor - gram) <= 1e-13 * np.linalg.norm(gram)
 
 
 class TestUnpack:
@@ -794,10 +784,8 @@ class TestReverseEngineer:
         # doubling a drive operator halves its recovered coefficient
         alpha = 1 + 0.5j
         base = build_model(CoherentSpec(alpha=alpha))
-        doubled = LindbladAnsatz(
-            h_ops=(2 * base.ansatz.h_ops[0], base.ansatz.h_ops[1]),
-            jump_ops=base.ansatz.jump_ops,
-        )
+        (h_0, h_1), jumps = ansatz_matrices(base.ansatz)
+        doubled = LindbladAnsatz(h_ops=(2 * h_0, h_1), jump_ops=jumps)
         sol_base = reverse_engineer(base.ansatz, base.rho_ss).solutions[0]
         sol_doubled = reverse_engineer(doubled, base.rho_ss).solutions[0]
         ratio_base = sol_base.c[0] / sol_base.gamma[0, 0].real

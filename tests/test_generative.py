@@ -21,7 +21,7 @@ from lindrec.models import SqueezedSpec, analytic_kernel_vectors
 from lindrec.quantum_ops import Operator
 from lindrec.verification import steady_state_of
 
-from conftest import correlation_matrix, random_ansatz, random_density
+from conftest import ansatz_matrices, correlation_matrix, random_ansatz, random_density
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -134,10 +134,9 @@ def test_correlation_matrix_is_unitarily_covariant(seed, dim, n_drive, n_jump):
     ansatz = random_ansatz(rng, dim, n_drive, n_jump)
     rho = random_density(rng, dim)
     u = random_unitary(rng, dim)
-    rotated = LindbladAnsatz(
-        h_ops=tuple(u @ h @ u.conj().T for h in ansatz.h_ops),
-        jump_ops=tuple(u @ l @ u.conj().T for l in ansatz.jump_ops),
-    )
+    rotated = LindbladAnsatz(*(
+        tuple(u @ op @ u.conj().T for op in ops) for ops in ansatz_matrices(ansatz)
+    ))
     mat = correlation_matrix(ansatz, rho)
     mat_rotated = correlation_matrix(rotated, u @ rho @ u.conj().T)
     assert np.linalg.norm(mat_rotated - mat) <= 1e-10 * np.linalg.norm(mat)
@@ -163,7 +162,8 @@ def test_search_is_invariant_under_complex_remixing_of_the_basis(seed, dim, n_dr
     # and a block of dephasing rates, so the kernel is degenerate and the
     # optimum is interior
     commuting = (ss.rho, ss.rho @ ss.rho)
-    ansatz = LindbladAnsatz(h_ops=ansatz.h_ops + commuting, jump_ops=ansatz.jump_ops + commuting)
+    drives, jumps = ansatz_matrices(ansatz)
+    ansatz = LindbladAnsatz(h_ops=drives + commuting, jump_ops=jumps + commuting)
     basis = np.array(reverse_engineer(ansatz, ss.rho).kernel_vectors).T
     remixed = basis @ random_unitary(rng, basis.shape[1])
     sizes = (ansatz.n_drive, ansatz.n_jump)

@@ -27,7 +27,7 @@ from lindrec.models import (
 from lindrec.numerics import hermitian_part
 from lindrec.quantum_ops import boson_ops, spin_ops
 
-from conftest import check_density_matrix, correlation_matrix, dense_ops
+from conftest import ansatz_matrices, check_density_matrix, correlation_matrix, dense_ops
 
 R_GRID = [0.0, 0.25, 0.5, 1.0]
 THETA_GRID = [0.0, np.pi / 3, np.pi]
@@ -61,15 +61,16 @@ class TestBuildModel:
         model = build_model(SqueezedSpec(r=0.3, jumps="two"))
         space_dim = model.ansatz.dim
         a = np.diag(np.sqrt(np.arange(1, space_dim)), 1).astype(complex)
-        np.testing.assert_allclose(model.ansatz.jump_ops[0], a @ a)
-        np.testing.assert_allclose(model.ansatz.jump_ops[1], (a @ a).conj().T)
+        _, (a2, ad2) = ansatz_matrices(model.ansatz)
+        np.testing.assert_allclose(a2, a @ a)
+        np.testing.assert_allclose(ad2, (a @ a).conj().T)
 
     @pytest.mark.parametrize("n_max", [40, 164, 1212])
     def test_squared_ladder_operators_from_the_superdiagonal(self, n_max):
         # a^2 and a^dag^2 formed from one diagonal equal the dense products
         ops = dense_ops(boson_ops(n_max))
         model = build_model(SqueezedSpec(r=0.5, jumps="two", n_max=n_max))
-        a2, ad2 = model.ansatz.jump_ops
+        _, (a2, ad2) = ansatz_matrices(model.ansatz)
         np.testing.assert_array_equal(a2, ops.a @ ops.a)
         np.testing.assert_array_equal(ad2, ops.a_dag @ ops.a_dag)
 
@@ -78,8 +79,9 @@ class TestBuildModel:
         model = build_model(spec)
         ops = dense_ops(spin_ops(8))
         scale = np.sqrt(4.0)
-        np.testing.assert_allclose(model.ansatz.h_ops[0], ops.sx)
-        np.testing.assert_allclose(model.ansatz.jump_ops[0], ops.sx / scale)
+        drives, jumps = ansatz_matrices(model.ansatz)
+        np.testing.assert_allclose(drives[0], ops.sx)
+        np.testing.assert_allclose(jumps[0], ops.sx / scale)
 
     def test_default_cutoffs_grow_with_squeezing(self):
         assert default_cutoff(SqueezedSpec(r=1.0)) > default_cutoff(SqueezedSpec(r=0.5))

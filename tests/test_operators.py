@@ -17,7 +17,7 @@ from lindrec.quantum_ops import (
     spin_ops,
 )
 
-from conftest import random_density
+from conftest import ansatz_matrices, random_density
 
 
 def dense_spin_ops(n_spins):
@@ -84,7 +84,7 @@ class TestDiagonalConstruction:
             h_ops=[Operator.from_dense(m) for m in drives],
             jump_ops=[Operator.from_dense(m) for m in jumps],
         )
-        for stored, matrices in ((model.ansatz.h_ops, drives), (model.ansatz.jump_ops, jumps)):
+        for stored, matrices in zip(ansatz_matrices(model.ansatz), (drives, jumps)):
             for got, matrix in zip(stored, matrices, strict=True):
                 # equal entries; a zero may carry the other sign where the
                 # dense arithmetic met the conjugated zero of an adjoint
@@ -129,7 +129,7 @@ class TestStorageIndependence:
         # the model's Operators against the same operators as dense matrices:
         # the products differ in roundoff, the kernel and spectrum do not
         model = build_model(spec)
-        dense = LindbladAnsatz(h_ops=model.ansatz.h_ops, jump_ops=model.ansatz.jump_ops)
+        dense = LindbladAnsatz(*ansatz_matrices(model.ansatz))
         banded, given = (reverse_engineer(a, model.rho_ss) for a in (model.ansatz, dense))
         assert banded.kernel_dim == given.kernel_dim >= 1
         projectors = [
@@ -200,7 +200,7 @@ class TestEdgeCases:
             LindbladAnsatz(h_ops=(upper,), jump_ops=())
         # within 1e-10 the stored drive is the Hermitian part, as the dense rule gives it
         near = upper + (upper.adjoint() + Operator(dim, [(-1, np.full(dim - 1, 1e-12j))]))
-        stored = LindbladAnsatz(h_ops=(near,), jump_ops=()).h_ops[0]
+        ((stored,), _) = ansatz_matrices(LindbladAnsatz(h_ops=(near,), jump_ops=()))
         assert_bitwise_equal(stored, hermitian_part(near.dense(), "drive", tol=1e-10))
         exact = spin_ops(dim - 1).sx
         assert LindbladAnsatz(h_ops=(exact,), jump_ops=())._operators[0][0] is exact
@@ -216,6 +216,19 @@ class TestEdgeCases:
         for diagonals in ([(1, np.ones(5))], [(7, np.ones(1))], [(0, np.ones(7))] * 2):
             with pytest.raises(DimMismatchError):
                 Operator(7, diagonals)
+
+    def test_empty_dimension_rejected(self):
+        # an ansatz on no state would report a kernel for nothing
+        empty = np.zeros((0, 0))
+        for h_ops, jump_ops in (((empty,), (empty,)), ((), (empty,)), ((empty,), ())):
+            with pytest.raises(DimMismatchError, match="below 1 x 1"):
+                LindbladAnsatz(h_ops=h_ops, jump_ops=jump_ops)
+        for dim in (0, -2, np.int64(-1), 2.0, "3", None):
+            with pytest.raises(DimMismatchError, match="not an integer >= 1"):
+                Operator(dim)
+        with pytest.raises(DimMismatchError, match="not an integer >= 1"):
+            Operator.from_dense(empty)
+        assert Operator(np.int64(3)).shape == (3, 3)
 
 
     def test_non_square_matrix_rejected(self):

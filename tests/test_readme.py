@@ -1,11 +1,24 @@
-"""The README's library example runs as printed."""
+"""The README's library example runs as printed, and its command lines
+are valid configurations."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
+from lindrec.cli import build_config, build_parser
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def command_lines() -> list[str]:
+    """Every ``lindrec`` line of the README's ``sh`` blocks."""
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
+    return [line for block in blocks for line in block.splitlines() if line.startswith("lindrec ")]
 
 
 def library_example() -> str:
@@ -22,3 +35,14 @@ def test_library_example_prints_what_it_promises():
     assert lines[0] == "feasible 1"
     assert lines[1] == "True"
     assert float(lines[-1]) <= 1e-12
+
+
+def test_readme_lists_command_lines():
+    assert len(command_lines()) >= 6
+
+
+@pytest.mark.parametrize("line", command_lines())
+def test_command_line_is_a_valid_config(line):
+    # parsed and validated, not run
+    argv = shlex.split(line, comments=True)[1:]
+    build_config(build_parser().parse_args(argv)).validate()

@@ -47,6 +47,7 @@ from lindrec.verification import (
 )
 
 from conftest import (
+    ansatz_matrices,
     hermitian_basis,
     random_ansatz,
     random_density,
@@ -69,10 +70,11 @@ def random_generators(rng, trials):
 def master_equation(params, ansatz, rho):
     """L[rho] written out term by term from the Lindblad form."""
     out = np.zeros_like(rho, dtype=complex)
-    for c_j, h_j in zip(params.c, ansatz.h_ops):
+    drives, jumps = ansatz_matrices(ansatz)
+    for c_j, h_j in zip(params.c, drives):
         out += -1j * c_j * (h_j @ rho - rho @ h_j)
-    for j, l_j in enumerate(ansatz.jump_ops):
-        for k, l_k in enumerate(ansatz.jump_ops):
+    for j, l_j in enumerate(jumps):
+        for k, l_k in enumerate(jumps):
             kd_j = l_k.conj().T @ l_j
             out += params.gamma[j, k] * (
                 l_j @ rho @ l_k.conj().T - 0.5 * (kd_j @ rho + rho @ kd_j)
@@ -86,12 +88,13 @@ def dense_superop(params, ansatz):
     dim = ansatz.dim
     eye = np.eye(dim)
     left = np.zeros((dim, dim), dtype=complex)
-    for c_j, h_j in zip(params.c, ansatz.h_ops):
+    drives, jumps = ansatz_matrices(ansatz)
+    for c_j, h_j in zip(params.c, drives):
         left -= 1j * c_j * h_j
     right = -left
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for j, l_j in enumerate(ansatz.jump_ops):
-        for k, l_k in enumerate(ansatz.jump_ops):
+    for j, l_j in enumerate(jumps):
+        for k, l_k in enumerate(jumps):
             out += params.gamma[j, k] * np.kron(l_k.conj(), l_j)
             kd_j = params.gamma[j, k] * (l_k.conj().T @ l_j)
             left -= 0.5 * kd_j
@@ -613,8 +616,7 @@ class TestCanonicalState:
 
 class TestNoThreadedNumpyBlas:
     """numpy and scipy each bundle an OpenBLAS whose idle workers spin after
-    a threaded call, so verification keeps numpy's pool idle: it reads the
-    stored operators, never the dense ``h_ops`` / ``jump_ops``, and calls
+    a threaded call, so verification keeps numpy's pool idle: it calls
     neither ``tensordot`` nor ``eigh`` on a full-rank state."""
 
     def test_weak_collective_row_needs_neither(self, monkeypatch):
@@ -630,8 +632,6 @@ class TestNoThreadedNumpyBlas:
 
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         monkeypatch.setattr(np, "tensordot", forbidden)
-        for name in ("h_ops", "jump_ops"):
-            monkeypatch.setattr(LindbladAnsatz, name, property(forbidden))
         certified = steady_state_of(params, ansatz, method="svd")
         assert certified.method == "inverse" and certified.fallback is None
         solved = steady_state_of(repaired, ansatz, method="lu")
