@@ -430,7 +430,8 @@ def unpack_kernel_vector(v: np.ndarray, n_drive: int, n_jump: int) -> Lindbladia
     The coordinates x = P^H v (``hermitian_parameter_basis``) must be real:
     when their imaginary part exceeds UNPACK_TOL * ||v||, or for the zero
     vector, the vector is not a physical solution and
-    ``NonPhysicalVectorError`` is raised.  Kernel vectors from
+    ``NonPhysicalVectorError`` is raised.  A vector holding a NaN or an
+    infinity raises ``NonFiniteError``.  Kernel vectors from
     ``reverse_engineer`` always pass.
     """
     v = np.asarray(v, dtype=complex).reshape(-1)
@@ -438,6 +439,7 @@ def unpack_kernel_vector(v: np.ndarray, n_drive: int, n_jump: int) -> Lindbladia
         raise DimMismatchError(
             f"vector length {v.size} != J + K^2 = {n_drive + n_jump ** 2}"
         )
+    require_finite(v, "parameter vector")
     norm = np.linalg.norm(v)
     if norm == 0:
         raise NonPhysicalVectorError("zero vector")

@@ -161,8 +161,11 @@ def extract_kernel(
     each column beyond the rank bound min(m, n); the eigenvectors, as
     columns in the same order, are the right singular vectors; a^H a is PSD
     by construction.  The first ``kernel_dim`` columns span the null space:
-    their eigenvalues lie below ``tol_null * max(1, largest eigenvalue)``.
+    their eigenvalues lie below ``tol_null * max(1, largest eigenvalue)``,
+    and ``ValueError`` is raised unless 0 < tol_null < 1.
     """
+    if not 0 < tol_null < 1:  # also False for NaN
+        raise ValueError(f"tol_null must lie in (0, 1), got {tol_null!r}")
     a = np.asarray(a)
     _, s, vh = np.linalg.svd(a)
     w = np.zeros(vh.shape[0])

@@ -7,6 +7,8 @@ import pytest
 
 from lindrec import models
 from lindrec.cli import (
+    COMMON_FLAGS,
+    EXPERIMENTS,
     RunConfig,
     _fit_rows,
     _parse_float_grid,
@@ -79,8 +81,9 @@ class TestParsing:
             (["collective", "--N", "4..8:2", "--omega-over-kappa", "1.5", "--kappa", "2"],
              {"n_list": (4, 6, 8), "omega_over_kappa": 1.5, "kappa": 2.0}),
             (["robustness", "--regime", "weak", "--N", "6", "--eps", "1e-3,1e-2",
-              "--kappa", "3"],
-             {"regime": "weak", "n_list": (6,), "eps_list": (1e-3, 1e-2), "kappa": 3.0}),
+              "--kappa", "3", "--omega-over-kappa", "1.5"],
+             {"regime": "weak", "n_list": (6,), "eps_list": (1e-3, 1e-2), "kappa": 3.0,
+              "omega_over_kappa": 1.5}),
             (["feasibility", "--alpha", "2", "--require-feasible"],
              {"alpha": 2 + 0j, "require_feasible": True}),
         ]
@@ -133,7 +136,7 @@ class TestParsing:
         assert not out.exists()
 
     def test_validate_rejects_zero_drive_in_robustness(self):
-        # robustness has no --omega-over-kappa flag; a config file can set it
+        # the drive omega0 = omega_over_kappa * kappa of every spec is zero
         with pytest.raises(ConfigInvalidError):
             RunConfig(experiment="robustness", omega_over_kappa=0.0).validate()
 
@@ -161,21 +164,36 @@ class TestParsing:
         with pytest.raises(ConfigInvalidError):
             _parse_float_grid("1e-4,abc")
 
-    def test_config_file_may_set_every_field(self, tmp_path):
-        values = {
-            "out_dir": "o", "tol_null": 1e-9, "alpha": [1.0, 2], "r": 0.3, "theta": 0,
-            "jumps": "two", "n_list": [4, 6], "omega_over_kappa": None, "kappa": 2,
-            "regime": "weak", "eps_list": [1e-3, 1e-2, 0.1], "n_max": 12,
-            "require_feasible": True,
-        }
-        assert set(values) == set(RunConfig.__dataclass_fields__) - {"experiment"}
+    # a valid config-file value of every RunConfig field but experiment
+    FILE_VALUES = {
+        "out_dir": "o", "tol_null": 1e-9, "alpha": [1.0, 2], "r": 0.3, "theta": 0.1,
+        "jumps": "two", "n_list": [4, 6], "omega_over_kappa": 1.5, "kappa": 2,
+        "regime": "weak", "eps_list": [1e-3, 1e-2, 0.1], "n_max": 12,
+        "require_feasible": True,
+    }
+
+    @pytest.mark.parametrize("key", sorted(FILE_VALUES))
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_config_file_sets_only_the_fields_of_the_subcommand_flags(
+        self, tmp_path, capsys, experiment, key
+    ):
+        assert set(self.FILE_VALUES) == set(RunConfig.__dataclass_fields__) - {"experiment"}
+        own = {flag.dest for flag in COMMON_FLAGS + EXPERIMENTS[experiment].flags}
+        values = {name: value for name, value in self.FILE_VALUES.items() if name in own}
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(values))
-        config = build_config(build_parser().parse_args(["robustness", "--config", str(path)]))
-        config.validate()
-        assert config.alpha == 1 + 2j
-        assert config.n_list == (4, 6)
-        assert config.eps_list == (1e-3, 1e-2, 0.1)
+        if key in own:
+            path.write_text(json.dumps(values))
+            config = build_config(build_parser().parse_args([experiment, "--config", str(path)]))
+            config.validate()
+            parsed = {**values, "alpha": 1 + 2j, "n_list": (4, 6), "eps_list": (1e-3, 1e-2, 0.1)}
+            assert getattr(config, key) == parsed[key]
+        else:
+            # the subcommand never reads the field, so the file may not set it
+            path.write_text(json.dumps({**values, key: self.FILE_VALUES[key]}))
+            out = tmp_path / "o"
+            assert main([experiment, "--config", str(path), "--out", str(out)]) == 2
+            assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("experiment, values", [
         ("collective", {"kappa": "1"}),

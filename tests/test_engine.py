@@ -717,6 +717,17 @@ class TestUnpack:
         with pytest.raises(DimMismatchError):
             unpack_kernel_vector(np.ones(5, dtype=complex), 2, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_vector_rejected(self, bad):
+        # NaN fails both the zero-norm and the imaginary-part comparison, so
+        # without the finiteness check it would unpack to NaN parameters
+        with pytest.raises(NonFiniteError, match="parameter vector"):
+            unpack_kernel_vector(np.full(6, bad, dtype=complex), 2, 2)
+        vec = analytic_kernel_vectors(CoherentSpec(alpha=1.0))[0].astype(complex)
+        vec[3] = bad
+        with pytest.raises(NonFiniteError, match="parameter vector"):
+            unpack_kernel_vector(vec, 2, 2)
+
 
 class TestReverseEngineer:
     def test_coherent_target_unique_solution(self):
@@ -735,6 +746,14 @@ class TestReverseEngineer:
         ana = analytic_kernel_vectors(spec)[0]
         overlap = abs(np.vdot(ana, vec)) / (np.linalg.norm(ana) * np.linalg.norm(vec))
         assert overlap > 1 - 1e-10
+
+    @pytest.mark.parametrize("tol_null", [np.nan, 0.0, -1e-10, 1.0, 2.0])
+    def test_null_tolerance_outside_the_unit_interval_rejected(self, tol_null):
+        # on this feasible target NaN, 0 and a negative tolerance would
+        # certify an empty kernel, and 2.0 would call every direction null
+        model = build_model(CoherentSpec(alpha=1.0))
+        with pytest.raises(ValueError, match="tol_null"):
+            reverse_engineer(model.ansatz, model.rho_ss, tol_null)
 
     def test_noisy_collective_target_infeasible(self):
         model = build_model(CollectiveSpec(n_spins=10, omega0=2.0, kappa=1.0, basis="xy2"))

@@ -183,6 +183,11 @@ class TestExtractKernel:
         _, _, dim_after = extract_kernel(lifted)
         assert dim_after == dim_before - 1
 
+    @pytest.mark.parametrize("tol_null", [np.nan, 0.0, -1e-10, 1.0, 2.0])
+    def test_tolerance_outside_the_unit_interval_rejected(self, tol_null):
+        with pytest.raises(ValueError, match="tol_null"):
+            extract_kernel(np.diag([0.0, 3.0]), tol_null)
+
     def test_kernel_basis_orthonormal(self, rng):
         vecs = np.linalg.qr(
             rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
