@@ -39,6 +39,10 @@ class CoherentSpec:
     alpha: complex
     n_max: int | None = None
 
+    def __post_init__(self):
+        if not np.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
+
 
 @dataclass(frozen=True)
 class SqueezedSpec:
@@ -51,8 +55,10 @@ class SqueezedSpec:
     n_max: int | None = None
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("r must be >= 0")
+        if not 0 <= self.r < np.inf:
+            raise ValueError("r must be finite and >= 0")
+        if not np.isfinite(self.theta):
+            raise ValueError("theta must be finite")
         if self.jumps not in (SINGLE_JUMPS, TWO_JUMPS):
             raise ValueError(f"jumps must be '{SINGLE_JUMPS}' or '{TWO_JUMPS}'")
 
@@ -69,10 +75,10 @@ class CollectiveSpec:
     def __post_init__(self):
         if self.n_spins < 2:
             raise ValueError("n_spins must be >= 2")
-        if self.omega0 == 0:
-            raise ValueError("omega0 must be nonzero")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be > 0")
+        if not 0 < self.kappa < np.inf:
+            raise ValueError("kappa must be finite and > 0")
+        if not 0 < abs(self.omega0) < np.inf:
+            raise ValueError("omega0 must be finite and nonzero")
         if self.basis not in (FULL_BASIS, XY_BASIS):
             raise ValueError(f"basis must be '{FULL_BASIS}' or '{XY_BASIS}'")
 

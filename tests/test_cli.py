@@ -92,6 +92,27 @@ class TestParsing:
             assert {key: getattr(config, key) for key in expected} == expected, argv
         assert build_config(parser.parse_args(["feasibility"])).require_feasible is False
 
+    @pytest.mark.parametrize("argv", [
+        ["coherent", "--alpha", "1+"],
+        # a range whose stop lies below its start holds no N
+        ["collective", "--N", "60..10"],
+    ])
+    def test_unparsable_alpha_or_empty_n_range_is_a_config_error(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", [
+        None,  # no file
+        "{",
+        '{"experiment": "coherent", "n_list": [4]}',
+    ])
+    def test_unreadable_or_mismatched_config_file_is_a_config_error(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["collective", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_n_grid_is_a_config_error(self, tmp_path):
         assert main(["collective", "--N", "abc", "--out", str(tmp_path / "o")]) == 2
         with pytest.raises(ConfigInvalidError):
@@ -200,6 +221,7 @@ class TestParsing:
         ("collective", {"n_list": 10}),
         ("coherent", {"alpha": [1]}),
         ("robustness", {"eps_list": "1e-3"}),
+        ("collective", [4]),  # the file must hold an object
     ])
     def test_config_file_value_of_the_wrong_type_is_a_config_error(
         self, tmp_path, experiment, values
@@ -221,6 +243,8 @@ class TestParsing:
 
     @pytest.mark.parametrize("argv, config", [
         (["collective", "--N", "4", "--kappa", "inf"], None),
+        # omega0 = omega_over_kappa * kappa overflows to inf
+        (["collective", "--N", "4", "--omega-over-kappa", "1e200", "--kappa", "1e200"], None),
         (["collective", "--N", "4", "--omega-over-kappa", "nan"], None),
         (["coherent", "--alpha", "nan"], None),
         (["coherent", "--alpha", "1+infj"], None),
@@ -290,6 +314,15 @@ class TestParsing:
             with pytest.raises(ConfigInvalidError):
                 _parse_float_grid(eps)
             assert main(["robustness", f"--eps={eps}", "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("config", [
+        RunConfig(experiment="nope"),
+        RunConfig(experiment="robustness", regime="medium"),
+        RunConfig(experiment="collective", n_list=()),
+    ])
+    def test_validate_rejects_unknown_names_and_an_empty_grid(self, config):
+        with pytest.raises(ConfigInvalidError):
+            config.validate()
 
     def test_validate_rejects_bad_tolerance(self):
         config = RunConfig(experiment="coherent", tol_null=1.0)

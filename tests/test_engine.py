@@ -355,6 +355,10 @@ class TestAnsatzStorage:
         assert stored is op
         np.testing.assert_array_equal(ansatz_matrices(ansatz)[0][0], h)
 
+    def test_ansatz_without_operators_rejected(self):
+        with pytest.raises(DimMismatchError):
+            LindbladAnsatz((), ())
+
     def test_identity_semantics(self):
         drive = np.array([[1.0, 0.5], [0.5, -1.0]])
         first, second = (LindbladAnsatz(h_ops=(drive,), jump_ops=()) for _ in range(2))
@@ -399,6 +403,12 @@ class TestApplyLindbladian:
         params = LindbladianParams(c=c, gamma=gamma)
         flow = apply_lindbladian(params, model.ansatz, model.rho_ss)
         assert np.linalg.norm(flow) < 1e-9
+
+    def test_state_of_another_dimension_rejected(self, rng):
+        ansatz = random_ansatz(rng, 4, 1, 1)
+        params = random_params(rng, 1, 1, hermitian_gamma=True)
+        with pytest.raises(DimMismatchError):
+            apply_lindbladian(params, ansatz, random_density(rng, 5))
 
     def test_trace_preserved(self, rng):
         ansatz = random_ansatz(rng, 5, 2, 2)
@@ -597,6 +607,11 @@ class TestCorrelationMatrix:
         rho[0, 1] += 1e-3
         with pytest.raises(NotHermitianError):
             build_correlation_matrix(ansatz, rho)
+
+    def test_state_of_another_dimension_rejected(self, rng):
+        ansatz = random_ansatz(rng, 4, 1, 1)
+        with pytest.raises(DimMismatchError):
+            build_correlation_matrix(ansatz, random_density(rng, 5))
 
     @pytest.mark.parametrize("basis", ["full3", "xy2"])
     def test_peak_memory_does_not_grow_with_the_ansatz(self, basis):
@@ -858,6 +873,11 @@ class TestMarkovianPostprocessing:
 
 
 class TestSuperpositionSearch:
+    def test_empty_basis_yields_nothing(self):
+        res = markovian_superposition_search([], 2, 2)
+        assert res.solutions == [] and res.direction_supported == []
+        assert res.max_min_rate is None
+
     def test_single_psd_vector_passes_through(self):
         vec = analytic_kernel_vectors(CoherentSpec(alpha=1.0))[0]
         res = markovian_superposition_search([vec], 2, 2)

@@ -34,6 +34,26 @@ THETA_GRID = [0.0, np.pi / 3, np.pi]
 ALPHA_GRID = [0.0, 1.0, 1 + 1j, 2j]
 
 
+class TestSpecRules:
+    # a valid value of each field that has no default, and of theta
+    VALID = {
+        CoherentSpec: {"alpha": 1.0},
+        SqueezedSpec: {"r": 0.5, "theta": 0.0},
+        CollectiveSpec: {"n_spins": 4, "omega0": 1.0, "kappa": 1.0},
+    }
+
+    @pytest.mark.parametrize("cls, name, bad", [
+        *((cls, name, bad)
+          for cls, name in ((CoherentSpec, "alpha"), (SqueezedSpec, "r"), (SqueezedSpec, "theta"),
+                            (CollectiveSpec, "omega0"), (CollectiveSpec, "kappa"))
+          for bad in (np.nan, np.inf, -np.inf)),
+        (CoherentSpec, "alpha", complex(1.0, np.inf)),
+    ])
+    def test_non_finite_parameter_rejected(self, cls, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            cls(**{**self.VALID[cls], name: bad})
+
+
 class TestBuildModel:
     def test_coherent_shapes(self):
         model = build_model(CoherentSpec(alpha=1.0))
@@ -41,6 +61,10 @@ class TestBuildModel:
         assert model.ansatz.n_jump == 2
         assert model.ansatz.n_params == 6
         check_density_matrix(model.rho_ss)
+
+    def test_unknown_spec_type_rejected(self):
+        with pytest.raises(UnsupportedVariantError):
+            build_model(object())
 
     def test_explicit_cutoff_is_used_even_when_zero(self):
         # both default cutoffs are 40 here
@@ -281,6 +305,10 @@ class TestAnalyticKernelVectors:
 
 
 class TestAnalyticCorrMatrix:
+    def test_unsupported_variant(self):
+        with pytest.raises(UnsupportedVariantError):
+            analytic_corr_matrix(CollectiveSpec(n_spins=4, omega0=1.0, kappa=1.0))
+
     def test_single_jump_dissipator_diagonal_at_zero_squeezing(self):
         m = analytic_corr_matrix(SqueezedSpec(r=0.0))
         assert abs(m[3, 3] - 0.5) < 1e-14

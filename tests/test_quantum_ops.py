@@ -104,6 +104,10 @@ class TestSqueezedVacuum:
         assert abs(dx - 0.5 * np.exp(-r)) < 1e-10
         assert abs(dp - 0.5 * np.exp(r)) < 1e-10
 
+    def test_negative_squeezing_rejected(self):
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            squeezed_vacuum(40, -0.1)
+
     def test_cutoff_floor_enforced(self):
         with pytest.raises(CutoffTooSmallError):
             squeezed_vacuum(21, 1.0)

@@ -489,7 +489,17 @@ class TestSteadyState:
         fast = steady_state_of(params, model.ansatz, method="lu")
         robust = steady_state_of(params, model.ansatz, method="svd")
         assert fast.method == "lu"
+        assert fast.unique is None  # the trace-constrained solve counts no multiplicity
         assert norm_difference(fast.rho, robust.rho) < 1e-9
+
+    def test_unknown_method_and_parameters_of_another_shape_rejected(self, rng):
+        ansatz = random_ansatz(rng, 3, 1, 2)
+        params = random_params(rng, 1, 2, hermitian_gamma=True)
+        with pytest.raises(ValueError, match="unknown method"):
+            steady_state_of(params, ansatz, method="qr")
+        for c, gamma in ((np.zeros(2), params.gamma), (params.c, np.eye(1))):
+            with pytest.raises(DimMismatchError):
+                steady_state_of(LindbladianParams(c=c, gamma=gamma), ansatz)
 
     def test_zero_generator_reports_multiplicity(self, rng):
         ansatz = random_ansatz(rng, 3, 1, 1)
