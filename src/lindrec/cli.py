@@ -44,7 +44,7 @@ from .engine import (
     unpack_kernel_vector,
 )
 from .errors import ConfigInvalidError, LindrecError
-from .numerics import DEFAULT_NULL_TOL, LogLogFit, loglog_fit
+from .numerics import DEFAULT_NULL_TOL, loglog_fit
 from .quantum_ops import (
     coherent_state,  # noqa: F401 -- module attribute that perfbench/tracing.py wraps
     mix_with_identity,
@@ -258,7 +258,7 @@ def _collective_row(spec: models.CollectiveSpec, tol_null: float) -> dict:
             "gamma12_over_gamma11": g[0, 1] / g[0, 0],
             "gamma21_over_gamma11": g[1, 0] / g[0, 0],
         }
-        gev = sol.gamma_eigenvalues
+        gev = row["solution"]["gamma_eigenvalues"]
         row["n_gamma_above_tol"] = int(np.sum(gev > MARKOV_TOL * max(1.0, gev[-1])))
     return row
 
@@ -279,19 +279,13 @@ def _run_collective(config: RunConfig) -> dict:
     }
 
 
-def _branch_fit(x: np.ndarray, y: np.ndarray) -> tuple[LogLogFit, float]:
-    """Log-log fit of one branch and its total squared log residual."""
-    fit = loglog_fit(x, y)
-    return fit, float(np.sum((np.log(y) - (fit.slope * np.log(x) + fit.intercept)) ** 2))
-
-
 def _two_segment_fit(eps: np.ndarray, diffs: np.ndarray) -> dict:
     """Split a log-log curve into two branches at the split minimizing the
     total squared residual (the lower split on ties); used to locate the
     saturation knee."""
     single = loglog_fit(eps, diffs)
     splits = {
-        k: (_branch_fit(eps[:k], diffs[:k]), _branch_fit(eps[k:], diffs[k:]))
+        k: (loglog_fit(eps[:k], diffs[:k]), loglog_fit(eps[k:], diffs[k:]))
         for k in range(3, eps.size - 2)
     }
     if not splits:
@@ -301,8 +295,8 @@ def _two_segment_fit(eps: np.ndarray, diffs: np.ndarray) -> dict:
             "r2_small_eps": single.r_squared,
             "slope_full": single.slope,
         }
-    k = min(splits, key=lambda k: splits[k][0][1] + splits[k][1][1])
-    (lo, _), (hi, _) = splits[k]
+    k = min(splits, key=lambda k: splits[k][0].ss_res + splits[k][1].ss_res)
+    lo, hi = splits[k]
     return {
         "knee_eps": float(np.sqrt(eps[k - 1] * eps[k])),
         "n_points_below_knee": int(k),
@@ -332,12 +326,12 @@ def _run_robustness(config: RunConfig) -> dict:
             params = unpack_kernel_vector(
                 min_vec, model.ansatz.n_drive, model.ansatz.n_jump
             )
-            gev = params.gamma_eigenvalues
+            solution = _params_payload(params, result)
+            gev = solution["gamma_eigenvalues"]
             neg_tol = MARKOV_TOL * max(1.0, float(gev[-1]))
             n_negative = int(np.sum(gev < -neg_tol))
             ss = steady_state_of(params, model.ansatz, method="svd")
             diff = norm_difference(ss.rho, rho_clean)
-            solution = _params_payload(params, result)
             row = {
                 "n_spins": spec.n_spins,
                 "eps": float(eps),
@@ -349,7 +343,7 @@ def _run_robustness(config: RunConfig) -> dict:
                 "gamma_eigenvalues": gev,
                 "gamma_min": float(gev[0]),
                 "n_negative_gamma": n_negative,
-                "markovian": params.markovian,
+                "markovian": solution["markovian"],
                 "unique": ss.unique,
                 "steady_state_method": ss.method,
                 "steady_state_fallback": ss.fallback,

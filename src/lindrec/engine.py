@@ -178,7 +178,8 @@ class LindbladianParams:
 
     ``gamma`` is Hermitian; the generator is a valid (completely positive)
     Markovian one exactly when gamma is PSD, exposed as ``markovian``.
-    Couplings with a nonzero imaginary part raise ``NonPhysicalVectorError``.
+    Couplings with a nonzero imaginary part raise ``NonPhysicalVectorError``,
+    and a non-finite coupling or rate raises ``NonFiniteError``.
     """
 
     c: np.ndarray
@@ -189,9 +190,11 @@ class LindbladianParams:
         if np.any(np.imag(c) != 0):
             raise NonPhysicalVectorError("couplings must be real")
         self.c = np.asarray(np.real(c), dtype=float)
+        require_finite(self.c, "coupling vector c")
         self.gamma = np.asarray(self.gamma, dtype=complex)
         if self.gamma.ndim != 2 or self.gamma.shape[0] != self.gamma.shape[1]:
             raise DimMismatchError("gamma must be a square matrix")
+        require_finite(self.gamma, "rate matrix gamma")
 
     @property
     def n_drive(self) -> int:

@@ -212,16 +212,18 @@ def collective_steady_state(spec: CollectiveSpec, ops: SpinOps) -> np.ndarray:
     formed ``STATE_BLOCK_COLUMNS`` columns at a time, normalized and made
     exactly Hermitian in place, so at most two d x d arrays are held (this
     product ordering is the one annihilated by the generator; the
-    construction is verified against it to 1e-10 before returning, through
-    ``apply_lindbladian``).  Operators of another sector raise
-    ``DimMismatchError``: the residual cannot catch them, since the same
-    eta is the steady state of that sector too.
+    construction is verified to 1e-10 before returning, through
+    ``apply_lindbladian``, against the generator divided by kappa, so that
+    the state and its check read the model through omega0/kappa alone).
+    Operators of another sector raise ``DimMismatchError``: the residual
+    cannot catch them, since the same eta is the steady state of that
+    sector too.
     """
-    n_spins, omega0, kappa = spec.n_spins, spec.omega0, spec.kappa
+    n_spins, ratio = spec.n_spins, spec.omega0 / spec.kappa
     dim = n_spins + 1
     if ops.sm.shape != (dim, dim):
         raise DimMismatchError(f"spin operators of shape {ops.sm.shape} for N = {n_spins}")
-    beta = -1j * omega0 * n_spins / (2.0 * kappa)
+    beta = -1j * ratio * n_spins / 2.0
     step = ops.sm.diagonal(-1) / beta
     # log2 of the largest ladder product, the largest entry of eta
     log_products = np.concatenate(([0.0], np.cumsum(np.log2(np.abs(step)))))
@@ -259,8 +261,8 @@ def collective_steady_state(spec: CollectiveSpec, ops: SpinOps) -> np.ndarray:
     rho /= 2
     ansatz = LindbladAnsatz(h_ops=(ops.sx,), jump_ops=(ops.sm,))
     params = LindbladianParams(
-        c=np.array([omega0]),
-        gamma=np.array([[kappa / (n_spins / 2.0)]], dtype=complex),
+        c=np.array([ratio]),
+        gamma=np.array([[1 / (n_spins / 2.0)]], dtype=complex),
     )
     residual = float(np.linalg.norm(apply_lindbladian(params, ansatz, rho)))
     if not residual <= 1e-10:

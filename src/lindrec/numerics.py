@@ -190,13 +190,14 @@ class LogLogFit(NamedTuple):
     slope: float
     intercept: float
     r_squared: float
+    ss_res: float
 
 
 def loglog_fit(xs: np.ndarray, ys: np.ndarray) -> LogLogFit:
     """Ordinary least squares of log(y) against log(x).
 
-    Needs at least three strictly positive points; returns slope, intercept
-    and the coefficient of determination.
+    Needs at least three strictly positive points; returns slope, intercept,
+    the coefficient of determination and the sum of squared log residuals.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -212,4 +213,4 @@ def loglog_fit(xs: np.ndarray, ys: np.ndarray) -> LogLogFit:
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 and ss_res <= 1e-24 else 1.0 - ss_res / max(ss_tot, 1e-300)
-    return LogLogFit(float(slope), float(intercept), float(r2))
+    return LogLogFit(float(slope), float(intercept), float(r2), ss_res)

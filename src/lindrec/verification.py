@@ -32,7 +32,6 @@ from .numerics import (
     hermitian_coordinates,
     hermitian_from_coordinates,
     hermitian_part,
-    require_finite,
 )
 from .quantum_ops import Operator
 
@@ -66,13 +65,11 @@ def vectorize_liouvillian(
     of n_jump + 1 products.  Summed, the jump terms of a Hermitian rho are
     Hermitian, so their imaginary part is roundoff, and T has the singular
     values of the generator.  Trace preservation makes the rows of T at
-    arange(d) * (d + 1) sum to zero.  Non-finite couplings raise
-    ``NonFiniteError``; the rate matrix is replaced by its
-    ``hermitian_part``, which rejects a non-finite or non-Hermitian one.
+    arange(d) * (d + 1) sum to zero.  The rate matrix is replaced by its
+    ``hermitian_part``, which rejects a non-Hermitian one.
     """
     from scipy import sparse
 
-    require_finite(params.c, "coupling vector c")
     gamma = hermitian_part(params.gamma, "rate matrix gamma")
     d = ansatz.dim
     if d * d > MAX_SUPEROP_DIM:

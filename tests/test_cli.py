@@ -17,6 +17,7 @@ from lindrec.cli import (
     build_parser,
     main,
     run_experiment,
+    write_json,
 )
 from lindrec.engine import LindbladAnsatz, LindbladianParams, rapidity
 from lindrec.errors import ConfigInvalidError
@@ -614,6 +615,28 @@ class TestDeterminism:
         canon_a = json.dumps(rep_a, sort_keys=True)
         canon_b = json.dumps(rep_b, sort_keys=True)
         assert canon_a.encode() == canon_b.encode()
+
+    def test_kappa_changes_no_collective_result(self, tmp_path):
+        # the collective state and its residual gate read omega0/kappa alone
+        results = []
+        for kappa in ("1", "1e6"):
+            out = tmp_path / kappa
+            argv = ["collective", "--N", "10,40", "--omega-over-kappa", "1.5", "--kappa", kappa]
+            assert main([*argv, "--out", str(out)]) == 0
+            results.append(load_report(out)["results"])
+        assert results[0] == results[1]
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("value, text", [(np.int64(3), "3"), (np.bool_(True), "true")])
+    def test_numpy_scalars_are_written_as_python_values(self, tmp_path, value, text):
+        write_json(tmp_path / "v.json", {"v": value})
+        assert (tmp_path / "v.json").read_text() == f'{{\n  "v": {text}\n}}\n'
+
+    def test_other_objects_are_rejected(self, tmp_path):
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            write_json(tmp_path / "v.json", {"v": object()})
+        assert not (tmp_path / "v.json").exists()
 
 
 class TestReportedRapidity:

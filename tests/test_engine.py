@@ -381,6 +381,19 @@ class TestLindbladianParams:
         assert params.c.dtype == float
         np.testing.assert_array_equal(params.c, [1.0, -2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", ["c", "diagonal", "off-diagonal"])
+    def test_non_finite_entries_rejected(self, bad, entry):
+        # rapidity, apply_lindbladian and markovian would read them as nan
+        c, gamma = np.array([1.0, -0.5]), np.eye(2, dtype=complex)
+        if entry == "c":
+            c[1] = bad
+        else:
+            gamma[0, 0 if entry == "diagonal" else 1] = bad
+        name = "coupling vector c" if entry == "c" else "rate matrix gamma"
+        with pytest.raises(NonFiniteError, match=name):
+            LindbladianParams(c=c, gamma=gamma)
+
     @pytest.mark.parametrize("gamma", [1.0, np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2))])
     def test_rate_matrix_must_be_square(self, gamma):
         with pytest.raises(DimMismatchError, match="gamma must be a square matrix"):
@@ -857,8 +870,8 @@ class TestMarkovianPostprocessing:
         np.testing.assert_allclose(repaired.c, params.c)
 
     def test_repair_rejects_a_nan_rate(self):
-        params = LindbladianParams(c=np.array([1.0]), gamma=np.diag([1.0, np.nan]))
         with pytest.raises(NonFiniteError):
+            params = LindbladianParams(c=np.array([1.0]), gamma=np.diag([1.0, np.nan]))
             repair_markovianity(params)
 
     def test_repair_clamps_negative_rate(self):

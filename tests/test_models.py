@@ -53,6 +53,10 @@ class TestSpecRules:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             cls(**{**self.VALID[cls], name: bad})
 
+    def test_unknown_collective_basis_rejected(self):
+        with pytest.raises(ValueError, match="basis must be"):
+            CollectiveSpec(**self.VALID[CollectiveSpec], basis="xyz")
+
 
 class TestBuildModel:
     def test_coherent_shapes(self):
@@ -270,6 +274,14 @@ class TestCollectiveSteadyState:
         # no power of two brings their squares into the float range
         with pytest.raises(DegenerateParamsError, match="2\\^1557"):
             steady_state(400, 0.05, 1.0)
+
+    @pytest.mark.parametrize("kappa", [1e6, 1e12, 1e200, 1e-200])
+    def test_state_reads_omega0_over_kappa_alone(self, kappa):
+        # the state and its residual gate see the model through omega0/kappa
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = steady_state(40, 1.5 * kappa, kappa)
+        np.testing.assert_array_equal(rho, steady_state(40, 1.5, 1.0))
 
     def test_degenerate_parameters_rejected(self):
         # the spec owns the parameter rules, so no degenerate spec reaches

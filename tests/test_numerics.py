@@ -250,6 +250,9 @@ class TestPredicates:
         assert is_psd(np.zeros((0, 0)))
 
 
+NOISY_XS = np.logspace(0, 2, 20)
+
+
 class TestLogLogFit:
     def test_quadratic(self):
         xs = np.array([1.0, 2.0, 4.0, 8.0])
@@ -263,9 +266,10 @@ class TestLogLogFit:
         assert abs(fit.slope + 1.0) < 1e-12
         assert abs(np.exp(fit.intercept) - 5.0) < 1e-10
 
-    def test_rejects_nonpositive(self):
+    @pytest.mark.parametrize("ys", [np.array([1.0, -2.0, 3.0]), np.array([1.0, 2.0])])
+    def test_rejects_nonpositive(self, ys):
         with pytest.raises(NonPositiveDataError):
-            loglog_fit(np.array([1.0, 2.0, 3.0]), np.array([1.0, -2.0, 3.0]))
+            loglog_fit(np.array([1.0, 2.0, 3.0]), ys)
 
     def test_rejects_too_few(self):
         with pytest.raises(TooFewPointsError):
@@ -277,3 +281,13 @@ class TestLogLogFit:
         fit = loglog_fit(xs, ys)
         assert 1.3 < fit.slope < 1.7
         assert fit.r_squared < 1.0
+
+    @pytest.mark.parametrize("xs, ys", [
+        (np.array([1.0, 2.0, 4.0, 8.0]), np.array([1.0, 4.0, 16.0, 64.0])),
+        (np.array([1.0, 2.0, 4.0]), np.array([5.0, 2.5, 1.25])),
+        (NOISY_XS, NOISY_XS**1.5 * np.exp(np.random.default_rng(0).normal(0, 0.1, 20))),
+    ], ids=["quadratic", "inverse", "noisy"])
+    def test_residual_sum(self, xs, ys):
+        fit = loglog_fit(xs, ys)
+        resid = np.log(ys) - fit.slope * np.log(xs) - fit.intercept
+        assert fit.ss_res == pytest.approx(np.sum(resid**2), rel=1e-12, abs=1e-28)

@@ -212,10 +212,20 @@ class TestEdgeCases:
             LindbladAnsatz(h_ops=(spin_ops(99).sx,), jump_ops=(np.eye(99),))
         with pytest.raises(DimMismatchError):
             spin_ops(99).sx + boson_ops(100).x
+        with pytest.raises(DimMismatchError):
+            Operator(3) @ Operator(4)
         # a diagonal of the wrong length, one outside the matrix, a repeated one
         for diagonals in ([(1, np.ones(5))], [(7, np.ones(1))], [(0, np.ones(7))] * 2):
             with pytest.raises(DimMismatchError):
                 Operator(7, diagonals)
+
+    @pytest.mark.parametrize("apply", [
+        lambda op: op + 1, lambda op: op - 1, lambda op: op * "a", lambda op: op / "a",
+        lambda op: op @ 1,
+    ], ids=["add", "sub", "mul", "truediv", "matmul"])
+    def test_arithmetic_with_a_non_operator_rejected(self, apply):
+        with pytest.raises(TypeError):
+            apply(spin_ops(3).sx)
 
     def test_empty_dimension_rejected(self):
         # an ansatz on no state would report a kernel for nothing

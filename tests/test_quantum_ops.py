@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lindrec.errors import CutoffTooSmallError, EpsOutOfRangeError
+from lindrec.errors import CutoffTooSmallError, DimMismatchError, EpsOutOfRangeError
 from lindrec.quantum_ops import (
     boson_ops,
     coherent_state,
@@ -233,3 +233,7 @@ class TestMixWithIdentity:
             mix_with_identity(rho, 1.5)
         with pytest.raises(EpsOutOfRangeError):
             mix_with_identity(rho, -0.1)
+
+    def test_rejects_a_non_square_state(self):
+        with pytest.raises(DimMismatchError, match="must be square"):
+            mix_with_identity(np.ones((2, 3)) / 2, 0.5)
