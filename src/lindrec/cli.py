@@ -66,7 +66,7 @@ class RunConfig:
     jumps: str = models.SINGLE_JUMPS
     n_list: tuple[int, ...] = DEFAULT_N_GRID
     omega_over_kappa: float | None = None
-    kappa: float = 1.0
+    kappa: float = 1.0  # kept only because perfbench's collective check reads it
     regime: str = "strong"
     eps_list: tuple[float, ...] = DEFAULT_EPS_GRID
     n_max: int | None = None
@@ -92,8 +92,6 @@ class RunConfig:
                 raise ConfigInvalidError("need at least three eps values")
             if self.regime not in ("strong", "weak"):
                 raise ConfigInvalidError("regime must be strong or weak")
-        if self.n_max is not None and self.n_max < 1:
-            raise ConfigInvalidError("n_max must be at least 1")
         try:  # the spec constructors own the model parameter rules
             specs = self.specs()
         except ValueError as exc:
@@ -550,7 +548,6 @@ COMMON_FLAGS = (
 _N_MAX = Flag("--n-max", "n_max", options={"type": int, "help": "Fock cutoff override"})
 _ALPHA = Flag("--alpha", "alpha", _parse_complex)
 _N_GRID = Flag("--N", "n_list", _parse_int_grid, {"help": "e.g. 10,20,40 or 10..60:10"})
-_KAPPA = Flag("--kappa", "kappa", options={"type": float})
 _RATIO = Flag("--omega-over-kappa", "omega_over_kappa", options={"type": float})
 
 EXPERIMENTS = {
@@ -567,9 +564,7 @@ EXPERIMENTS = {
         ),
     ),
     "collective": Experiment(
-        "driven-dissipative collective spins",
-        _run_collective,
-        (_N_GRID, _RATIO, _KAPPA),
+        "driven-dissipative collective spins", _run_collective, (_N_GRID, _RATIO)
     ),
     "robustness": Experiment(
         "noise-mixed collective target sweeps",
@@ -579,7 +574,6 @@ EXPERIMENTS = {
             _N_GRID,
             Flag("--eps", "eps_list", _parse_float_grid, {"help": "e.g. 1e-4..1e-2:9"}),
             _RATIO,
-            _KAPPA,
         ),
         table=_scaling_table,
     ),

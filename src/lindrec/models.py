@@ -32,6 +32,13 @@ FULL_BASIS = "full3"
 XY_BASIS = "xy2"
 
 
+def _check_cutoff(n_max) -> None:
+    """A Fock cutoff is None (the default rule) or an integer >= 1; a bool is no integer."""
+    integer = isinstance(n_max, (int, np.integer)) and not isinstance(n_max, bool)
+    if not (n_max is None or integer and n_max >= 1):
+        raise ValueError("n_max must be None or an integer >= 1")
+
+
 @dataclass(frozen=True)
 class CoherentSpec:
     """Coherent target |alpha><alpha| with linear drive and jump operators."""
@@ -42,6 +49,7 @@ class CoherentSpec:
     def __post_init__(self):
         if not np.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
+        _check_cutoff(self.n_max)
 
 
 @dataclass(frozen=True)
@@ -61,6 +69,7 @@ class SqueezedSpec:
             raise ValueError("theta must be finite")
         if self.jumps not in (SINGLE_JUMPS, TWO_JUMPS):
             raise ValueError(f"jumps must be '{SINGLE_JUMPS}' or '{TWO_JUMPS}'")
+        _check_cutoff(self.n_max)
 
 
 @dataclass(frozen=True)
@@ -79,6 +88,8 @@ class CollectiveSpec:
             raise ValueError("kappa must be finite and > 0")
         if not 0 < abs(self.omega0) < np.inf:
             raise ValueError("omega0 must be finite and nonzero")
+        if not 0 < abs(float(self.omega0) / float(self.kappa)) < np.inf:
+            raise ValueError("omega0/kappa must be finite and nonzero")
         if self.basis not in (FULL_BASIS, XY_BASIS):
             raise ValueError(f"basis must be '{FULL_BASIS}' or '{XY_BASIS}'")
 

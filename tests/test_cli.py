@@ -79,11 +79,11 @@ class TestParsing:
              {"alpha": 1 - 2j, "out_dir": "o", "tol_null": 1e-9, "n_max": 12}),
             (["squeezed", "--r", "0.7", "--theta", "0.2", "--jumps", "two"],
              {"r": 0.7, "theta": 0.2, "jumps": "two"}),
-            (["collective", "--N", "4..8:2", "--omega-over-kappa", "1.5", "--kappa", "2"],
-             {"n_list": (4, 6, 8), "omega_over_kappa": 1.5, "kappa": 2.0}),
+            (["collective", "--N", "4..8:2", "--omega-over-kappa", "1.5"],
+             {"n_list": (4, 6, 8), "omega_over_kappa": 1.5}),
             (["robustness", "--regime", "weak", "--N", "6", "--eps", "1e-3,1e-2",
-              "--kappa", "3", "--omega-over-kappa", "1.5"],
-             {"regime": "weak", "n_list": (6,), "eps_list": (1e-3, 1e-2), "kappa": 3.0,
+              "--omega-over-kappa", "1.5"],
+             {"regime": "weak", "n_list": (6,), "eps_list": (1e-3, 1e-2),
               "omega_over_kappa": 1.5}),
             (["feasibility", "--alpha", "2", "--require-feasible"],
              {"alpha": 2 + 0j, "require_feasible": True}),
@@ -132,8 +132,6 @@ class TestParsing:
         ["robustness", "--N", "1,10"],
         ["squeezed", "--r", "-1"],
         ["collective", "--omega-over-kappa", "0"],
-        # omega0 = omega_over_kappa * kappa underflows to 0
-        ["collective", "--N", "4", "--omega-over-kappa", "1e-10", "--kappa", "1e-320"],
     ])
     def test_degenerate_model_parameter_is_a_config_error(self, tmp_path, argv):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -181,6 +179,21 @@ class TestParsing:
         assert "--n-max" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("experiment", ["collective", "robustness"])
+    def test_kappa_is_set_neither_by_flag_nor_by_config_file(
+        self, tmp_path, capsys, experiment
+    ):
+        # the models read omega0/kappa alone, so the ratio is the one input
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([experiment, "--N", "4", "--kappa", "2", "--out", str(out)])
+        assert exc.value.code == 2
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"kappa": 2.0, "n_list": [4]}))
+        assert main([experiment, "--config", str(path), "--out", str(out)]) == 2
+        assert "unknown config keys: ['kappa']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_eps_grid_is_a_config_error(self, tmp_path):
         assert main(["robustness", "--eps", "1e-4..x", "--out", str(tmp_path / "o")]) == 2
         with pytest.raises(ConfigInvalidError):
@@ -218,7 +231,7 @@ class TestParsing:
             assert not out.exists()
 
     @pytest.mark.parametrize("experiment, values", [
-        ("collective", {"kappa": "1"}),
+        ("collective", {"omega_over_kappa": "1"}),
         ("collective", {"n_list": 10}),
         ("coherent", {"alpha": [1]}),
         ("robustness", {"eps_list": "1e-3"}),
@@ -243,16 +256,14 @@ class TestParsing:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, config", [
-        (["collective", "--N", "4", "--kappa", "inf"], None),
-        # omega0 = omega_over_kappa * kappa overflows to inf
-        (["collective", "--N", "4", "--omega-over-kappa", "1e200", "--kappa", "1e200"], None),
+        (["collective", "--N", "4", "--omega-over-kappa", "inf"], None),
         (["collective", "--N", "4", "--omega-over-kappa", "nan"], None),
         (["coherent", "--alpha", "nan"], None),
         (["coherent", "--alpha", "1+infj"], None),
         (["squeezed", "--theta", "inf"], None),
         (["squeezed", "--r", "nan"], None),
         (["robustness", "--eps", "1e-3,1e-2,inf"], None),
-        (["collective"], '{"kappa": Infinity, "n_list": [4]}'),
+        (["collective"], '{"omega_over_kappa": Infinity, "n_list": [4]}'),
         (["collective"], '{"omega_over_kappa": NaN, "n_list": [4]}'),
         (["coherent"], '{"alpha": [1.0, -Infinity]}'),
     ])
@@ -615,16 +626,6 @@ class TestDeterminism:
         canon_a = json.dumps(rep_a, sort_keys=True)
         canon_b = json.dumps(rep_b, sort_keys=True)
         assert canon_a.encode() == canon_b.encode()
-
-    def test_kappa_changes_no_collective_result(self, tmp_path):
-        # the collective state and its residual gate read omega0/kappa alone
-        results = []
-        for kappa in ("1", "1e6"):
-            out = tmp_path / kappa
-            argv = ["collective", "--N", "10,40", "--omega-over-kappa", "1.5", "--kappa", kappa]
-            assert main([*argv, "--out", str(out)]) == 0
-            results.append(load_report(out)["results"])
-        assert results[0] == results[1]
 
 
 class TestWriteJson:

@@ -53,6 +53,21 @@ class TestSpecRules:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             cls(**{**self.VALID[cls], name: bad})
 
+    @pytest.mark.parametrize("n_max", [0, -3, 2.5, True])
+    @pytest.mark.parametrize("cls", [CoherentSpec, SqueezedSpec])
+    def test_cutoff_that_is_no_positive_integer_rejected(self, cls, n_max):
+        # a bool is an int to Python, and True would build a 2-level space
+        with pytest.raises(ValueError, match="n_max must be"):
+            cls(**self.VALID[cls], n_max=n_max)
+
+    @pytest.mark.parametrize("omega0, kappa", [(1e300, 1e-300), (1e-300, 1e300)])
+    def test_ratio_beyond_the_float_range_rejected(self, omega0, kappa):
+        # the state and its gate read omega0/kappa, which overflows or underflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="omega0/kappa must be finite and nonzero"):
+                CollectiveSpec(n_spins=4, omega0=np.float64(omega0), kappa=np.float64(kappa))
+
     def test_unknown_collective_basis_rejected(self):
         with pytest.raises(ValueError, match="basis must be"):
             CollectiveSpec(**self.VALID[CollectiveSpec], basis="xyz")
@@ -74,9 +89,10 @@ class TestBuildModel:
         # both default cutoffs are 40 here
         assert build_model(CoherentSpec(alpha=0.0, n_max=50)).ansatz.dim == 51
         assert build_model(SqueezedSpec(r=0.0, n_max=50)).ansatz.dim == 51
-        for spec in (CoherentSpec(alpha=0.0, n_max=0), SqueezedSpec(r=0.0, n_max=0)):
-            with pytest.raises(ValueError):
-                build_model(spec)
+        assert build_model(SqueezedSpec(r=0.0, n_max=np.int64(50))).ansatz.dim == 51
+        for cls, value in ((CoherentSpec, {"alpha": 0.0}), (SqueezedSpec, {"r": 0.0})):
+            with pytest.raises(ValueError, match="n_max"):
+                cls(**value, n_max=0)
 
     def test_collective_full_basis_shapes(self):
         model = build_model(CollectiveSpec(n_spins=10, omega0=2.0, kappa=1.0))

@@ -20,6 +20,7 @@ from lindrec.errors import (
     DimMismatchError,
     DimTooLargeError,
     NonFiniteError,
+    NoSteadyStateError,
     NotHermitianError,
 )
 from lindrec.models import (
@@ -622,6 +623,34 @@ class TestCanonicalState:
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
         assert np.linalg.eigvalsh(_canonicalize_state(pure))[0] > -1e-15
+
+
+class TestNoSteadyState:
+    """The SVD path rejects a real generator T (here of a qubit, in the
+    coordinates of ``hermitian_coordinates``) with no usable null direction."""
+
+    @staticmethod
+    def svd_path(matrix):
+        from scipy import sparse
+
+        return _steady_state_svd(sparse.csr_array(matrix), 2)
+
+    def test_no_null_direction(self):
+        with pytest.raises(NoSteadyStateError, match="smallest singular value"):
+            self.svd_path(np.eye(4))
+
+    def test_null_direction_without_trace(self):
+        # coordinate 1 is the off-diagonal -sigma_y / sqrt2, which has trace 0
+        with pytest.raises(NoSteadyStateError, match="vanishing trace"):
+            self.svd_path(np.diag([1.0, 0.0, 1.0, 1.0]))
+
+    def test_near_null_direction_fails_the_residual_gate(self):
+        # T v = 1e-9 v counts as null, but v has trace 1e-6, so the state
+        # v / 1e-6 has residual 1e-3, far above the gate
+        v = np.array([1e-6, 1.0, 0.0, 0.0])
+        v /= np.linalg.norm(v)
+        with pytest.raises(NoSteadyStateError, match="steady-state residual"):
+            self.svd_path(np.eye(4) - (1 - 1e-9) * np.outer(v, v))
 
 
 class TestNoThreadedNumpyBlas:
